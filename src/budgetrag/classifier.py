@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import BudgetRagError, ResponseParseError
+from .manifest import read_jsonl, utc_now, write_jsonl
 from .remote import post_json
 from .retrieval import AssembledContext
 
@@ -256,7 +257,7 @@ def classify_batch(
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    started_at = "1970-01-01T00:00:00Z" if deterministic else _utc_now()
+    started_at = utc_now(deterministic)
 
     def one(ctx: AssembledContext):
         try:
@@ -295,15 +296,9 @@ def classify_batch(
         "contexts": len(contexts),
         "failures": len(batch.failures),
         "started_at": started_at,
-        "finished_at": "1970-01-01T00:00:00Z" if deterministic else _utc_now(),
+        "finished_at": utc_now(deterministic),
     }
     return batch
-
-
-def _utc_now() -> str:
-    from datetime import datetime, timezone
-
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 # --- outcomes persistence ----------------------------------------------
@@ -323,49 +318,45 @@ def outcome_to_json(outcome: ClassificationOutcome) -> dict:
     }
 
 
+def _failure_to_json(failure: FailedClassification) -> dict:
+    return {
+        "patient_id": failure.patient_id,
+        "mode": failure.mode,
+        "failed": True,
+        "error": failure.error,
+        "message": failure.message,
+    }
+
+
 def write_outcomes(path, batch: BatchResult) -> None:
     """Write outcomes JSONL; failures become lines with ``"failed": true``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for outcome in batch.outcomes:
-            fh.write(json.dumps(outcome_to_json(outcome), ensure_ascii=False) + "\n")
-        for failure in batch.failures:
-            fh.write(json.dumps({
-                "patient_id": failure.patient_id,
-                "mode": failure.mode,
-                "failed": True,
-                "error": failure.error,
-                "message": failure.message,
-            }, ensure_ascii=False) + "\n")
+    write_jsonl(path, [*map(outcome_to_json, batch.outcomes), *map(_failure_to_json, batch.failures)])
+
+
+def _outcome_from_json(obj: dict) -> ClassificationOutcome | FailedClassification:
+    if obj.get("failed"):
+        return FailedClassification(
+            patient_id=obj["patient_id"],
+            mode=obj.get("mode", ""),
+            error=obj.get("error", "unknown"),
+            message=obj.get("message", ""),
+        )
+    return ClassificationOutcome(
+        patient_id=obj["patient_id"],
+        mode=obj["mode"],
+        label=int(obj["label"]),
+        severity=int(obj["severity"]),
+        score=float(obj["score"]),
+        raw_response=obj.get("raw_response", ""),
+        prompt_words=int(obj.get("prompt_words", 0)),
+        latency_ms=int(obj.get("latency_ms", 0)),
+        severity_defaulted=bool(obj.get("severity_defaulted", False)),
+    )
 
 
 def read_outcomes(path) -> tuple[list[ClassificationOutcome], list[FailedClassification]]:
-    outcomes: list[ClassificationOutcome] = []
-    failures: list[FailedClassification] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BudgetRagError(f"outcomes file line {line_no}: invalid JSON: {exc.msg}") from exc
-            if obj.get("failed"):
-                failures.append(FailedClassification(
-                    patient_id=obj["patient_id"],
-                    mode=obj.get("mode", ""),
-                    error=obj.get("error", "unknown"),
-                    message=obj.get("message", ""),
-                ))
-                continue
-            outcomes.append(ClassificationOutcome(
-                patient_id=obj["patient_id"],
-                mode=obj["mode"],
-                label=int(obj["label"]),
-                severity=int(obj["severity"]),
-                score=float(obj["score"]),
-                raw_response=obj.get("raw_response", ""),
-                prompt_words=int(obj.get("prompt_words", 0)),
-                latency_ms=int(obj.get("latency_ms", 0)),
-                severity_defaulted=bool(obj.get("severity_defaulted", False)),
-            ))
-    return outcomes, failures
+    rows = read_jsonl(path, "outcomes file", _outcome_from_json)
+    return (
+        [r for r in rows if isinstance(r, ClassificationOutcome)],
+        [r for r in rows if isinstance(r, FailedClassification)],
+    )

@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import classifier as clf
 from . import costmodel, manifest, metrics, report, retrieval
-from .corpus import DEFAULT_MAX_CHUNK_WORDS, load_corpus, load_whitelist, window_notes, concat_text, chunk_text
+from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_text, concat_text, load_corpus, load_whitelist,
+                     window_notes, word_count)
 from .embedding import DEFAULT_DIM, EmbedderConfig, build_embedder
 from .errors import BudgetRagError, UndefinedMetricError
 from .vindex import VectorIndex
@@ -45,32 +46,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --- processed corpus file ----------------------------------------------
-# One JSON object per patient:
-# {"patient_id", "label", "word_count", "text", "chunks": [{"position",
-#  "word_count", "text"}]}
+# One JSON object per patient, holding the windowed text once:
+# {"patient_id", "label", "max_words", "word_count", "text"}
+# Chunks are derived on read with chunk_text(text, max_words), so
+# build-index and retrieve see the same chunks. A file from an older
+# ingest, with a "chunks" list and no "max_words", is rejected.
+
+_PROCESSED_FIELDS = {"patient_id": str, "label": int, "max_words": int, "word_count": int, "text": str}
 
 
-def _write_processed(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+def _processed_row(obj: dict) -> dict:
+    if "max_words" not in obj and "chunks" in obj:
+        raise ValueError("per-chunk rows from an older ingest; re-run ingest")
+    for key, kind in _PROCESSED_FIELDS.items():
+        if not isinstance(obj[key], kind):
+            raise TypeError(f"{key!r} must be {kind.__name__}, got {obj[key]!r:.40}")
+    if obj["max_words"] < 1:
+        raise ValueError(f"'max_words' must be >= 1, got {obj['max_words']}")
+    return obj
 
 
 def _read_processed(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise BudgetRagError(f"processed corpus line {line_no}: invalid JSON: {exc.msg}") from exc
-    return rows
+    return manifest.read_jsonl(path, "processed corpus", _processed_row)
+
+
+def _chunks(row: dict) -> list[Chunk]:
+    return chunk_text(row["text"], row["max_words"], patient_id=row["patient_id"])
 
 
 def _labels_by_patient(corpus_path) -> dict[str, int]:
-    return {row["patient_id"]: int(row["label"]) for row in _read_processed(corpus_path)}
+    return {row["patient_id"]: row["label"] for row in _read_processed(corpus_path)}
 
 
 def _embedder_from_args(args, index: VectorIndex | None = None) -> tuple[EmbedderConfig, object]:
@@ -114,23 +119,19 @@ def cmd_ingest(args) -> int:
     whitelist = load_whitelist(args.whitelist) if args.whitelist else None
     if args.whitelist:
         inputs[Path(args.whitelist).name] = manifest.validate_input(args.whitelist)
-    records = load_corpus(args.corpus, whitelist)
+    if args.max_words < 1:
+        raise BudgetRagError(f"--max-words must be >= 1, got {args.max_words}")
     rows = []
-    for record in records:
-        windowed = window_notes(record, args.window_days) if record.notes else record
-        text = concat_text(windowed)
-        chunks = chunk_text(text, args.max_words, patient_id=record.patient_id)
+    for record in load_corpus(args.corpus, whitelist):
+        text = concat_text(window_notes(record, args.window_days))
         rows.append({
             "patient_id": record.patient_id,
             "label": record.label,
-            "word_count": sum(c.word_count for c in chunks),
+            "max_words": args.max_words,
+            "word_count": word_count(text),
             "text": text,
-            "chunks": [
-                {"position": c.position, "word_count": c.word_count, "text": c.text}
-                for c in chunks
-            ],
         })
-    _write_processed(args.out, rows)
+    manifest.write_jsonl(args.out, rows)
     manifest.write_manifest(
         args.out,
         command="ingest",
@@ -154,14 +155,14 @@ def cmd_build_index(args) -> int:
     rows = _read_processed(args.corpus)
     index = None  # remote embedders reveal their dimension with the first vector
     for row in rows:
-        chunks = row["chunks"]
+        chunks = _chunks(row)
         if not chunks:
             continue
-        vectors = embedder.embed_many([c["text"] for c in chunks])
+        vectors = embedder.embed_many([c.text for c in chunks])
         if index is None:
             index = VectorIndex(dim=vectors[0].shape[0], embedder_fingerprint=embedder.fingerprint)
         for chunk, vector in zip(chunks, vectors):
-            index.add(row["patient_id"], chunk["position"], vector)
+            index.add(row["patient_id"], chunk.position, vector)
     if index is None:
         index = VectorIndex(dim=cfg.dim, embedder_fingerprint=embedder.fingerprint)
     index.save(args.out)
@@ -183,7 +184,6 @@ def cmd_retrieve(args) -> int:
     started = manifest.utc_now(args.deterministic)
     inputs = {Path(args.corpus).name: manifest.validate_input(args.corpus)}
     rows = _read_processed(args.corpus)
-    contexts = []
     embedder_fp = None
     if args.mode == "rag":
         if not args.index:
@@ -197,32 +197,10 @@ def cmd_retrieve(args) -> int:
             query_text=args.query,
             top_n_scan=args.top_n_scan,
         )
-        from .corpus import Chunk
-
-        for row in rows:
-            chunks = [
-                Chunk(
-                    patient_id=row["patient_id"],
-                    position=c["position"],
-                    word_count=c["word_count"],
-                    text=c["text"],
-                )
-                for c in row["chunks"]
-            ]
-            contexts.append(retrieval.assemble_rag_from_chunks(
-                row["patient_id"], chunks, index, embedder, cfg
-            ))
-    else:
-        for row in rows:
-            # the processed corpus is already windowed
-            count = len(row["text"].split())
-            contexts.append(retrieval.AssembledContext(
-                patient_id=row["patient_id"],
-                mode=retrieval.MODE_LONG,
-                text=row["text"],
-                word_count=count,
-                total_words=count,
-            ))
+        contexts = [retrieval.assemble_rag_from_chunks(row["patient_id"], _chunks(row), index, embedder, cfg)
+                    for row in rows]
+    else:  # the processed corpus is already windowed
+        contexts = [retrieval.long_context(row["patient_id"], row["text"], row["word_count"]) for row in rows]
     retrieval.write_contexts(args.out, contexts)
     manifest.write_manifest(
         args.out,

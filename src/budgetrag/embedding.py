@@ -119,29 +119,6 @@ def _extract_embeddings(response: dict, expected: int) -> list[np.ndarray]:
     return out
 
 
-def embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
-    """Embed one text via the remote embeddings endpoint."""
-    return embed_batch_remote([text], cfg)[0]
-
-
-def embed_batch_remote(texts: list[str], cfg: EmbedderConfig) -> list[np.ndarray]:
-    """Embed several texts in a single remote request (order-preserving)."""
-    if cfg.kind != "remote":
-        raise ValueError("embed_remote requires a remote embedder config")
-    if not texts:
-        return []
-    payload = {"model": cfg.model_name, "input": list(texts)}
-    response = post_json(cfg.endpoint, payload, max_attempts=cfg.max_attempts)
-    return _extract_embeddings(response, expected=len(texts))
-
-
-def embed_batch(texts: list[str], cfg: EmbedderConfig) -> list[np.ndarray]:
-    """Embed a list of texts under either kind, preserving order."""
-    if cfg.kind == "hashing":
-        return [embed_hashing(t, cfg.dim) for t in texts]
-    return embed_batch_remote(texts, cfg)
-
-
 class HashingEmbedder:
     """Deterministic offline embedder (the default pipeline choice)."""
 
@@ -174,13 +151,29 @@ class RemoteEmbedder:
         return f"remote:{self.cfg.model_name or 'unknown'}"
 
     def embed(self, text: str) -> np.ndarray:
-        return embed_remote(text, self.cfg)
+        return self._request([text])[0]
 
     def embed_many(self, texts: list[str]) -> list[np.ndarray]:
-        return embed_batch_remote(texts, self.cfg)
+        return self._request(texts) if texts else []
+
+    def _request(self, texts: list[str]) -> list[np.ndarray]:
+        """One order-preserving request. ``embed`` calls this, not ``embed_many``,
+        so a wrapper counting calls to either method sees each call once."""
+        payload = {"model": self.cfg.model_name, "input": list(texts)}
+        response = post_json(self.cfg.endpoint, payload, max_attempts=self.cfg.max_attempts)
+        return _extract_embeddings(response, expected=len(texts))
 
 
 def build_embedder(cfg: EmbedderConfig):
     if cfg.kind == "hashing":
         return HashingEmbedder(cfg.dim)
     return RemoteEmbedder(cfg)
+
+
+# Function forms of the embedder methods, kept for callers of the old function API.
+def embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
+    return RemoteEmbedder(cfg).embed(text)
+
+
+def embed_batch(texts: list[str], cfg: EmbedderConfig) -> list[np.ndarray]:
+    return build_embedder(cfg).embed_many(texts)

@@ -14,7 +14,7 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import FingerprintMismatchError
+from .errors import BudgetRagError, FingerprintMismatchError
 
 EPOCH = "1970-01-01T00:00:00Z"
 
@@ -31,6 +31,42 @@ def sha256_file(path: str | Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return f"sha256:{digest.hexdigest()}"
+
+
+def write_jsonl(path: str | Path, rows) -> None:
+    """Write one JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def read_jsonl(path: str | Path, what: str, parse) -> list:
+    """Parse each non-blank line of a JSON-lines artifact with ``parse``.
+
+    Invalid JSON, a line that is not an object, and a ``KeyError``,
+    ``TypeError`` or ``ValueError`` raised by ``parse`` (a missing field
+    or a bad value) become a :class:`BudgetRagError` naming ``what`` and
+    the line number.
+    """
+    items = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{what} line {line_no}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise BudgetRagError(f"{where}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise BudgetRagError(f"{where}: expected a JSON object")
+            try:
+                items.append(parse(obj))
+            except KeyError as exc:
+                raise BudgetRagError(f"{where}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise BudgetRagError(f"{where}: {exc}") from exc
+    return items
 
 
 def manifest_path(artifact: str | Path) -> Path:

@@ -11,12 +11,12 @@ candidates. Chunks are never truncated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Chunk, PatientRecord, chunk_record, concat_text, window_notes
+from .corpus import Chunk, PatientRecord, chunk_record, concat_text, window_notes, word_count
 from .errors import BudgetRagError, MissingPatientError
+from .manifest import read_jsonl, write_jsonl
 from .vindex import VectorIndex
 
 MODE_RAG = "RAG"
@@ -126,17 +126,16 @@ def assemble_rag(
     return assemble_rag_from_chunks(record.patient_id, chunks, index, embedder, cfg)
 
 
+def long_context(patient_id: str, text: str, words: int) -> AssembledContext:
+    """The whole-text context of an already windowed text of ``words`` words."""
+    return AssembledContext(patient_id=patient_id, mode=MODE_LONG, text=text,
+                            word_count=words, total_words=words)
+
+
 def assemble_long(record: PatientRecord, window_days: int = 30) -> AssembledContext:
     """Assemble the whole-text context from the trailing note window."""
     text = concat_text(window_notes(record, window_days))
-    count = len(text.split())
-    return AssembledContext(
-        patient_id=record.patient_id,
-        mode=MODE_LONG,
-        text=text,
-        word_count=count,
-        total_words=count,
-    )
+    return long_context(record.patient_id, text, word_count(text))
 
 
 def context_stats(ctx: AssembledContext) -> tuple[int, float]:
@@ -164,26 +163,18 @@ def context_to_json(ctx: AssembledContext) -> dict:
 
 
 def write_contexts(path: str | Path, contexts: list[AssembledContext]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ctx in contexts:
-            fh.write(json.dumps(context_to_json(ctx), ensure_ascii=False) + "\n")
+    write_jsonl(path, (context_to_json(ctx) for ctx in contexts))
+
+
+def _context_from_json(obj: dict) -> AssembledContext:
+    return AssembledContext(
+        patient_id=obj["patient_id"],
+        mode=obj["mode"],
+        text=obj["text"],
+        word_count=obj["word_count"],
+        selected_positions=tuple(obj.get("selected_positions", ())),
+    )
 
 
 def read_contexts(path: str | Path) -> list[AssembledContext]:
-    contexts = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BudgetRagError(f"contexts file line {line_no}: invalid JSON: {exc.msg}") from exc
-            contexts.append(AssembledContext(
-                patient_id=obj["patient_id"],
-                mode=obj["mode"],
-                text=obj["text"],
-                word_count=obj["word_count"],
-                selected_positions=tuple(obj.get("selected_positions", ())),
-            ))
-    return contexts
+    return read_jsonl(path, "contexts file", _context_from_json)

@@ -131,10 +131,6 @@ class VectorIndex:
         self._pos_arr = None
         self._rows_by_patient = None
 
-    def has_patient(self, patient_id: str) -> bool:
-        self._build_caches()
-        return patient_id in self._rows_by_patient
-
     def _build_caches(self) -> None:
         if self._matrix is None:
             if self._vectors:

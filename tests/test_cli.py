@@ -198,3 +198,54 @@ class TestSyntheticCli:
         out = tmp_path / "corpus.jsonl"
         assert synth_main(["--patients", "4", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
+
+
+class TestProcessedCorpus:
+    def test_rows_hold_text_once_and_rag_contexts_match_library(self, demo_dir):
+        from budgetrag.corpus import load_corpus, window_notes
+        from budgetrag.embedding import HashingEmbedder
+        from budgetrag.retrieval import RetrievalConfig, assemble_rag, context_to_json
+        from budgetrag.vindex import VectorIndex
+
+        rows = [json.loads(l) for l in (demo_dir / "proc.jsonl").read_text().splitlines()]
+        assert len(rows) == 60
+        for row in rows:
+            assert set(row) == {"patient_id", "label", "max_words", "word_count", "text"}
+        index = VectorIndex.load(demo_dir / "index.brag")
+        embedder = HashingEmbedder(512)
+        cfg = RetrievalConfig(budget_words=256)
+        contexts = {c["patient_id"]: c for c in
+                    map(json.loads, (demo_dir / "ctx_rag.jsonl").read_text().splitlines())}
+        records = load_corpus(demo_dir / "corpus.jsonl")
+        assert sorted(contexts) == sorted(r.patient_id for r in records)
+        for record in records:
+            expected = assemble_rag(window_notes(record, 30), index, embedder, cfg, max_words=64)
+            assert contexts[record.patient_id] == context_to_json(expected), record.patient_id
+
+    @pytest.mark.parametrize("source,drop,extra,bad_line,argv", [
+        ("proc.jsonl", "text", {}, 2,
+         ["build-index", "--corpus", "{bad}", "--out", "{tmp}/i.brag"]),
+        ("proc.jsonl", "max_words", {"chunks": [{"position": 0, "word_count": 1, "text": "x"}]}, 1,
+         ["build-index", "--corpus", "{bad}", "--out", "{tmp}/i.brag"]),
+        ("ctx_rag.jsonl", "mode", {}, 2,
+         ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+        ("out_rag.jsonl", "label", {}, 2,
+         ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
+    ], ids=["processed-without-text", "old-processed-format", "context-without-mode", "outcome-without-label"])
+    def test_malformed_artifact_line_is_exit_2(self, demo_dir, tmp_path, capsys,
+                                               source, drop, extra, bad_line, argv):
+        rows = [json.loads(l) for l in (demo_dir / source).read_text().splitlines()[:3]]
+        for row in rows[bad_line - 1:]:
+            del row[drop]
+            row.update(extra)
+        bad = tmp_path / source
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        args = [a.format(bad=bad, tmp=tmp_path, demo=demo_dir) for a in argv]
+        assert main(args) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["category"] == "data"
+        assert f"line {bad_line}:" in err["message"]
+        if "chunks" in extra:
+            assert "ingest" in err["message"]
