@@ -45,6 +45,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(low: int):
+    """argparse type for an int flag with a lower bound; a smaller value is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value" errors
+    return parse
+
+
 # --- processed corpus file ----------------------------------------------
 # One JSON object per patient, holding the windowed text once:
 # {"patient_id", "label", "max_words", "word_count", "text"}
@@ -119,8 +132,6 @@ def cmd_ingest(args) -> int:
     whitelist = load_whitelist(args.whitelist) if args.whitelist else None
     if args.whitelist:
         inputs[Path(args.whitelist).name] = manifest.validate_input(args.whitelist)
-    if args.max_words < 1:
-        raise BudgetRagError(f"--max-words must be >= 1, got {args.max_words}")
     rows = []
     for record in load_corpus(args.corpus, whitelist):
         text = concat_text(window_notes(record, args.window_days))
@@ -161,8 +172,7 @@ def cmd_build_index(args) -> int:
         vectors = embedder.embed_many([c.text for c in chunks])
         if index is None:
             index = VectorIndex(dim=vectors[0].shape[0], embedder_fingerprint=embedder.fingerprint)
-        for chunk, vector in zip(chunks, vectors):
-            index.add(row["patient_id"], chunk.position, vector)
+        index.add_many(row["patient_id"], [c.position for c in chunks], vectors)
     if index is None:
         index = VectorIndex(dim=cfg.dim, embedder_fingerprint=embedder.fingerprint)
     index.save(args.out)
@@ -435,7 +445,7 @@ def cmd_report(args) -> int:
 
 def _add_embedder_flags(parser) -> None:
     parser.add_argument("--embedder", choices=["hashing", "remote"], default="hashing")
-    parser.add_argument("--dim", type=int, default=None,
+    parser.add_argument("--dim", type=_int_at_least(2), default=None,
                         help=f"hashing dimension (default {DEFAULT_DIM}, or the index's own)")
     parser.add_argument("--endpoint", default=None)
     parser.add_argument("--model", default=None)
@@ -455,8 +465,8 @@ def build_parser() -> _Parser:
     p = add("ingest", cmd_ingest, "validate, window, and chunk a raw corpus")
     p.add_argument("--corpus", required=True, help="raw corpus JSONL")
     p.add_argument("--out", required=True, help="processed corpus JSONL")
-    p.add_argument("--window-days", type=int, default=30)
-    p.add_argument("--max-words", type=int, default=DEFAULT_MAX_CHUNK_WORDS)
+    p.add_argument("--window-days", type=_int_at_least(1), default=30)
+    p.add_argument("--max-words", type=_int_at_least(1), default=DEFAULT_MAX_CHUNK_WORDS)
     p.add_argument("--whitelist", default=None, help="note-type whitelist file (one per line)")
 
     p = add("build-index", cmd_build_index, "embed chunks into a vector index file")
@@ -469,8 +479,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["rag", "long"], required=True)
     p.add_argument("--index", default=None, help="index file (required for rag)")
     p.add_argument("--out", required=True, help="contexts JSONL")
-    p.add_argument("--budget-words", type=int, default=retrieval.DEFAULT_BUDGET_WORDS)
-    p.add_argument("--top-n-scan", type=int, default=retrieval.DEFAULT_TOP_N_SCAN)
+    p.add_argument("--budget-words", type=_int_at_least(1), default=retrieval.DEFAULT_BUDGET_WORDS)
+    p.add_argument("--top-n-scan", type=_int_at_least(1), default=retrieval.DEFAULT_TOP_N_SCAN)
     p.add_argument("--query", default=retrieval.DEFAULT_QUERY_TEXT)
     _add_embedder_flags(p)
 
@@ -482,7 +492,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", default=None)
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=_int_at_least(1), default=1)
     p.add_argument("--keywords", default=None, help="keyword list file for the mock (one phrase per line)")
     p.add_argument("--prompt-template", default=None, help="prompt template file with {context}")
 

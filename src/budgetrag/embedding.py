@@ -119,7 +119,22 @@ def _extract_embeddings(response: dict, expected: int) -> list[np.ndarray]:
     return out
 
 
-class HashingEmbedder:
+class _Embedder:
+    """``embed`` keeps its last text and vector: ``retrieve`` embeds the same
+    query once per patient, and this makes it one embedding per run. The
+    kept vector is read-only, so no caller can change it for the next."""
+
+    _last: tuple[str, np.ndarray] | None = None
+
+    def embed(self, text: str) -> np.ndarray:
+        if self._last is None or self._last[0] != text:
+            vec = self._embed_one(text)
+            vec.flags.writeable = False
+            self._last = (text, vec)
+        return self._last[1]
+
+
+class HashingEmbedder(_Embedder):
     """Deterministic offline embedder (the default pipeline choice)."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
@@ -131,14 +146,14 @@ class HashingEmbedder:
     def fingerprint(self) -> str:
         return f"hashing-fnv1a64:dim={self.dim}"
 
-    def embed(self, text: str) -> np.ndarray:
+    def _embed_one(self, text: str) -> np.ndarray:
         return embed_hashing(text, self.dim)
 
     def embed_many(self, texts: list[str]) -> list[np.ndarray]:
         return [embed_hashing(t, self.dim) for t in texts]
 
 
-class RemoteEmbedder:
+class RemoteEmbedder(_Embedder):
     """Embeddings-API client; batches each ``embed_many`` into one request."""
 
     def __init__(self, cfg: EmbedderConfig):
@@ -150,15 +165,16 @@ class RemoteEmbedder:
     def fingerprint(self) -> str:
         return f"remote:{self.cfg.model_name or 'unknown'}"
 
-    def embed(self, text: str) -> np.ndarray:
+    def _embed_one(self, text: str) -> np.ndarray:
         return self._request([text])[0]
 
     def embed_many(self, texts: list[str]) -> list[np.ndarray]:
         return self._request(texts) if texts else []
 
     def _request(self, texts: list[str]) -> list[np.ndarray]:
-        """One order-preserving request. ``embed`` calls this, not ``embed_many``,
-        so a wrapper counting calls to either method sees each call once."""
+        """One order-preserving request. ``embed`` reaches this without going
+        through ``embed_many``, so a wrapper counting calls to either method
+        sees each call once."""
         payload = {"model": self.cfg.model_name, "input": list(texts)}
         response = post_json(self.cfg.endpoint, payload, max_attempts=self.cfg.max_attempts)
         return _extract_embeddings(response, expected=len(texts))

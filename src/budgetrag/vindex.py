@@ -2,8 +2,16 @@
 
 Similarity is the dot product of unit vectors (cosine). Search is an
 exact full scan; hits are ordered by descending score, ties broken by
-ascending chunk position, then patient id. The index persists to a
-little-endian binary file (format version 2):
+ascending chunk position, then patient id.
+
+In memory the index is one float32 matrix of rows, an int64 array of
+chunk positions and the list of patient ids, row for row, plus a map
+from each patient id to its row numbers for filtered search and
+duplicate checks. The matrix and position array grow by doubling, so
+``add_many`` appends a patient's rows in amortized constant time per
+row; rows past ``len(index)`` are spare capacity.
+
+The index persists to a little-endian binary file (format version 2):
 
     header:  magic "BRAGIDX1" | u32 version=2 | u32 dim | u64 count
              | u64 total file length | u32 CRC-32C of the 32 bytes before it
@@ -21,7 +29,18 @@ the file length against the recorded one (shorter:
 bytes), the body checksum (``IndexChecksumError``), and only then parses
 the body, where any inconsistency is an ``IndexFormatError``. Version 1
 files (no length, no header checksum) are rejected with a hint to
-rebuild them with ``build-index``.
+rebuild them with ``build-index``. ``to_bytes`` copies the vector
+bytes straight from a byte view of the matrix; ``from_bytes`` joins the
+vector fields and reads them with one ``frombuffer``.
+
+CRC-32C (Castagnoli, RFC 3720) is computed block-parallel, the
+``crc32_combine`` method of zlib: the buffer is cut into
+``CRC_BLOCK``-byte blocks, numpy advances one CRC register per block
+column by column with the byte table, and the registers are folded in
+order with a linear "advance over ``CRC_BLOCK`` zero bytes" operator,
+applied as four 256-entry lookups. Inputs shorter than two blocks and
+the tail after the last whole block go through the byte-table loop. The
+numpy tables are built on first use, not at import.
 
 Loading is bit-exact: vector bytes and entry order round-trip
 unchanged.
@@ -29,6 +48,7 @@ unchanged.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +69,7 @@ MAGIC = b"BRAGIDX1"
 FORMAT_VERSION = 2
 # magic, version, dim, count, total file length; its CRC-32C follows
 _HEADER = struct.Struct("<8sIIQQ")
+_U32 = struct.Struct("<I")
 HEADER_SIZE = _HEADER.size + 4
 UNIT_NORM_TOL = 1e-5
 
@@ -60,13 +81,62 @@ for _n in range(256):
         _c = (_c >> 1) ^ 0x82F63B78 if _c & 1 else _c >> 1
     _CRC32C_TABLE.append(_c)
 
+CRC_BLOCK = 512
 
-def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C checksum (crc32c(b"123456789") == 0xE3069283)."""
+
+def crc32c(data, crc: int = 0) -> int:
+    """CRC-32C of a bytes-like object (crc32c(b"123456789") == 0xE3069283).
+
+    ``crc`` continues an earlier checksum: crc32c(a + b) == crc32c(b, crc32c(a)).
+    """
+    view = memoryview(data).cast("B")
     crc ^= 0xFFFFFFFF
-    for byte in data:
-        crc = _CRC32C_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    done = 0
+    if len(view) >= 2 * CRC_BLOCK:
+        done = len(view) - len(view) % CRC_BLOCK
+        crc = _crc32c_blocks(view[:done], crc)
+    table = _CRC32C_TABLE
+    for byte in view[done:]:
+        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
+
+
+def _crc32c_blocks(view: memoryview, register: int) -> int:
+    """Advance the raw CRC register over whole CRC_BLOCK-byte blocks."""
+    table, (z0, z1, z2, z3) = _crc32c_block_tables()
+    blocks = len(view) // CRC_BLOCK
+    columns = np.frombuffer(view, dtype=np.uint8).reshape(blocks, CRC_BLOCK).T  # a view, not a copy
+    registers = np.zeros(blocks, dtype=np.uint32)
+    registers[0] = register  # the others start at 0 and are folded in below
+    for column in columns:
+        registers = table[(registers ^ column) & 0xFF] ^ (registers >> 8)
+    register, *rest = registers.tolist()
+    for block_register in rest:
+        register = (z0[register & 0xFF] ^ z1[(register >> 8) & 0xFF]
+                    ^ z2[(register >> 16) & 0xFF] ^ z3[register >> 24] ^ block_register)
+    return register
+
+
+@functools.cache
+def _crc32c_block_tables() -> tuple[np.ndarray, tuple[list[int], ...]]:
+    """The byte table as a numpy array, and the operator that advances a
+    raw register over CRC_BLOCK zero bytes as four 256-entry tables, one
+    per register byte (the operator is linear over GF(2))."""
+    table = np.array(_CRC32C_TABLE, dtype=np.uint32)
+    images = np.left_shift(np.uint32(1), np.arange(32, dtype=np.uint32))  # one register per bit
+    for _ in range(CRC_BLOCK):
+        images = table[images & 0xFF] ^ (images >> 8)
+    has_bit = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
+    lanes = tuple(
+        np.bitwise_xor.reduce(np.where(has_bit, images[8 * j:8 * j + 8], np.uint32(0)), axis=1).tolist()
+        for j in range(4)
+    )
+    return table, lanes
+
+
+def _length_prefixed(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return _U32.pack(len(raw)) + raw
 
 
 @dataclass(frozen=True)
@@ -90,59 +160,73 @@ class VectorIndex:
         self.embedder_fingerprint = embedder_fingerprint
         self.version = FORMAT_VERSION
         self._patient_ids: list[str] = []
-        self._positions: list[int] = []
-        self._vectors: list[np.ndarray] = []
-        self._keys: set[tuple[str, int]] = set()
-        # caches rebuilt lazily after adds
-        self._matrix: np.ndarray | None = None
-        self._pid_arr: np.ndarray | None = None
-        self._pos_arr: np.ndarray | None = None
-        self._rows_by_patient: dict[str, np.ndarray] | None = None
+        # row i of the first len(self) rows belongs to _patient_ids[i]
+        self._matrix = np.empty((0, dim), dtype=np.float32)
+        self._positions = np.empty(0, dtype=np.int64)
+        self._rows: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._patient_ids)
 
     @property
     def entries(self) -> list[tuple[tuple[str, int], np.ndarray]]:
-        return [((p, pos), v) for p, pos, v in zip(self._patient_ids, self._positions, self._vectors)]
+        n = len(self)
+        return [((pid, pos), vec)
+                for pid, pos, vec in zip(self._patient_ids, self._positions[:n].tolist(), self._matrix[:n])]
 
     def add(self, patient_id: str, position: int, vector: np.ndarray) -> None:
         """Append one chunk embedding; (patient_id, position) must be new."""
         vec = np.asarray(vector, dtype=np.float32)
-        if vec.ndim != 1 or vec.shape[0] != self.dim:
-            actual = vec.shape[0] if vec.ndim == 1 else vec.shape
-            raise DimensionMismatchError(f"expected dim {self.dim}, got {actual}")
-        if not np.all(np.isfinite(vec)):
-            raise InvalidVectorError(f"vector for ({patient_id!r}, {position}) has non-finite values")
-        norm = float(np.linalg.norm(vec.astype(np.float64)))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise InvalidVectorError(
-                f"vector for ({patient_id!r}, {position}) is not unit-normalized (norm={norm:.6g})"
-            )
-        key = (patient_id, int(position))
-        if key in self._keys:
-            raise DuplicateChunkError(f"duplicate chunk_ref ({patient_id!r}, {position})")
-        self._keys.add(key)
-        self._patient_ids.append(patient_id)
-        self._positions.append(int(position))
-        self._vectors.append(vec)
-        self._matrix = None
-        self._pid_arr = None
-        self._pos_arr = None
-        self._rows_by_patient = None
+        if vec.ndim != 1:
+            raise DimensionMismatchError(f"expected dim {self.dim}, got {vec.shape}")
+        self.add_many(patient_id, [position], vec[None, :])
 
-    def _build_caches(self) -> None:
-        if self._matrix is None:
-            if self._vectors:
-                self._matrix = np.vstack(self._vectors)
-            else:
-                self._matrix = np.zeros((0, self.dim), dtype=np.float32)
-            self._pid_arr = np.array(self._patient_ids, dtype=object)
-            self._pos_arr = np.array(self._positions, dtype=np.int64)
-            rows: dict[str, list[int]] = {}
-            for row, pid in enumerate(self._patient_ids):
-                rows.setdefault(pid, []).append(row)
-            self._rows_by_patient = {pid: np.array(r, dtype=np.int64) for pid, r in rows.items()}
+    def add_many(self, patient_id: str, positions, matrix: np.ndarray) -> None:
+        """Append a patient's chunk embeddings, row i at ``positions[i]``.
+
+        Every row is checked as ``add`` checks one (dimension, finite,
+        unit norm, (patient_id, position) new) before anything is
+        stored, so a rejected batch leaves the index unchanged.
+        """
+        try:
+            mat = np.asarray(matrix, dtype=np.float32)
+        except ValueError as exc:  # a list of vectors of unequal length
+            raise DimensionMismatchError(f"expected dim {self.dim}: {exc}") from exc
+        pos = np.asarray(positions, dtype=np.int64).tolist()
+        if mat.ndim != 2 or mat.shape[1] != self.dim:
+            actual = mat.shape[1] if mat.ndim == 2 else mat.shape
+            raise DimensionMismatchError(f"expected dim {self.dim}, got {actual}")
+        if len(pos) != len(mat):
+            raise ValueError(f"{len(pos)} positions for {len(mat)} vectors")
+        if not pos:
+            return
+        if min(pos) < 0 or max(pos) > 0xFFFFFFFF:
+            raise ValueError(f"positions must fit in a u32, got {min(pos)}..{max(pos)}")
+        norms = np.linalg.norm(mat.astype(np.float64), axis=1)
+        bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # NaN compares false: non-finite rows are bad too
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not np.isfinite(mat[i]).all():
+                raise InvalidVectorError(f"vector for ({patient_id!r}, {pos[i]}) has non-finite values")
+            raise InvalidVectorError(
+                f"vector for ({patient_id!r}, {pos[i]}) is not unit-normalized (norm={norms[i]:.6g})"
+            )
+        rows = self._rows.get(patient_id, [])
+        taken = self._positions[rows].tolist() + pos
+        if len(set(taken)) < len(taken):
+            values, counts = np.unique(taken, return_counts=True)
+            raise DuplicateChunkError(f"duplicate chunk_ref ({patient_id!r}, {values[counts > 1][0]})")
+
+        start, stop = len(self), len(self) + len(pos)
+        if stop > len(self._positions):
+            # grow by doubling; this also replaces the read-only arrays of a loaded index
+            spare = max(stop, 2 * start) - start
+            self._matrix = np.concatenate([self._matrix[:start], np.empty((spare, self.dim), np.float32)])
+            self._positions = np.concatenate([self._positions[:start], np.empty(spare, np.int64)])
+        self._matrix[start:stop] = mat
+        self._positions[start:stop] = pos
+        self._patient_ids.extend([patient_id] * len(pos))
+        self._rows[patient_id] = rows + list(range(start, stop))
 
     def search(self, query: np.ndarray, k: int, filter_patient: str | None = None) -> list[SearchHit]:
         """Exact top-k by cosine similarity.
@@ -156,46 +240,39 @@ class VectorIndex:
         if q.ndim != 1 or q.shape[0] != self.dim:
             actual = q.shape[0] if q.ndim == 1 else q.shape
             raise DimensionMismatchError(f"query dim {actual} does not match index dim {self.dim}")
-        if k == 0 or not self._vectors:
+        if k == 0 or not self._patient_ids:
             return []
-        self._build_caches()
-        if filter_patient is not None:
-            rows = self._rows_by_patient.get(filter_patient)
+        if filter_patient is None:
+            rows, pids = slice(0, len(self)), self._patient_ids
+        else:
+            rows = self._rows.get(filter_patient)
             if rows is None:
                 return []
-            matrix = self._matrix[rows].astype(np.float64)
-            positions = self._pos_arr[rows]
-            pids = self._pid_arr[rows]
-        else:
-            matrix = self._matrix.astype(np.float64)
-            positions = self._pos_arr
-            pids = self._pid_arr
-        scores = matrix @ q
+            pids = [filter_patient] * len(rows)
+        scores = self._matrix[rows].astype(np.float64) @ q
+        positions = self._positions[rows]
         # lexsort: last key is primary
-        pid_sortable = pids.astype(str)
-        order = np.lexsort((pid_sortable, positions, -scores))[:k]
+        order = np.lexsort((np.array(pids), positions, -scores))[:k]
         return [
-            SearchHit(patient_id=str(pids[i]), position=int(positions[i]), score=float(scores[i]))
+            SearchHit(patient_id=pids[i], position=int(positions[i]), score=float(scores[i]))
             for i in order
         ]
 
     # --- persistence ---------------------------------------------------
 
     def to_bytes(self) -> bytes:
+        n, row = len(self), 4 * self.dim
+        # a byte view of the matrix (a copy only on a big-endian host); join copies it once
+        vectors = memoryview(self._matrix[:n].astype("<f4", copy=False).reshape(-1).view(np.uint8))
+        pid_fields = {pid: _length_prefixed(pid) for pid in self._rows}
         parts = []
-        for pid, pos, vec in zip(self._patient_ids, self._positions, self._vectors):
-            pid_b = pid.encode("utf-8")
-            parts.append(struct.pack("<I", len(pid_b)))
-            parts.append(pid_b)
-            parts.append(struct.pack("<I", pos))
-            parts.append(np.ascontiguousarray(vec, dtype="<f4").tobytes())
-        fp_b = self.embedder_fingerprint.encode("utf-8")
-        parts.append(struct.pack("<I", len(fp_b)))
-        parts.append(fp_b)
+        for pid, pos, start in zip(self._patient_ids, self._positions[:n].tolist(), range(0, n * row, row)):
+            parts += (pid_fields[pid], _U32.pack(pos), vectors[start:start + row])
+        parts.append(_length_prefixed(self.embedder_fingerprint))
         body = b"".join(parts)
-        header = _HEADER.pack(MAGIC, self.version, self.dim, len(self), HEADER_SIZE + len(body) + 4)
+        header = _HEADER.pack(MAGIC, self.version, self.dim, n, HEADER_SIZE + len(body) + 4)
         return b"".join([
-            header, struct.pack("<I", crc32c(header)), body, struct.pack("<I", crc32c(body)),
+            header, _U32.pack(crc32c(header)), body, _U32.pack(crc32c(body)),
         ])
 
     def save(self, path: str | Path) -> None:
@@ -207,7 +284,7 @@ class VectorIndex:
         if head != MAGIC[:len(head)]:
             raise IndexFormatError(f"bad magic {head!r}, expected {MAGIC!r}")
         if len(blob) >= len(MAGIC) + 4:
-            (version,) = struct.unpack_from("<I", blob, len(MAGIC))
+            (version,) = _U32.unpack_from(blob, len(MAGIC))
             if version != FORMAT_VERSION:
                 raise IndexVersionError(
                     f"unsupported index version {version} (this build reads version "
@@ -230,25 +307,29 @@ class VectorIndex:
         _verify_crc(blob, HEADER_SIZE, length - 4, "body")
 
         cursor = _Cursor(blob, HEADER_SIZE, length - 4)
-        index = cls(dim=dim)
+        row = 4 * dim
+        pids, positions, vectors, keys = [], [], [], set()
         for i in range(count):
-            (pid_len,) = struct.unpack("<I", cursor.take(4, f"entry {i} id length"))
-            pid = cursor.take(pid_len, f"entry {i} id").decode("utf-8", errors="replace")
-            (pos,) = struct.unpack("<I", cursor.take(4, f"entry {i} position"))
-            vec = np.frombuffer(cursor.take(4 * dim, f"entry {i} vector"), dtype="<f4").copy()
-            key = (pid, pos)
-            if key in index._keys:
-                raise IndexFormatError(f"duplicate chunk_ref {key!r} in file")
-            index._keys.add(key)
-            index._patient_ids.append(pid)
-            index._positions.append(pos)
-            index._vectors.append(vec)
-        (fp_len,) = struct.unpack("<I", cursor.take(4, "fingerprint length"))
-        index.embedder_fingerprint = cursor.take(fp_len, "fingerprint").decode("utf-8", errors="replace")
+            pid = cursor.text(f"entry {i} id")
+            pos = cursor.u32(f"entry {i} position")
+            start = cursor.skip(row, f"entry {i} vector")
+            if (pid, pos) in keys:
+                raise IndexFormatError(f"duplicate chunk_ref {(pid, pos)!r} in file")
+            keys.add((pid, pos))
+            pids.append(pid)
+            positions.append(pos)
+            vectors.append(cursor.view[start:start + row])
+        fingerprint = cursor.text("fingerprint")
         if cursor.offset != cursor.end:
             raise IndexFormatError(
                 f"inconsistent structure: {cursor.end - cursor.offset} unparsed bytes before the checksum"
             )
+        index = cls(dim=dim, embedder_fingerprint=fingerprint)
+        index._matrix = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(count, dim)
+        index._positions = np.array(positions, dtype=np.int64)
+        index._patient_ids = pids
+        for i, pid in enumerate(pids):
+            index._rows.setdefault(pid, []).append(i)
         return index
 
     @classmethod
@@ -258,8 +339,8 @@ class VectorIndex:
 
 def _verify_crc(blob: bytes, start: int, end: int, what: str) -> None:
     """Check the CRC-32C stored in the four bytes after blob[start:end]."""
-    (stored,) = struct.unpack_from("<I", blob, end)
-    actual = crc32c(blob[start:end])
+    (stored,) = _U32.unpack_from(blob, end)
+    actual = crc32c(memoryview(blob)[start:end])
     if actual != stored:
         raise IndexChecksumError(
             f"{what} checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
@@ -267,24 +348,32 @@ def _verify_crc(blob: bytes, start: int, end: int, what: str) -> None:
 
 
 class _Cursor:
-    """Byte reader over blob[offset:end] whose overruns raise IndexFormatError.
+    """Reader over blob[offset:end] whose overruns raise IndexFormatError.
 
     It reads only checksum-verified bytes, so an overrun means the
     structure is inconsistent, not that the file was cut off.
     """
 
     def __init__(self, blob: bytes, offset: int, end: int):
-        self.blob = blob
+        self.view = memoryview(blob)
         self.offset = offset
         self.end = end
 
-    def take(self, n: int, what: str) -> bytes:
-        stop = self.offset + n
+    def skip(self, n: int, what: str) -> int:
+        """Claim the next n bytes and return their start offset."""
+        start, stop = self.offset, self.offset + n
         if stop > self.end:
             raise IndexFormatError(
                 f"inconsistent structure while reading {what} "
-                f"(need {n} bytes at offset {self.offset}, have {self.end - self.offset})"
+                f"(need {n} bytes at offset {start}, have {self.end - start})"
             )
-        out = self.blob[self.offset:stop]
         self.offset = stop
-        return out
+        return start
+
+    def u32(self, what: str) -> int:
+        return _U32.unpack_from(self.view, self.skip(4, what))[0]
+
+    def text(self, what: str) -> str:
+        n = self.u32(f"{what} length")
+        start = self.skip(n, what)
+        return str(self.view[start:start + n], "utf-8", "replace")

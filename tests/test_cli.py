@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from budgetrag.cli import main
+from budgetrag.retrieval import DEFAULT_QUERY_TEXT
 from budgetrag.synthetic import generate_corpus, write_corpus
 
 
@@ -185,10 +186,47 @@ class TestExitCodes:
         assert err["error"] == "FingerprintMismatchError"
 
 
+    @pytest.mark.parametrize("flag,value,argv", [
+        ("--budget-words", "0", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
+                                 "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
+        ("--top-n-scan", "0", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
+                               "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
+        ("--window-days", "0", ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"]),
+        ("--max-words", "0", ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"]),
+        ("--parallelism", "0", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        ("--dim", "1", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
+    ])
+    def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
+        args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]
+        assert main(args) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["category"] == "usage"
+        assert flag in err["message"]
+        assert not any(tmp_path.iterdir())
+
+
 class TestRetrieveValidation:
     def test_rag_without_index_is_data_error(self, demo_dir, tmp_path):
         assert main(["retrieve", "--corpus", str(demo_dir / "proc.jsonl"),
                      "--mode", "rag", "--out", str(tmp_path / "c.jsonl")]) == 2
+
+    def test_remote_rag_embeds_the_query_once(self, tmp_path, api_server):
+        write_corpus(tmp_path / "corpus.jsonl", generate_corpus(5, seed=3))
+        # one chunk per patient, so every request carries one text and the
+        # scripted one-vector response answers build-index and retrieve alike
+        run(0, "ingest", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "proc.jsonl",
+            "--max-words", "1000000")
+        remote = ["--embedder", "remote", "--endpoint", api_server.url, "--model", "m"]
+        api_server.reset([(200, {"data": [{"embedding": [3.0, 4.0]}]})])
+        run(0, "build-index", "--corpus", tmp_path / "proc.jsonl", "--out", tmp_path / "i.brag", *remote)
+        assert len(api_server.requests) == 5
+        api_server.reset([(200, {"data": [{"embedding": [3.0, 4.0]}]})])
+        run(0, "retrieve", "--corpus", tmp_path / "proc.jsonl", "--index", tmp_path / "i.brag",
+            "--mode", "rag", "--out", tmp_path / "c.jsonl", *remote)
+        assert [body["input"] for _, _, body in api_server.requests] == [[DEFAULT_QUERY_TEXT]]
+        assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 5
 
 
 class TestSyntheticCli:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -16,7 +17,11 @@ from budgetrag.errors import (
     IndexVersionError,
     InvalidVectorError,
 )
-from budgetrag.vindex import HEADER_SIZE, MAGIC, SearchHit, VectorIndex, crc32c
+from budgetrag.vindex import CRC_BLOCK, HEADER_SIZE, MAGIC, SearchHit, VectorIndex, crc32c
+
+# SHA-256 of pinned_index().to_bytes(), recorded before the index held its
+# rows in one matrix: the in-memory layout must not change format v2 bytes.
+PINNED_V2_SHA256 = "c10afa31014783885b3c1d6eb1a995c515b1aa3b0724ba47fa7413b1c5377b4f"
 
 
 def unit(values) -> np.ndarray:
@@ -35,6 +40,27 @@ def build_random_index(rng: np.random.Generator, n: int, dim: int) -> VectorInde
     for i in range(n):
         index.add(f"p{rng.integers(0, max(2, n // 4)):05d}_{i}", int(rng.integers(0, 50)), rows[i])
     return index
+
+
+def pinned_index() -> VectorIndex:
+    """300 rows at dim 16 with patient ids of mixed utf-8 lengths: a 23 kB
+    file, so its body checksum runs through the block path."""
+    rng = np.random.default_rng(2505)
+    rows = random_unit_rows(rng, 300, 16)
+    index = VectorIndex(dim=16, embedder_fingerprint="hashing-fnv1a64:dim=16")
+    for i in range(300):
+        index.add(f"p{i // 4}" + "é" * (i % 3), i % 4, rows[i])
+    return index
+
+
+def crc32c_bitwise(data: bytes, crc: int = 0) -> int:
+    """Independent oracle: CRC-32C one bit at a time, no table."""
+    crc ^= 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
 
 
 def brute_force_search(index: VectorIndex, query: np.ndarray, k: int, filter_patient=None):
@@ -75,6 +101,52 @@ class TestAdd:
         index = VectorIndex(dim=2)
         with pytest.raises(InvalidVectorError):
             index.add("p1", 0, np.array([np.nan, 1.0], dtype=np.float32))
+
+
+class TestAddMany:
+    def _index(self) -> VectorIndex:
+        index = VectorIndex(dim=3)
+        index.add_many("p1", [0, 1], np.stack([unit([1, 0, 0]), unit([0, 1, 0])]))
+        return index
+
+    def test_equals_one_add_per_row(self):
+        rng = np.random.default_rng(11)
+        rows = random_unit_rows(rng, 7, 5)
+        bulk, single = VectorIndex(dim=5), VectorIndex(dim=5)
+        bulk.add_many("a", [3, 0, 1], rows[:3])
+        bulk.add_many("b", [0, 1, 2, 5], rows[3:])
+        for pid, pos, row in zip("aaabbbb", [3, 0, 1, 0, 1, 2, 5], rows):
+            single.add(pid, pos, row)
+        assert bulk.to_bytes() == single.to_bytes()
+        query = random_unit_rows(rng, 1, 5)[0]
+        assert bulk.search(query, k=7) == single.search(query, k=7)
+        assert bulk.search(query, k=7, filter_patient="a") == single.search(query, k=7, filter_patient="a")
+
+    @pytest.mark.parametrize("pid,positions,vectors,error,match", [
+        ("p2", [0], [unit([1, 0])], DimensionMismatchError, "expected dim 3, got 2"),
+        ("p2", [0, 1], [unit([1, 0, 0]), unit([1, 0])], DimensionMismatchError, "expected dim 3"),
+        ("p2", [0, 1], [unit([1, 0, 0]), [np.nan, 1.0, 0.0]], InvalidVectorError, r"\('p2', 1\).*non-finite"),
+        ("p2", [0, 1], [unit([1, 0, 0]), [2.0, 0.0, 0.0]], InvalidVectorError, r"\('p2', 1\).*unit"),
+        ("p2", [4, 4], [unit([1, 0, 0]), unit([0, 0, 1])], DuplicateChunkError, r"\('p2', 4\)"),
+        ("p1", [2, 1], [unit([1, 0, 0]), unit([0, 0, 1])], DuplicateChunkError, r"\('p1', 1\)"),
+        ("p2", [0, 1], [unit([1, 0, 0])], ValueError, "2 positions for 1 vectors"),
+        ("p2", [-1], [unit([1, 0, 0])], ValueError, "u32"),
+    ], ids=["wrong-dim", "ragged-rows", "non-finite", "non-unit", "duplicate-in-batch", "duplicate-of-existing",
+            "count-mismatch", "negative-position"])
+    def test_rejected_batch_leaves_index_unchanged(self, pid, positions, vectors, error, match):
+        index = self._index()
+        before = [(ref, vec.tobytes()) for ref, vec in index.entries]
+        with pytest.raises(error, match=match):
+            index.add_many(pid, positions, vectors)
+        assert len(index) == 2
+        assert [(ref, vec.tobytes()) for ref, vec in index.entries] == before
+
+    def test_loaded_index_grows(self):
+        loaded = VectorIndex.from_bytes(self._index().to_bytes())
+        loaded.add_many("p1", [2], unit([0, 0, 1])[None, :])
+        loaded.add("p2", 0, unit([1, 1, 0]))
+        assert [ref for ref, _ in loaded.entries] == [("p1", 0), ("p1", 1), ("p1", 2), ("p2", 0)]
+        assert loaded.search(unit([0, 0, 1]), k=1, filter_patient="p1")[0].position == 2
 
 
 class TestSearch:
@@ -154,6 +226,28 @@ class TestPersistence:
     def test_crc32c_known_vector(self):
         assert crc32c(b"123456789") == 0xE3069283
 
+    @pytest.mark.parametrize("length", [
+        0, 1, CRC_BLOCK - 1, CRC_BLOCK, CRC_BLOCK + 1,
+        2 * CRC_BLOCK - 1, 2 * CRC_BLOCK, 2 * CRC_BLOCK + 1, 100_003,
+    ])
+    def test_crc32c_matches_bitwise_oracle(self, length):
+        data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert crc32c(data) == crc32c_bitwise(data)
+        assert crc32c(data, 0x1234ABCD) == crc32c_bitwise(data, 0x1234ABCD)
+        assert crc32c(memoryview(data)) == crc32c(bytearray(data)) == crc32c(data)
+
+    def test_crc32c_chains(self):
+        data = np.random.default_rng(5).integers(0, 256, 9 * CRC_BLOCK + 77, dtype=np.uint8).tobytes()
+        for cut in (0, 1, CRC_BLOCK - 3, 2 * CRC_BLOCK + 5, 5 * CRC_BLOCK, len(data) - 1, len(data)):
+            a, b = data[:cut], data[cut:]
+            assert crc32c(a + b) == crc32c(b, crc32c(a)), cut
+
+    def test_format_v2_bytes_are_pinned(self):
+        blob = pinned_index().to_bytes()
+        assert len(blob) > 2 * CRC_BLOCK
+        assert hashlib.sha256(blob).hexdigest() == PINNED_V2_SHA256
+        assert VectorIndex.from_bytes(blob).to_bytes() == blob
+
     def test_round_trip_bit_exact(self, tmp_path):
         index = self._small_index()
         path = tmp_path / "idx.brag"
@@ -217,16 +311,22 @@ class TestPersistence:
             VectorIndex.load(path)
 
     def test_single_byte_flips_never_look_truncated_and_prefixes_always_do(self):
-        blob = self._small_index().to_bytes()
-        for offset in range(len(blob)):
-            for mask in (0x01, 0x40, 0xFF):
-                corrupted = bytearray(blob)
-                corrupted[offset] ^= mask
-                with pytest.raises((IndexChecksumError, IndexFormatError, IndexVersionError)):
-                    VectorIndex.from_bytes(bytes(corrupted))
-        for length in range(len(blob)):
-            with pytest.raises(IndexTruncatedError):
-                VectorIndex.from_bytes(blob[:length])
+        small = self._small_index().to_bytes()
+        multi_block = pinned_index().to_bytes()
+        # every offset of the small file; for the multi-block one the header
+        # and a seeded sample of the body and trailer
+        sample = np.random.default_rng(0).choice(np.arange(HEADER_SIZE, len(multi_block)), 80, replace=False)
+        for blob, offsets in ((small, range(len(small))),
+                              (multi_block, [*range(HEADER_SIZE), *sample.tolist(), len(multi_block) - 1])):
+            for offset in offsets:
+                for mask in (0x01, 0x40, 0xFF):
+                    corrupted = bytearray(blob)
+                    corrupted[offset] ^= mask
+                    with pytest.raises((IndexChecksumError, IndexFormatError, IndexVersionError)):
+                        VectorIndex.from_bytes(bytes(corrupted))
+            for length in range(len(blob)):
+                with pytest.raises(IndexTruncatedError):
+                    VectorIndex.from_bytes(blob[:length])
 
     def test_impossible_header_with_valid_checksum_is_format_error(self):
         blob = self._small_index().to_bytes()
