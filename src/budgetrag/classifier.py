@@ -74,6 +74,8 @@ class ClassifierConfig:
             raise ValueError("remote classifier requires endpoint and model_name")
         if "{context}" not in self.prompt_template:
             raise ValueError("prompt_template must contain a {context} placeholder")
+        if self.max_retries < 1:
+            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def _remote_response(prompt: str, cfg: ClassifierConfig) -> str:
         "temperature": cfg.temperature,
         "messages": [{"role": "user", "content": prompt}],
     }
-    response = post_json(cfg.endpoint, payload, max_attempts=max(1, cfg.max_retries))
+    response = post_json(cfg.endpoint, payload, max_attempts=cfg.max_retries)
     try:
         content = response["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:

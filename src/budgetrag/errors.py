@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the pipeline.
 
 Every error carries a ``category`` that the CLI maps to an exit code:
-``"data"`` -> 2 (validation / file-format problems), ``"remote"`` -> 3
-(embedding or chat endpoint failures). Usage errors exit 1 and are
-handled by the argument parser directly.
+``"usage"`` -> 1 (a bad flag value or flag combination), ``"data"`` -> 2
+(validation / file-format problems), ``"remote"`` -> 3 (embedding or
+chat endpoint failures).
 """
 
 from __future__ import annotations
@@ -125,3 +125,9 @@ class PatientSetMismatchError(BudgetRagError):
 
 class FingerprintMismatchError(BudgetRagError):
     """An input file's hash does not match its recorded manifest fingerprint."""
+
+
+class UsageError(BudgetRagError):
+    """A bad command-line flag value or flag combination."""
+
+    category = "usage"

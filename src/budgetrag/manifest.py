@@ -98,14 +98,15 @@ def write_manifest(
     command: str,
     config: dict,
     inputs: dict[str, str],
-    output_paths: list[str | Path],
     started_at: str,
+    output_paths: list[str | Path] | None = None,
     deterministic: bool = False,
     embedder: str | None = None,
     classifier: dict | None = None,
     extra: dict | None = None,
 ) -> Path:
-    outputs = {Path(p).name: sha256_file(p) for p in output_paths}
+    """Write ``<primary_out>.manifest.json``; ``output_paths`` defaults to ``[primary_out]``."""
+    outputs = {Path(p).name: sha256_file(p) for p in output_paths or [primary_out]}
     manifest = {
         "command": command,
         "config": config,

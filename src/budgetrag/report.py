@@ -115,6 +115,14 @@ def render_markdown(
     return "\n".join(lines) + "\n"
 
 
+def write_roc_csv(path: str | Path, points: list[tuple[float, float]]) -> None:
+    """One ``fpr,tpr`` line per point under a header; ``repr`` keeps each float exact."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("fpr,tpr\n")
+        for fpr, tpr in points:
+            fh.write(f"{fpr!r},{tpr!r}\n")
+
+
 def read_roc_csv(path: str | Path) -> list[tuple[float, float]]:
     points = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()

@@ -199,6 +199,11 @@ class TestRemoteClassifier:
         with pytest.raises(ValueError):
             ClassifierConfig(kind="remote", model_name="m")
 
+    @pytest.mark.parametrize("max_retries", [0, -3])
+    def test_max_retries_below_one_is_rejected(self, max_retries):
+        with pytest.raises(ValueError, match="max_retries"):
+            ClassifierConfig(max_retries=max_retries)
+
 
 class TestClassifyBatch:
     def test_empty_batch(self):

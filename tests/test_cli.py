@@ -11,6 +11,38 @@ from budgetrag.cli import main
 from budgetrag.retrieval import DEFAULT_QUERY_TEXT
 from budgetrag.synthetic import generate_corpus, write_corpus
 
+# SHA-256 of every file the demo_dir chain leaves: the input corpus, 15 outputs and
+# 11 manifests. A change to the CLI that alters any output byte, manifests included, fails here.
+PINNED_CHAIN_SHA256 = {
+    "corpus.jsonl": "da771358db123964b579301558224117bfa82a087887a2ed197168a387315217",
+    "ctx_long.jsonl": "d085f90581dc0ed70226d798dfac29323eb1a46fa811a87e47d3a464a8054139",
+    "ctx_long.jsonl.manifest.json": "3e9f55c27b414864d09d8a32f995e9547a792991c93a8cbb569578bf7092ba7c",
+    "ctx_rag.jsonl": "5dd8698398add2f690520728e0e39fc10df96527a7cbdb0fb075b0dc9aa6207f",
+    "ctx_rag.jsonl.manifest.json": "f8fd0517d2232374a9cd273bf07dd00b39b0de0c621ff06a50b70124a8579823",
+    "delong.json": "3e35b7ad36a1d86efe90af6949a3f5e644880034f1d053e3dbd1568a3fa95b77",
+    "delong.json.manifest.json": "b4b2f829db801d70e50967fefe47c01a6c05e47f67e0bafb1c40238c72a5d262",
+    "index.brag": "983e64f03f7b8ac9682ce513cf3c88f87c9566bc158045c3e58940c3340af6cf",
+    "index.brag.manifest.json": "6c6690933856733a16c4d2943a22e0fccc34d408b00045d01e99f5228a90eab0",
+    "m_long.json": "9a71313ce4f5230e330b6dfabc38a6fcbac718cdf6805f517c4c09224bf054d1",
+    "m_long.json.manifest.json": "271a76823972d92336a610273af8dfdaae5b4a0ed311125890d519070b39a3e1",
+    "m_rag.json": "b329103a802d0961705549294edaec26c65b342bd6eea39eb8b6a3f0a8e9423d",
+    "m_rag.json.manifest.json": "084d77a196c6e11fad573048fdff88b6518309d60a69d8bf8648101439a30084",
+    "out_long.jsonl": "025a324c05091d41144ba7eff188486531797791fe3d8a8b043dedc4f7c2abf6",
+    "out_long.jsonl.manifest.json": "6932e220936c7ec5477ea3499cdc4640213042e91ebc216811fb6fbaab857f02",
+    "out_rag.jsonl": "e93b3886056ef1f00f70958d108eb1a78f2c0ca0da52af282641a574430c0d1b",
+    "out_rag.jsonl.manifest.json": "b07117c027ca22485c0887f7bd6d032c16a5dbfe6d5445fafcd18256622392aa",
+    "proc.jsonl": "37ac15570c7219cc71da3269e2eb8d4a1bc3a8d44675cd7e718665fe8a917841",
+    "proc.jsonl.manifest.json": "af242c8bd47438c9b6fadf957bcb4aeee64244fe74c9a171e42060a155397b81",
+    "proj.manifest.json": "bd4656a1817c5b443f1e4f6063c77660b45cea439dbcfa018bcb0ea9a9b11d81",
+    "proj_cost.csv": "99931bdefd4e1b9abd5c683faeaa1f795a0d28fc930c81a952a041a2a9e3c143",
+    "proj_time.csv": "f4e3811ac253ee7c29383a5215fbd9b6b6ca9696d02cb23020ef76edd6183d42",
+    "report.manifest.json": "aee4929313a19e7bad9f631b91e5160db8e3bf57724823d38789185fca1002f7",
+    "report.md": "2752af3a0b6c6e3ffcb841d84843264b8df404723ab862cfeafeba6e5190315a",
+    "report.svg": "20a3dcd06970b90a13c61673657450147bc2442b0a839d73970c80144cd38fa1",
+    "roc_long.csv": "f353c14d9b074a35e9f0e264aff8dd233238381484b9c8d0cd8e2886d32ba672",
+    "roc_rag.csv": "f353c14d9b074a35e9f0e264aff8dd233238381484b9c8d0cd8e2886d32ba672",
+}
+
 
 @pytest.fixture(scope="module")
 def demo_dir(tmp_path_factory):
@@ -92,6 +124,32 @@ class TestFullPipeline:
         assert manifest["outputs"]["out_rag.jsonl"] == sha256_file(demo_dir / "out_rag.jsonl")
         assert manifest["command"] == "classify"
 
+    @pytest.mark.parametrize("name,command,inputs,outputs", [
+        ("proc.jsonl", "ingest", ["corpus.jsonl"], ["proc.jsonl"]),
+        ("index.brag", "build-index", ["proc.jsonl"], ["index.brag"]),
+        ("ctx_rag.jsonl", "retrieve", ["proc.jsonl", "index.brag"], ["ctx_rag.jsonl"]),
+        ("ctx_long.jsonl", "retrieve", ["proc.jsonl"], ["ctx_long.jsonl"]),
+        ("out_rag.jsonl", "classify", ["ctx_rag.jsonl"], ["out_rag.jsonl"]),
+        ("out_long.jsonl", "classify", ["ctx_long.jsonl"], ["out_long.jsonl"]),
+        ("m_rag.json", "evaluate", ["out_rag.jsonl", "proc.jsonl"], ["m_rag.json", "roc_rag.csv"]),
+        ("m_long.json", "evaluate", ["out_long.jsonl", "proc.jsonl"], ["m_long.json", "roc_long.csv"]),
+        ("delong.json", "delong", ["out_rag.jsonl", "out_long.jsonl", "proc.jsonl"], ["delong.json"]),
+        ("proj", "project", [], ["proj_cost.csv", "proj_time.csv"]),
+        ("report", "report", ["m_rag.json", "roc_rag.csv", "m_long.json", "roc_long.csv", "delong.json"],
+         ["report.svg", "report.md"]),
+    ])
+    def test_every_manifest_names_its_files(self, demo_dir, name, command, inputs, outputs):
+        """Inputs in declared flag order, outputs as written, each with its file's fingerprint."""
+        from budgetrag.manifest import sha256_file
+
+        manifest = json.loads((demo_dir / f"{name}.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert list(manifest["inputs"]) == inputs
+        assert list(manifest["outputs"]) == outputs
+        for recorded in (manifest["inputs"], manifest["outputs"]):
+            for file_name, fingerprint in recorded.items():
+                assert fingerprint == sha256_file(demo_dir / file_name), file_name
+
 
 class TestDeterminism:
     def test_pipeline_outputs_byte_identical(self, demo_dir, tmp_path):
@@ -115,6 +173,12 @@ class TestDeterminism:
         # manifests too, including zeroed timestamps
         manifest = json.loads((rerun / "out_rag.jsonl.manifest.json").read_text())
         assert manifest["started_at"] == manifest["finished_at"] == "1970-01-01T00:00:00Z"
+
+    def test_chain_bytes_are_pinned(self, demo_dir):
+        import hashlib
+
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(demo_dir.iterdir())}
+        assert digests == PINNED_CHAIN_SHA256
 
 
 class TestExitCodes:
@@ -195,6 +259,11 @@ class TestExitCodes:
         ("--max-words", "0", ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"]),
         ("--parallelism", "0", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
         ("--dim", "1", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
+        ("--max-retries", "0", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        ("--per-patient-tokens", "-1", ["project", "--out", "{tmp}/proj"]),
+        ("--counts", "1,x", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),
+        ("--classifier", "remote", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        ("--embedder", "remote", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
     ])
     def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
         args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]
@@ -205,6 +274,39 @@ class TestExitCodes:
         assert err["category"] == "usage"
         assert flag in err["message"]
         assert not any(tmp_path.iterdir())
+
+    @staticmethod
+    def _without(path, key):
+        data = json.loads(path.read_text())
+        del data[key]
+        return json.dumps(data)
+
+    @pytest.mark.parametrize("name,content,argv", [
+        ("template.txt", lambda demo: "Classify these notes.\n",
+         ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl", "--prompt-template", "{bad}"]),
+        ("prices.json", lambda demo: '{"usd_per_million_tokens": "x"}',
+         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
+        ("metrics.json", lambda demo: TestExitCodes._without(demo / "m_rag.json", "auroc"),
+         ["report", "--metrics-rag", "{bad}", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
+          "{demo}/roc_rag.csv", "--roc-long", "{demo}/roc_long.csv", "--out", "{tmp}/report"]),
+        ("roc.csv", lambda demo: "fpr,tpr\n0.0,0.0\n0.5\n",
+         ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
+          "{demo}/roc_rag.csv", "--roc-long", "{bad}", "--out", "{tmp}/report"]),
+        ("delong.json", lambda demo: TestExitCodes._without(demo / "delong.json", "p_value"),
+         ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
+          "{demo}/roc_rag.csv", "--roc-long", "{demo}/roc_long.csv", "--delong", "{bad}", "--out", "{tmp}/report"]),
+    ], ids=["template-without-context", "price-not-a-number", "metrics-without-auroc",
+            "roc-line-without-comma", "delong-without-p-value"])
+    def test_bad_side_file_is_one_json_data_error(self, demo_dir, tmp_path, capsys, name, content, argv):
+        bad = tmp_path / name
+        bad.write_text(content(demo_dir))
+        assert main([a.format(bad=bad, demo=demo_dir, tmp=tmp_path) for a in argv]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["category"] == "data"
+        assert name in err["message"]
+        assert list(tmp_path.iterdir()) == [bad]
 
 
 class TestRetrieveValidation:

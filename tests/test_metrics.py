@@ -171,6 +171,16 @@ class TestRocPoints:
                 c = random_cohort(rng, 80, tie_prone)
                 assert trapezoid_area(roc_points(c)) == pytest.approx(auroc(c), abs=1e-9)
 
+    def test_roc_csv_round_trip(self, tmp_path):
+        from budgetrag.report import read_roc_csv, write_roc_csv
+
+        # ties within and across classes; thirds and sevenths have no short decimal form
+        c = cohort([1, 0, 1, 0, 0, 1, 0, 0, 0, 0], [0.9, 0.9, 0.7, 0.7, 0.7, 0.4, 0.4, 0.2, 0.1, 0.1])
+        points = roc_points(c)
+        assert len(points) == 6
+        write_roc_csv(tmp_path / "roc.csv", points)
+        assert read_roc_csv(tmp_path / "roc.csv") == points
+
 
 class TestNormalCdf:
     def test_zero(self):
