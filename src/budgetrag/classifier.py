@@ -18,6 +18,7 @@ verdict: ``severity/5`` for label 1, else ``(1 - severity/5) * 0.5``.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -76,6 +77,8 @@ class ClassifierConfig:
             raise ValueError("prompt_template must contain a {context} placeholder")
         if self.max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
+        if not math.isfinite(self.temperature):  # it is sent in a JSON body, which has no nan or inf
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
 
 
 @dataclass(frozen=True)

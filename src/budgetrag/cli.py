@@ -19,13 +19,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import classifier as clf
 from . import costmodel, manifest, metrics, report, retrieval
-from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_text, concat_text, load_corpus, load_whitelist,
-                     window_notes, word_count)
+from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_text, concat_text, load_corpus, read_lines, window_notes,
+                     word_count)
 from .embedding import DEFAULT_DIM, EmbedderConfig, build_embedder
 from .errors import BudgetRagError, UndefinedMetricError, UsageError
 from .vindex import VectorIndex
@@ -46,16 +47,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(low, kind=int):
-    """argparse type for a number flag with a lower bound; a smaller value is a usage error."""
+    """argparse type for a finite number flag with a lower bound; nan, inf or a smaller value is a usage error."""
 
     def parse(text: str):
         value = kind(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value" errors
     return parse
+
+
+_finite = _at_least(-math.inf, float)  # any finite float
 
 
 def _counts(text: str) -> list[int]:
@@ -99,7 +105,7 @@ def _labels_by_patient(corpus_path) -> dict[str, int]:
     return {row["patient_id"]: row["label"] for row in _read_processed(corpus_path)}
 
 
-# --- side files: prompt template, price sheet, report inputs ------------
+# --- side files: list files, prompt template, price sheet, report inputs -
 
 
 def _parse_file(path, parse):
@@ -168,7 +174,7 @@ def _cohort_from_outcomes(outcomes, labels: dict[str, int]) -> metrics.ScoredCoh
 
 
 def cmd_ingest(args) -> dict:
-    whitelist = load_whitelist(args.whitelist) if args.whitelist else None
+    whitelist = _parse_file(args.whitelist, read_lines) if args.whitelist else None
     rows = []
     for record in load_corpus(args.corpus, whitelist):
         text = concat_text(window_notes(record, args.window_days))
@@ -245,8 +251,7 @@ def cmd_classify(args) -> dict:
         raise UsageError("--classifier remote requires --endpoint and --model")
     keywords = clf.DEFAULT_COMPLICATION_KEYWORDS
     if args.keywords:
-        lines = Path(args.keywords).read_text(encoding="utf-8").splitlines()
-        keywords = tuple(line.strip() for line in lines if line.strip())
+        keywords = _parse_file(args.keywords, read_lines)
     template = clf.DEFAULT_PROMPT_TEMPLATE
     if args.prompt_template:
         template = _parse_file(args.prompt_template, _prompt_template)
@@ -408,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classifier", choices=["mock", "remote"], default="mock")
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--temperature", type=float, default=0.0)
+    p.add_argument("--temperature", type=_finite, default=0.0)
     p.add_argument("--max-retries", type=_at_least(1), default=3)
     p.add_argument("--parallelism", type=_at_least(1), default=1)
     p.add_input("--keywords", default=None, help="keyword list file for the mock (one phrase per line)")
@@ -419,7 +424,7 @@ def build_parser() -> _Parser:
     p.add_input("--corpus", required=True, help="processed corpus JSONL (ground-truth labels)")
     p.add_argument("--out", required=True, help="metrics JSON")
     p.add_argument("--roc-out", default=None, help="ROC points CSV")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite, default=0.5)
 
     p = add("delong", cmd_delong, "paired DeLong test between two outcome files")
     p.add_input("--outcomes-a", required=True)

@@ -106,13 +106,19 @@ def parse_rfc3339(value: str, *, context: str = "timestamp") -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
+def read_lines(path: str | Path) -> tuple[str, ...]:
+    """Read a UTF-8 list file (a whitelist, keywords): one entry per line,
+    stripped, blank lines dropped. A file with no entries is an error."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    entries = tuple(line.strip() for line in lines if line.strip())
+    if not entries:
+        raise CorpusFormatError(f"{path} contains no entries")
+    return entries
+
+
 def load_whitelist(path: str | Path) -> frozenset[str]:
     """Read a note-type whitelist file, one type name per line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    types = {line.strip() for line in lines if line.strip()}
-    if not types:
-        raise CorpusFormatError(f"whitelist file {path} contains no note types")
-    return frozenset(types)
+    return frozenset(read_lines(path))
 
 
 def _parse_note(obj: dict, line_no: int, idx: int) -> ClinicalNote:

@@ -9,6 +9,7 @@ through the origin.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,8 +27,8 @@ class PriceSheet:
 
     def __post_init__(self):
         for name in ("usd_per_million_tokens", "seconds_per_patient_rag", "seconds_per_patient_long"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PriceSheet":

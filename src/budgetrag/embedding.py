@@ -59,7 +59,6 @@ class EmbedderConfig:
     dim: int = DEFAULT_DIM
     endpoint: str | None = None
     model_name: str | None = None
-    max_attempts: int = 3
 
     def __post_init__(self):
         if self.kind not in ("hashing", "remote"):
@@ -176,7 +175,7 @@ class RemoteEmbedder(_Embedder):
         through ``embed_many``, so a wrapper counting calls to either method
         sees each call once."""
         payload = {"model": self.cfg.model_name, "input": list(texts)}
-        response = post_json(self.cfg.endpoint, payload, max_attempts=self.cfg.max_attempts)
+        response = post_json(self.cfg.endpoint, payload)
         return _extract_embeddings(response, expected=len(texts))
 
 

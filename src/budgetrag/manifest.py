@@ -82,8 +82,11 @@ def validate_input(path: str | Path) -> str:
     actual = sha256_file(path)
     sidecar = manifest_path(path)
     if sidecar.exists():
-        recorded = json.loads(sidecar.read_text(encoding="utf-8"))
-        expected = recorded.get("outputs", {}).get(Path(path).name)
+        try:
+            recorded = json.loads(sidecar.read_text(encoding="utf-8"))
+            expected = recorded.get("outputs", {}).get(Path(path).name)
+        except (AttributeError, ValueError) as exc:  # not JSON, or not an object of objects
+            raise BudgetRagError(f"{sidecar}: not a run manifest: {type(exc).__name__}: {exc}") from exc
         if expected is not None and expected != actual:
             raise FingerprintMismatchError(
                 f"{path} does not match its manifest fingerprint "

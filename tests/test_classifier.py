@@ -204,6 +204,11 @@ class TestRemoteClassifier:
         with pytest.raises(ValueError, match="max_retries"):
             ClassifierConfig(max_retries=max_retries)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_temperature_is_rejected(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            ClassifierConfig(kind="remote", endpoint="http://127.0.0.1:9/v1", model_name="m", temperature=temperature)
+
 
 class TestClassifyBatch:
     def test_empty_batch(self):

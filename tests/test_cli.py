@@ -264,6 +264,14 @@ class TestExitCodes:
         ("--counts", "1,x", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),
         ("--classifier", "remote", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
         ("--embedder", "remote", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
+        ("--temperature", "nan", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        ("--temperature", "inf", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        ("--threshold", "nan", ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{demo}/proc.jsonl",
+                                "--out", "{tmp}/m.json"]),
+        ("--threshold", "inf", ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{demo}/proc.jsonl",
+                                "--out", "{tmp}/m.json"]),
+        ("--per-patient-tokens", "inf", ["project", "--out", "{tmp}/proj"]),
+        ("--seconds-rag", "nan", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),
     ])
     def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
         args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]
@@ -295,11 +303,23 @@ class TestExitCodes:
         ("delong.json", lambda demo: TestExitCodes._without(demo / "delong.json", "p_value"),
          ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
           "{demo}/roc_rag.csv", "--roc-long", "{demo}/roc_long.csv", "--delong", "{bad}", "--out", "{tmp}/report"]),
+        ("keywords.txt", lambda demo: b"\xff\xfe",
+         ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl", "--keywords", "{bad}"]),
+        ("keywords.txt", lambda demo: " \n\n",
+         ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl", "--keywords", "{bad}"]),
+        ("types.txt", lambda demo: b"OR PreOp\n\xff\xfe\n",
+         ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl", "--whitelist", "{bad}"]),
+        ("types.txt", lambda demo: "\n",
+         ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl", "--whitelist", "{bad}"]),
+        ("prices.json", lambda demo: '{"seconds_per_patient_rag": NaN}',
+         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
     ], ids=["template-without-context", "price-not-a-number", "metrics-without-auroc",
-            "roc-line-without-comma", "delong-without-p-value"])
+            "roc-line-without-comma", "delong-without-p-value", "keywords-not-utf8", "keywords-empty",
+            "whitelist-not-utf8", "whitelist-empty", "price-nan"])
     def test_bad_side_file_is_one_json_data_error(self, demo_dir, tmp_path, capsys, name, content, argv):
         bad = tmp_path / name
-        bad.write_text(content(demo_dir))
+        data = content(demo_dir)
+        bad.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
         assert main([a.format(bad=bad, demo=demo_dir, tmp=tmp_path) for a in argv]) == 2
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert len(err_lines) == 1
@@ -307,6 +327,22 @@ class TestExitCodes:
         assert err["category"] == "data"
         assert name in err["message"]
         assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("sidecar", ['{"outputs": ', '["not", "a", "manifest"]', '{"outputs": 7}',
+                                         b'{"outputs": {"\xff": 1}}'],
+                             ids=["truncated", "not-an-object", "outputs-not-an-object", "not-utf8"])
+    def test_corrupt_sidecar_manifest_is_one_json_data_error(self, demo_dir, tmp_path, capsys, sidecar):
+        contexts = tmp_path / "c.jsonl"
+        contexts.write_bytes((demo_dir / "ctx_rag.jsonl").read_bytes())
+        manifest = tmp_path / "c.jsonl.manifest.json"
+        manifest.write_bytes(sidecar if isinstance(sidecar, bytes) else sidecar.encode("utf-8"))
+        assert main(["classify", "--contexts", str(contexts), "--out", str(tmp_path / "o.jsonl")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["category"] == "data"
+        assert manifest.name in err["message"]
+        assert sorted(tmp_path.iterdir()) == [contexts, manifest]
 
 
 class TestRetrieveValidation:

@@ -124,3 +124,8 @@ class TestCsvAndConfig:
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             PriceSheet(usd_per_million_tokens=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_price_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            PriceSheet(seconds_per_patient_long=value)
