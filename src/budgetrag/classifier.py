@@ -122,37 +122,6 @@ def rank_score(label: int, severity: int) -> float:
     return (1.0 - severity / 5.0) * 0.5
 
 
-def _balanced_object_candidates(raw: str):
-    """Yield balanced ``{...}`` spans, respecting JSON string literals."""
-    start = 0
-    while True:
-        open_idx = raw.find("{", start)
-        if open_idx < 0:
-            return
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(open_idx, len(raw)):
-            ch = raw[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    yield raw[open_idx:i + 1]
-                    break
-        start = open_idx + 1
-
-
 def parse_response(raw: str) -> ParsedResponse:
     """Extract the first parseable JSON verdict from model output.
 
@@ -160,12 +129,14 @@ def parse_response(raw: str) -> ParsedResponse:
     must be 0 or 1; a missing or invalid ``severity`` falls back to 3
     with ``severity_defaulted`` set.
     """
-    for candidate in _balanced_object_candidates(raw):
+    decoder = json.JSONDecoder()
+    start = -1
+    while (start := raw.find("{", start + 1)) >= 0:  # try a JSON object at each "{" in turn
         try:
-            obj = json.loads(candidate)
+            obj, _ = decoder.raw_decode(raw, start)
         except json.JSONDecodeError:
             continue
-        if not isinstance(obj, dict) or "complication" not in obj:
+        if "complication" not in obj:
             continue
         label = obj["complication"]
         if label not in (0, 1):
@@ -346,12 +317,15 @@ def _outcome_from_json(obj: dict) -> ClassificationOutcome | FailedClassificatio
             error=obj.get("error", "unknown"),
             message=obj.get("message", ""),
         )
+    score = float(obj["score"])
+    if not math.isfinite(score):  # json reads NaN and Infinity, and float() reads "nan"
+        raise ValueError(f"'score' must be finite, got {obj['score']!r}")
     return ClassificationOutcome(
         patient_id=obj["patient_id"],
         mode=obj["mode"],
         label=int(obj["label"]),
         severity=int(obj["severity"]),
-        score=float(obj["score"]),
+        score=score,
         raw_response=obj.get("raw_response", ""),
         prompt_words=int(obj.get("prompt_words", 0)),
         latency_ms=int(obj.get("latency_ms", 0)),

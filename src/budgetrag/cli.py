@@ -85,9 +85,9 @@ _PROCESSED_FIELDS = {"patient_id": str, "label": int, "max_words": int, "word_co
 def _processed_row(obj: dict) -> dict:
     if "max_words" not in obj and "chunks" in obj:
         raise ValueError("per-chunk rows from an older ingest; re-run ingest")
-    for key, kind in _PROCESSED_FIELDS.items():
-        if not isinstance(obj[key], kind):
-            raise TypeError(f"{key!r} must be {kind.__name__}, got {obj[key]!r:.40}")
+    manifest.check_types(obj, _PROCESSED_FIELDS)
+    if obj["label"] not in (0, 1):
+        raise ValueError(f"'label' must be 0 or 1, got {obj['label']}")
     if obj["max_words"] < 1:
         raise ValueError(f"'max_words' must be >= 1, got {obj['max_words']}")
     return obj
@@ -161,6 +161,9 @@ def _cohort_from_outcomes(outcomes, labels: dict[str, int]) -> metrics.ScoredCoh
     if missing:
         raise BudgetRagError(f"outcomes reference patients absent from the corpus: {missing[:10]}")
     ordered = sorted(outcomes, key=lambda o: o.patient_id)
+    repeated = sorted({a.patient_id for a, b in zip(ordered, ordered[1:]) if a.patient_id == b.patient_id})
+    if repeated:
+        raise BudgetRagError(f"outcomes repeat patients: {repeated[:10]}")
     return metrics.ScoredCohort(
         labels=tuple(labels[o.patient_id] for o in ordered),
         scores=tuple(o.score for o in ordered),

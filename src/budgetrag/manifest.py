@@ -69,6 +69,13 @@ def read_jsonl(path: str | Path, what: str, parse) -> list:
     return items
 
 
+def check_types(obj: dict, fields: dict[str, type]) -> None:
+    """Raise ``TypeError`` unless each named field of a JSON-lines row has its type (a bool is no int)."""
+    for key, kind in fields.items():
+        if not isinstance(obj[key], kind) or (isinstance(obj[key], bool) and kind is not bool):
+            raise TypeError(f"{key!r} must be {kind.__name__}, got {obj[key]!r:.40}")
+
+
 def manifest_path(artifact: str | Path) -> Path:
     return Path(f"{artifact}.manifest.json")
 

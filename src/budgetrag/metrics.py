@@ -3,9 +3,13 @@
 AUROC uses the Mann-Whitney form with midranks, so a tied
 positive/negative pair counts 1/2. PR AUC is average precision (mean of
 precision at the ranks of the positives under descending-score order),
-not the trapezoid over PR points. Ranking ties keep cohort order, and
-cohorts are canonically ordered by patient id, mirroring the index's
-deterministic tie rule.
+not the trapezoid over PR points. Cohorts are canonically ordered by
+patient id, and every rank comes from one stable descending ranking
+(``_ranked``), so ties keep patient-id order, mirroring the index's
+deterministic tie rule. The average precision terms are added one by
+one in that rank order (``np.cumsum``): ``np.sum`` adds pairwise and
+builtin ``sum`` compensates on Python >= 3.12, and either would change
+the last bits of the result.
 
 The paired test follows the standard DeLong construction: placement
 values V10/V01 per observation, their sample covariances (unbiased
@@ -37,6 +41,8 @@ class ScoredCohort:
             raise ValueError("patient_ids length does not match labels")
         if any(l not in (0, 1) for l in self.labels):
             raise ValueError("labels must be 0 or 1")
+        if not np.isfinite(np.asarray(self.scores, dtype=np.float64)).all():
+            raise ValueError("scores must be finite")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -83,17 +89,9 @@ class DeLongResult:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based midranks; tied values share the average of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j < n and values[order[j]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # a tie group spans sorted positions [end - count, end)
+    return (0.5 * (2 * ends - counts - 1) + 1.0)[group]
 
 
 def _split(cohort: ScoredCohort) -> tuple[np.ndarray, np.ndarray]:
@@ -118,18 +116,12 @@ def auroc(cohort: ScoredCohort) -> float:
 
 def confusion_metrics(cohort: ScoredCohort, threshold: float = 0.5) -> ConfusionMetrics:
     """Threshold the scores (predict 1 iff score >= threshold)."""
-    tp = fp = tn = fn = 0
-    for label, score in zip(cohort.labels, cohort.scores):
-        predicted = 1 if score >= threshold else 0
-        if predicted == 1:
-            if label == 1:
-                tp += 1
-            else:
-                fp += 1
-        elif label == 1:
-            fn += 1
-        else:
-            tn += 1
+    positive = np.asarray(cohort.labels) == 1
+    predicted = np.asarray(cohort.scores, dtype=np.float64) >= threshold
+    tp = int(np.count_nonzero(positive & predicted))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(positive)) - tp
+    tn = len(cohort) - tp - fp - fn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = f1_score(precision, recall)
@@ -142,10 +134,11 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _descending_rank_order(cohort: ScoredCohort) -> np.ndarray:
-    # stable sort on negated scores: ties keep cohort (patient id) order
+def _ranked(cohort: ScoredCohort) -> tuple[np.ndarray, np.ndarray]:
+    """Positive flags and scores in descending-score order; ties keep cohort (patient id) order."""
     scores = np.asarray(cohort.scores, dtype=np.float64)
-    return np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores, kind="stable")
+    return np.asarray(cohort.labels)[order] == 1, scores[order]
 
 
 def pr_auc(cohort: ScoredCohort) -> float:
@@ -155,14 +148,9 @@ def pr_auc(cohort: ScoredCohort) -> float:
         raise UndefinedMetricError(
             f"PR AUC undefined: {m} positives, {cohort.negatives} negatives"
         )
-    labels = np.asarray(cohort.labels)
-    total = 0.0
-    seen_pos = 0
-    for rank, idx in enumerate(_descending_rank_order(cohort), start=1):
-        if labels[idx] == 1:
-            seen_pos += 1
-            total += seen_pos / rank
-    return total / m
+    positive, _ = _ranked(cohort)
+    precisions = np.arange(1, m + 1) / (np.flatnonzero(positive) + 1)
+    return float(np.cumsum(precisions)[-1] / m)  # added in rank order; see the module docstring
 
 
 def roc_points(cohort: ScoredCohort) -> list[tuple[float, float]]:
@@ -174,24 +162,11 @@ def roc_points(cohort: ScoredCohort) -> list[tuple[float, float]]:
     m, n = len(pos), len(neg)
     if m < 1 or n < 1:
         raise UndefinedMetricError(f"ROC undefined: {m} positives, {n} negatives")
-    labels = np.asarray(cohort.labels)
-    scores = np.asarray(cohort.scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        current = scores[order[i]]
-        while j < len(order) and scores[order[j]] == current:
-            if labels[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n, tp / m))
-        i = j
-    return points
+    positive, scores = _ranked(cohort)
+    group_end = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))  # last index of each tie group
+    tp = np.cumsum(positive)[group_end]
+    fp = group_end + 1 - tp
+    return [(0.0, 0.0), *zip((fp / n).tolist(), (tp / m).tolist())]
 
 
 def trapezoid_area(points: list[tuple[float, float]]) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import Chunk, PatientRecord, chunk_record, concat_text, window_notes, word_count
 from .errors import BudgetRagError, MissingPatientError
-from .manifest import read_jsonl, write_jsonl
+from .manifest import check_types, read_jsonl, write_jsonl
 from .vindex import VectorIndex
 
 MODE_RAG = "RAG"
@@ -166,7 +166,11 @@ def write_contexts(path: str | Path, contexts: list[AssembledContext]) -> None:
     write_jsonl(path, (context_to_json(ctx) for ctx in contexts))
 
 
+_CONTEXT_FIELDS = {"patient_id": str, "mode": str, "text": str, "word_count": int}
+
+
 def _context_from_json(obj: dict) -> AssembledContext:
+    check_types(obj, _CONTEXT_FIELDS)
     return AssembledContext(
         patient_id=obj["patient_id"],
         mode=obj["mode"],

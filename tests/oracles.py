@@ -47,6 +47,16 @@ def average_precision_bruteforce(labels, scores) -> float:
     return total / m
 
 
+def roc_points_bruteforce(labels, scores) -> list[tuple[float, float]]:
+    """ROC points by direct counting: (0, 0), then (#neg >= t / n, #pos >= t / m) per distinct score t, descending."""
+    pos = [s for l, s in zip(labels, scores) if l == 1]
+    neg = [s for l, s in zip(labels, scores) if l == 0]
+    points = [(0.0, 0.0)]
+    for t in sorted(set(scores), reverse=True):
+        points.append((sum(1 for y in neg if y >= t) / len(neg), sum(1 for x in pos if x >= t) / len(pos)))
+    return points
+
+
 def _cov(u, v) -> float:
     """Unbiased sample covariance by explicit summation."""
     n = len(u)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,21 @@ class TestExitCodes:
         dropped = {json.loads(l)["patient_id"] for l in lines[-3:]}
         assert any(pid in err["message"] for pid in dropped)
 
+    @pytest.mark.parametrize("command", ["evaluate", "delong"])
+    def test_repeated_patient_in_outcomes_is_exit_2(self, demo_dir, tmp_path, capsys, command):
+        lines = (demo_dir / "out_rag.jsonl").read_text().splitlines()
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("\n".join(lines + lines[4:5]) + "\n")
+        corpus = ["--corpus", str(demo_dir / "proc.jsonl"), "--out", str(tmp_path / "o.json")]
+        if command == "evaluate":
+            argv = ["evaluate", "--outcomes", str(repeated), *corpus]
+        else:
+            argv = ["delong", "--outcomes-a", str(repeated), "--outcomes-b", str(demo_dir / "out_long.jsonl"), *corpus]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["category"] == "data"
+        assert json.loads(lines[4])["patient_id"] in err["message"]
+
     def test_missing_file_is_exit_2(self, tmp_path):
         assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
@@ -407,7 +423,19 @@ class TestProcessedCorpus:
          ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
         ("out_rag.jsonl", "label", {}, 2,
          ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
-    ], ids=["processed-without-text", "old-processed-format", "context-without-mode", "outcome-without-label"])
+        ("out_rag.jsonl", "score", {"score": math.nan}, 2,
+         ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
+        ("out_rag.jsonl", "score", {"score": "nan"}, 2,
+         ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
+        ("proc.jsonl", "label", {"label": 2}, 2,
+         ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{bad}", "--out", "{tmp}/m.json"]),
+        ("proc.jsonl", "label", {"label": True}, 2,
+         ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{bad}", "--out", "{tmp}/m.json"]),
+        ("ctx_rag.jsonl", "text", {"text": 5}, 2,
+         ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+    ], ids=["processed-without-text", "old-processed-format", "context-without-mode", "outcome-without-label",
+            "outcome-nan-score", "outcome-nan-string-score", "processed-label-2", "processed-bool-label",
+            "context-int-text"])
     def test_malformed_artifact_line_is_exit_2(self, demo_dir, tmp_path, capsys,
                                                source, drop, extra, bad_line, argv):
         rows = [json.loads(l) for l in (demo_dir / source).read_text().splitlines()[:3]]

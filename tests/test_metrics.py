@@ -24,7 +24,7 @@ from budgetrag.metrics import (
     trapezoid_area,
 )
 
-from .oracles import auc_pair_enumeration, average_precision_bruteforce, delong_reference
+from .oracles import auc_pair_enumeration, average_precision_bruteforce, delong_reference, roc_points_bruteforce
 
 
 def cohort(labels, scores, ids=None):
@@ -42,6 +42,32 @@ def random_cohort(rng, size, tie_prone=False):
     else:
         scores = rng.random(size)
     return cohort(labels.tolist(), scores.tolist())
+
+
+class TestScoredCohort:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cohort([1, 0, 1], [0.2, bad, 0.4])
+
+
+class TestBitExact:
+    """The metrics equal their oracles with ``==``: summation order is part of the result."""
+
+    def test_metrics_equal_oracles_exactly(self):
+        rng = np.random.default_rng(31)
+        for tie_prone in (False, True):
+            for size in [2, 3, 500, *rng.integers(2, 501, size=12)]:
+                c = random_cohort(rng, int(size), tie_prone)
+                labels, scores = c.labels, c.scores
+                assert auroc(c) == auc_pair_enumeration(labels, scores)
+                assert pr_auc(c) == average_precision_bruteforce(labels, scores)
+                assert roc_points(c) == roc_points_bruteforce(labels, scores)
+                for threshold in (0.0, 0.3, 0.5, 1.0):
+                    got = confusion_metrics(c, threshold)
+                    pairs = list(zip(labels, (s >= threshold for s in scores)))
+                    assert (got.tp, got.fp, got.tn, got.fn) == tuple(
+                        pairs.count(p) for p in ((1, True), (0, True), (0, False), (1, False)))
 
 
 class TestAuroc:
