@@ -22,10 +22,10 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .errors import BudgetRagError, ResponseParseError
-from .manifest import read_jsonl, utc_now, write_jsonl
+from .manifest import check_types, read_jsonl, write_jsonl
 from .remote import post_json
 from .retrieval import AssembledContext
 
@@ -106,7 +106,6 @@ class FailedClassification:
 class BatchResult:
     outcomes: list[ClassificationOutcome] = field(default_factory=list)
     failures: list[FailedClassification] = field(default_factory=list)
-    manifest: dict = field(default_factory=dict)
 
 
 class ParsedResponse(NamedTuple):
@@ -218,22 +217,13 @@ def classify_mock(ctx: AssembledContext, keywords: tuple[str, ...] = DEFAULT_COM
     return classify(ctx, ClassifierConfig(kind="mock", keywords=tuple(keywords)))
 
 
-def classify_batch(
-    contexts: list[AssembledContext],
-    cfg: ClassifierConfig,
-    parallelism: int = 1,
-    *,
-    deterministic: bool = False,
-) -> BatchResult:
+def classify_batch(contexts: list[AssembledContext], cfg: ClassifierConfig, parallelism: int = 1) -> BatchResult:
     """Classify a batch, recording per-item failures without aborting.
 
-    Results preserve input order regardless of ``parallelism``. The
-    returned manifest snapshots the configuration and timestamps
-    (zeroed under ``deterministic``).
+    Results preserve input order regardless of ``parallelism``.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    started_at = utc_now(deterministic)
 
     def one(ctx: AssembledContext):
         try:
@@ -258,40 +248,16 @@ def classify_batch(
             batch.outcomes.append(res)
         else:
             batch.failures.append(res)
-    batch.manifest = {
-        "classifier": {
-            "kind": cfg.kind,
-            "model_name": cfg.model_name,
-            "endpoint": cfg.endpoint,
-            "temperature": cfg.temperature,
-            "max_retries": cfg.max_retries,
-        },
-        "prompt_template": cfg.prompt_template,
-        "keywords": list(cfg.keywords) if cfg.kind == "mock" else None,
-        "parallelism": parallelism,
-        "contexts": len(contexts),
-        "failures": len(batch.failures),
-        "started_at": started_at,
-        "finished_at": utc_now(deterministic),
-    }
     return batch
 
 
 # --- outcomes persistence ----------------------------------------------
+# An outcome line holds the fields of ClassificationOutcome, in their
+# declared order; a failure line holds those of FailedClassification
+# with "failed": true after the mode.
 
-
-def outcome_to_json(outcome: ClassificationOutcome) -> dict:
-    return {
-        "patient_id": outcome.patient_id,
-        "mode": outcome.mode,
-        "label": outcome.label,
-        "severity": outcome.severity,
-        "score": outcome.score,
-        "raw_response": outcome.raw_response,
-        "prompt_words": outcome.prompt_words,
-        "latency_ms": outcome.latency_ms,
-        "severity_defaulted": outcome.severity_defaulted,
-    }
+_OUTCOME_FIELDS = get_type_hints(ClassificationOutcome)
+_FAILURE_FIELDS = get_type_hints(FailedClassification)
 
 
 def _failure_to_json(failure: FailedClassification) -> dict:
@@ -306,31 +272,18 @@ def _failure_to_json(failure: FailedClassification) -> dict:
 
 def write_outcomes(path, batch: BatchResult) -> None:
     """Write outcomes JSONL; failures become lines with ``"failed": true``."""
-    write_jsonl(path, [*map(outcome_to_json, batch.outcomes), *map(_failure_to_json, batch.failures)])
+    outcomes = ({key: getattr(o, key) for key in _OUTCOME_FIELDS} for o in batch.outcomes)
+    write_jsonl(path, [*outcomes, *map(_failure_to_json, batch.failures)])
 
 
 def _outcome_from_json(obj: dict) -> ClassificationOutcome | FailedClassification:
-    if obj.get("failed"):
-        return FailedClassification(
-            patient_id=obj["patient_id"],
-            mode=obj.get("mode", ""),
-            error=obj.get("error", "unknown"),
-            message=obj.get("message", ""),
-        )
-    score = float(obj["score"])
-    if not math.isfinite(score):  # json reads NaN and Infinity, and float() reads "nan"
+    if "failed" in obj:  # written only as "failed": true
+        check_types(obj, _FAILURE_FIELDS)
+        return FailedClassification(*[obj[key] for key in _FAILURE_FIELDS])
+    check_types(obj, _OUTCOME_FIELDS)
+    if not math.isfinite(obj["score"]):  # json reads NaN and Infinity
         raise ValueError(f"'score' must be finite, got {obj['score']!r}")
-    return ClassificationOutcome(
-        patient_id=obj["patient_id"],
-        mode=obj["mode"],
-        label=int(obj["label"]),
-        severity=int(obj["severity"]),
-        score=score,
-        raw_response=obj.get("raw_response", ""),
-        prompt_words=int(obj.get("prompt_words", 0)),
-        latency_ms=int(obj.get("latency_ms", 0)),
-        severity_defaulted=bool(obj.get("severity_defaulted", False)),
-    )
+    return ClassificationOutcome(*[obj[key] for key in _OUTCOME_FIELDS])
 
 
 def read_outcomes(path) -> tuple[list[ClassificationOutcome], list[FailedClassification]]:

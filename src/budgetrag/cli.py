@@ -10,8 +10,9 @@ runs the command, and writes the one run manifest
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
-2 data error (a missing, malformed or tampered input file, or inputs on
-which a result is undefined); 3 remote-service error.
+2 data error (a file that cannot be read or written, a malformed or
+tampered input file, or inputs on which a result is undefined);
+3 remote-service error.
 """
 
 from __future__ import annotations
@@ -93,8 +94,18 @@ def _processed_row(obj: dict) -> dict:
     return obj
 
 
+def _check_unique(patient_ids, what: str) -> None:
+    """Raise a data error naming the patients that ``what`` holds more than once."""
+    ordered = sorted(patient_ids)
+    repeated = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
+    if repeated:
+        raise BudgetRagError(f"{what} repeat patients: {repeated[:10]}")
+
+
 def _read_processed(path) -> list[dict]:
-    return manifest.read_jsonl(path, "processed corpus", _processed_row)
+    rows = manifest.read_jsonl(path, "processed corpus", _processed_row)
+    _check_unique([row["patient_id"] for row in rows], f"{path}: processed corpus rows")
+    return rows
 
 
 def _chunks(row: dict) -> list[Chunk]:
@@ -161,9 +172,7 @@ def _cohort_from_outcomes(outcomes, labels: dict[str, int]) -> metrics.ScoredCoh
     if missing:
         raise BudgetRagError(f"outcomes reference patients absent from the corpus: {missing[:10]}")
     ordered = sorted(outcomes, key=lambda o: o.patient_id)
-    repeated = sorted({a.patient_id for a, b in zip(ordered, ordered[1:]) if a.patient_id == b.patient_id})
-    if repeated:
-        raise BudgetRagError(f"outcomes repeat patients: {repeated[:10]}")
+    _check_unique([o.patient_id for o in ordered], "outcomes")
     return metrics.ScoredCohort(
         labels=tuple(labels[o.patient_id] for o in ordered),
         scores=tuple(o.score for o in ordered),
@@ -219,12 +228,12 @@ def cmd_build_index(args) -> dict:
 
 
 def cmd_retrieve(args) -> dict:
-    rows = _read_processed(args.corpus)
     rag = args.mode == "rag"
+    if rag and not args.index:
+        raise UsageError("--mode rag requires --index")
+    rows = _read_processed(args.corpus)
     embedder_fp = None
     if rag:
-        if not args.index:
-            raise BudgetRagError("--index is required for --mode rag")
         index = VectorIndex.load(args.index)
         _, embedder = _embedder_from_args(args, index)
         embedder_fp = embedder.fingerprint
@@ -268,9 +277,24 @@ def cmd_classify(args) -> dict:
         keywords=keywords,
     )
     contexts = retrieval.read_contexts(args.contexts)
-    batch = clf.classify_batch(contexts, cfg, parallelism=args.parallelism, deterministic=args.deterministic)
+    batch = clf.classify_batch(contexts, cfg, parallelism=args.parallelism)
     clf.write_outcomes(args.out, batch)
-    return {"config": batch.manifest, "classifier": batch.manifest["classifier"]}
+    return {
+        "config": {
+            "prompt_template": cfg.prompt_template,
+            "keywords": list(cfg.keywords) if cfg.kind == "mock" else None,
+            "parallelism": args.parallelism,
+            "contexts": len(contexts),
+            "failures": len(batch.failures),
+        },
+        "classifier": {
+            "kind": cfg.kind,
+            "model_name": cfg.model_name,
+            "endpoint": cfg.endpoint,
+            "temperature": cfg.temperature,
+            "max_retries": cfg.max_retries,
+        },
+    }
 
 
 def cmd_evaluate(args) -> dict:
@@ -466,8 +490,8 @@ def main(argv=None) -> int:
                                 deterministic=args.deterministic, **args.func(args))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (BudgetRagError, FileNotFoundError) as exc:
-        category = getattr(exc, "category", "data")  # a missing input file is a data error
+    except (BudgetRagError, OSError) as exc:
+        category = getattr(exc, "category", "data")  # a file that cannot be read or written is a data error
         payload = {"error": type(exc).__name__, "category": category, "message": str(exc)}
         print(json.dumps(payload, ensure_ascii=False), file=sys.stderr)
         return _EXIT_CODES[category]

@@ -178,18 +178,20 @@ def load_corpus(path: str | Path, note_whitelist: Iterable[str] | None = None) -
     Only whitelisted, non-blank notes are retained; notes are sorted by
     timestamp. Patients whose notes were all filtered out are still
     returned (``record.is_empty``) so cohort counts match the input.
-    Unknown fields are ignored; a malformed line raises
-    :class:`CorpusFormatError` naming the line number.
+    Unknown fields are ignored; a malformed line, or one that is not
+    UTF-8, raises :class:`CorpusFormatError` naming the line number.
     """
     whitelist = frozenset(note_whitelist) if note_whitelist is not None else DEFAULT_NOTE_TYPES
     records: list[PatientRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"line {line_no}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
             record = _parse_record(obj, line_no, whitelist)

@@ -43,19 +43,21 @@ def write_jsonl(path: str | Path, rows) -> None:
 def read_jsonl(path: str | Path, what: str, parse) -> list:
     """Parse each non-blank line of a JSON-lines artifact with ``parse``.
 
-    Invalid JSON, a line that is not an object, and a ``KeyError``,
-    ``TypeError`` or ``ValueError`` raised by ``parse`` (a missing field
-    or a bad value) become a :class:`BudgetRagError` naming ``what`` and
-    the line number.
+    A line that is not UTF-8, invalid JSON, a line that is not an object,
+    and a ``KeyError``, ``TypeError`` or ``ValueError`` raised by
+    ``parse`` (a missing field or a bad value) become a
+    :class:`BudgetRagError` naming ``what`` and the line number.
     """
     items = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             where = f"{what} line {line_no}"
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise BudgetRagError(f"{where}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
             except json.JSONDecodeError as exc:
                 raise BudgetRagError(f"{where}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
@@ -70,9 +72,9 @@ def read_jsonl(path: str | Path, what: str, parse) -> list:
 
 
 def check_types(obj: dict, fields: dict[str, type]) -> None:
-    """Raise ``TypeError`` unless each named field of a JSON-lines row has its type (a bool is no int)."""
+    """Raise ``TypeError`` unless each named field of a JSON-lines row has exactly its type (a bool is no int)."""
     for key, kind in fields.items():
-        if not isinstance(obj[key], kind) or (isinstance(obj[key], bool) and kind is not bool):
+        if type(obj[key]) is not kind:
             raise TypeError(f"{key!r} must be {kind.__name__}, got {obj[key]!r:.40}")
 
 

@@ -237,12 +237,6 @@ class TestClassifyBatch:
         assert [f.patient_id for f in batch.failures] == ["p2"]
         assert batch.failures[0].error == "ResponseParseError"
 
-    def test_manifest_snapshot(self):
-        batch = classify_batch([ctx("x")], ClassifierConfig(), deterministic=True)
-        assert batch.manifest["classifier"]["kind"] == "mock"
-        assert batch.manifest["contexts"] == 1
-        assert batch.manifest["started_at"] == "1970-01-01T00:00:00Z"
-
     def test_bad_parallelism(self):
         with pytest.raises(ValueError):
             classify_batch([], ClassifierConfig(), parallelism=0)

@@ -29,9 +29,9 @@ PINNED_CHAIN_SHA256 = {
     "m_rag.json": "b329103a802d0961705549294edaec26c65b342bd6eea39eb8b6a3f0a8e9423d",
     "m_rag.json.manifest.json": "084d77a196c6e11fad573048fdff88b6518309d60a69d8bf8648101439a30084",
     "out_long.jsonl": "025a324c05091d41144ba7eff188486531797791fe3d8a8b043dedc4f7c2abf6",
-    "out_long.jsonl.manifest.json": "6932e220936c7ec5477ea3499cdc4640213042e91ebc216811fb6fbaab857f02",
+    "out_long.jsonl.manifest.json": "c551e5807bc8bc29db9ad90d1e019521e6ed70125f66ba018819acb2536cc01c",
     "out_rag.jsonl": "e93b3886056ef1f00f70958d108eb1a78f2c0ca0da52af282641a574430c0d1b",
-    "out_rag.jsonl.manifest.json": "b07117c027ca22485c0887f7bd6d032c16a5dbfe6d5445fafcd18256622392aa",
+    "out_rag.jsonl.manifest.json": "52301551afe1f44e1225a1c3f588ee4ffe4aaae26c6a3f2df6bdc9d89369a8be",
     "proc.jsonl": "37ac15570c7219cc71da3269e2eb8d4a1bc3a8d44675cd7e718665fe8a917841",
     "proc.jsonl.manifest.json": "af242c8bd47438c9b6fadf957bcb4aeee64244fe74c9a171e42060a155397b81",
     "proj.manifest.json": "bd4656a1817c5b443f1e4f6063c77660b45cea439dbcfa018bcb0ea9a9b11d81",
@@ -124,6 +124,14 @@ class TestFullPipeline:
         assert manifest["inputs"]["ctx_rag.jsonl"] == sha256_file(demo_dir / "ctx_rag.jsonl")
         assert manifest["outputs"]["out_rag.jsonl"] == sha256_file(demo_dir / "out_rag.jsonl")
         assert manifest["command"] == "classify"
+
+    def test_classify_manifest_records_the_run_once(self, demo_dir):
+        manifest = json.loads((demo_dir / "out_rag.jsonl.manifest.json").read_text())
+        assert manifest["classifier"] == {"kind": "mock", "model_name": "mock", "endpoint": None,
+                                          "temperature": 0.0, "max_retries": 3}
+        assert list(manifest["config"]) == ["prompt_template", "keywords", "parallelism", "contexts", "failures"]
+        assert manifest["config"]["contexts"] == 60
+        assert manifest["config"]["failures"] == 0
 
     @pytest.mark.parametrize("name,command,inputs,outputs", [
         ("proc.jsonl", "ingest", ["corpus.jsonl"], ["proc.jsonl"]),
@@ -288,6 +296,7 @@ class TestExitCodes:
                                 "--out", "{tmp}/m.json"]),
         ("--per-patient-tokens", "inf", ["project", "--out", "{tmp}/proj"]),
         ("--seconds-rag", "nan", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),
+        ("--mode", "rag", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/c.jsonl"]),
     ])
     def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
         args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]
@@ -361,11 +370,39 @@ class TestExitCodes:
         assert sorted(tmp_path.iterdir()) == [contexts, manifest]
 
 
-class TestRetrieveValidation:
-    def test_rag_without_index_is_data_error(self, demo_dir, tmp_path):
-        assert main(["retrieve", "--corpus", str(demo_dir / "proc.jsonl"),
-                     "--mode", "rag", "--out", str(tmp_path / "c.jsonl")]) == 2
+    @pytest.mark.parametrize("source,argv", [
+        ("corpus.jsonl", ["ingest", "--corpus", "{bad}", "--out", "{tmp}/p.jsonl"]),
+        ("proc.jsonl", ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{bad}",
+                        "--out", "{tmp}/m.json"]),
+        ("ctx_rag.jsonl", ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+        ("out_rag.jsonl", ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl",
+                           "--out", "{tmp}/m.json"]),
+    ], ids=["raw-corpus", "processed-corpus", "contexts", "outcomes"])
+    def test_line_not_utf8_is_one_json_data_error(self, demo_dir, tmp_path, capsys, source, argv):
+        lines = (demo_dir / source).read_bytes().splitlines(keepends=True)
+        bad = tmp_path / source
+        bad.write_bytes(lines[0] + b'{"patient_id": "\xff"}\n' + b"".join(lines[1:]))
+        assert main([a.format(bad=bad, demo=demo_dir, tmp=tmp_path) for a in argv]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["category"] == "data"
+        assert "line 2:" in err["message"]
+        if source == "corpus.jsonl":
+            assert err["error"] == "CorpusFormatError"
 
+    @pytest.mark.parametrize("flag", ["--corpus", "--out"])
+    def test_directory_path_is_one_json_data_error(self, demo_dir, tmp_path, capsys, flag):
+        paths = {"--corpus": demo_dir / "corpus.jsonl", "--out": tmp_path / "p.jsonl", flag: tmp_path}
+        assert main(["ingest", *(str(a) for pair in paths.items() for a in pair)]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["category"] == "data"
+        assert str(tmp_path) in err["message"]
+
+
+class TestRetrieveValidation:
     def test_remote_rag_embeds_the_query_once(self, tmp_path, api_server):
         write_corpus(tmp_path / "corpus.jsonl", generate_corpus(5, seed=3))
         # one chunk per patient, so every request carries one text and the
@@ -433,9 +470,13 @@ class TestProcessedCorpus:
          ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{bad}", "--out", "{tmp}/m.json"]),
         ("ctx_rag.jsonl", "text", {"text": 5}, 2,
          ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+        ("out_rag.jsonl", "latency_ms", {}, 2,
+         ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
+        ("out_rag.jsonl", "severity_defaulted", {"severity_defaulted": "no"}, 2,
+         ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
     ], ids=["processed-without-text", "old-processed-format", "context-without-mode", "outcome-without-label",
             "outcome-nan-score", "outcome-nan-string-score", "processed-label-2", "processed-bool-label",
-            "context-int-text"])
+            "context-int-text", "outcome-without-latency", "outcome-string-severity-defaulted"])
     def test_malformed_artifact_line_is_exit_2(self, demo_dir, tmp_path, capsys,
                                                source, drop, extra, bad_line, argv):
         rows = [json.loads(l) for l in (demo_dir / source).read_text().splitlines()[:3]]
@@ -453,3 +494,21 @@ class TestProcessedCorpus:
         assert f"line {bad_line}:" in err["message"]
         if "chunks" in extra:
             assert "ingest" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{bad}", "--out", "{tmp}/m.json"],
+        ["retrieve", "--corpus", "{bad}", "--mode", "long", "--out", "{tmp}/c.jsonl"],
+    ], ids=["evaluate", "retrieve"])
+    def test_processed_corpus_repeating_a_patient_is_exit_2(self, demo_dir, tmp_path, capsys, argv):
+        lines = (demo_dir / "proc.jsonl").read_text().splitlines()
+        flipped = json.loads(lines[0])
+        flipped["label"] = 1 - flipped["label"]
+        bad = tmp_path / "proc.jsonl"
+        bad.write_text("\n".join([*lines, json.dumps(flipped)]) + "\n")
+        assert main([a.format(bad=bad, demo=demo_dir, tmp=tmp_path) for a in argv]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["category"] == "data"
+        assert flipped["patient_id"] in err["message"]
+        assert list(tmp_path.iterdir()) == [bad]
