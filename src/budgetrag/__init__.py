@@ -5,74 +5,43 @@ embeddings in a flat exact-search vector store, assembles budget-capped
 contexts (or the whole windowed text), classifies through a pluggable
 chat-completion backend, and compares the two ingestion modes with a
 full metric and DeLong statistical suite plus cost/runtime projections.
+
+The names below are imported from their submodule on first use (PEP
+562), so importing the package, or a numpy-free submodule of it, does
+not load numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .corpus import Chunk, ClinicalNote, PatientRecord, chunk_text, concat_text, load_corpus, window_notes
-from .embedding import EmbedderConfig, HashingEmbedder, build_embedder, embed_hashing
-from .vindex import SearchHit, VectorIndex
-from .retrieval import AssembledContext, RetrievalConfig, assemble_long, assemble_rag, context_stats
-from .classifier import (
-    ClassificationOutcome,
-    ClassifierConfig,
-    classify,
-    classify_batch,
-    classify_mock,
-    parse_response,
-)
-from .metrics import (
-    DeLongResult,
-    MetricBundle,
-    ScoredCohort,
-    auroc,
-    confusion_metrics,
-    delong_test,
-    evaluate_cohort,
-    normal_cdf,
-    pr_auc,
-    roc_points,
-)
-from .costmodel import PriceSheet, UsageSummary, project_cost, project_time, summarize_usage
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "corpus": ("Chunk", "ClinicalNote", "PatientRecord", "chunk_text", "concat_text", "load_corpus",
+                   "window_notes"),
+        "embedding": ("EmbedderConfig", "HashingEmbedder", "build_embedder", "embed_hashing"),
+        "vindex": ("SearchHit", "VectorIndex"),
+        "retrieval": ("AssembledContext", "RetrievalConfig", "assemble_long", "assemble_rag", "context_stats"),
+        "classifier": ("ClassificationOutcome", "ClassifierConfig", "classify", "classify_batch", "classify_mock",
+                       "parse_response"),
+        "metrics": ("DeLongResult", "MetricBundle", "ScoredCohort", "auroc", "confusion_metrics", "delong_test",
+                    "evaluate_cohort", "normal_cdf", "pr_auc", "roc_points"),
+        "costmodel": ("PriceSheet", "UsageSummary", "project_cost", "project_time", "summarize_usage"),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "AssembledContext",
-    "Chunk",
-    "ClassificationOutcome",
-    "ClassifierConfig",
-    "ClinicalNote",
-    "DeLongResult",
-    "EmbedderConfig",
-    "HashingEmbedder",
-    "MetricBundle",
-    "PatientRecord",
-    "PriceSheet",
-    "RetrievalConfig",
-    "ScoredCohort",
-    "SearchHit",
-    "UsageSummary",
-    "VectorIndex",
-    "assemble_long",
-    "assemble_rag",
-    "auroc",
-    "build_embedder",
-    "chunk_text",
-    "classify",
-    "classify_batch",
-    "classify_mock",
-    "concat_text",
-    "confusion_metrics",
-    "context_stats",
-    "delong_test",
-    "embed_hashing",
-    "evaluate_cohort",
-    "load_corpus",
-    "normal_cdf",
-    "parse_response",
-    "pr_auc",
-    "project_cost",
-    "project_time",
-    "roc_points",
-    "summarize_usage",
-    "window_notes",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

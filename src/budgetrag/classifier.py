@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, get_type_hints
 
@@ -239,6 +238,8 @@ def classify_batch(contexts: list[AssembledContext], cfg: ClassifierConfig, para
     if parallelism == 1 or len(contexts) <= 1:
         results = [one(ctx) for ctx in contexts]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(one, contexts))
 

@@ -6,7 +6,15 @@ name input files (``add_input``). ``main`` takes the start time,
 validates and fingerprints those files in declaration order (a file
 with a sidecar manifest must match the fingerprint recorded there),
 runs the command, and writes the one run manifest
-(``<out>.manifest.json``) from the fields the command returns.
+(``<out>.manifest.json``) from the fields the command returns. Output
+flags are declared too (``add_output``): the command writes under
+staged names, and ``write_manifest`` moves the outputs into place after
+writing their manifest, so a failed command leaves no output behind.
+
+Every command is a fresh process that pays for each import at start-up,
+so numpy (``embedding``, ``vindex``, ``metrics``) is imported only inside
+build-index, retrieve --mode rag, evaluate and delong, and the HTTP
+stack only by a remote embedder or classifier.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -19,24 +27,30 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import classifier as clf
-from . import costmodel, manifest, metrics, report, retrieval
+from . import costmodel, manifest, report, retrieval
 from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_text, concat_text, load_corpus, read_lines, window_notes,
                      word_count)
-from .embedding import DEFAULT_DIM, EmbedderConfig, build_embedder
 from .errors import BudgetRagError, UndefinedMetricError, UsageError
-from .vindex import VectorIndex
+
+if TYPE_CHECKING:
+    from .embedding import EmbedderConfig
+    from .metrics import ScoredCohort
+    from .vindex import VectorIndex
 
 _EXIT_CODES = {"usage": 1, "data": 2, "remote": 3}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose failures are usage errors, and whose flags can name input files."""
+    """argparse whose failures are usage errors, and whose flags can name input and output files."""
 
     def error(self, message):
         raise UsageError(message)
@@ -45,6 +59,12 @@ class _Parser(argparse.ArgumentParser):
         """Add a flag naming an input file, which main validates and records in declaration order."""
         action = self.add_argument(*flags, **kwargs)
         self.set_defaults(inputs=self.get_default("inputs") + (action.dest,))
+
+    def add_output(self, *flags, suffixes=("",), **kwargs):
+        """Add a flag naming an output file, or with ``suffixes`` an output prefix: the command
+        writes its value plus each suffix."""
+        action = self.add_argument(*flags, **kwargs)
+        self.set_defaults(outputs=self.get_default("outputs") + ((action.dest, suffixes),))
 
 
 def _at_least(low, kind=int):
@@ -146,6 +166,8 @@ def _delong_summary(path) -> dict:
 
 
 def _embedder_from_args(args, index: VectorIndex | None = None) -> tuple[EmbedderConfig, object]:
+    from .embedding import DEFAULT_DIM, EmbedderConfig, build_embedder
+
     if args.embedder == "remote" and not args.endpoint:
         raise UsageError("--embedder remote requires --endpoint")
     dim = args.dim
@@ -167,13 +189,15 @@ def _embedder_from_args(args, index: VectorIndex | None = None) -> tuple[Embedde
     return cfg, embedder
 
 
-def _cohort_from_outcomes(outcomes, labels: dict[str, int]) -> metrics.ScoredCohort:
+def _cohort_from_outcomes(outcomes, labels: dict[str, int]) -> ScoredCohort:
+    from .metrics import ScoredCohort
+
     missing = sorted({o.patient_id for o in outcomes} - labels.keys())
     if missing:
         raise BudgetRagError(f"outcomes reference patients absent from the corpus: {missing[:10]}")
     ordered = sorted(outcomes, key=lambda o: o.patient_id)
     _check_unique([o.patient_id for o in ordered], "outcomes")
-    return metrics.ScoredCohort(
+    return ScoredCohort(
         labels=tuple(labels[o.patient_id] for o in ordered),
         scores=tuple(o.score for o in ordered),
         patient_ids=tuple(o.patient_id for o in ordered),
@@ -182,7 +206,7 @@ def _cohort_from_outcomes(outcomes, labels: dict[str, int]) -> metrics.ScoredCoh
 
 # --- commands -------------------------------------------------------------
 # Each returns its write_manifest fields: config, and where they apply
-# output_paths (default [args.out]), embedder, classifier and extra.
+# embedder, classifier and extra.
 
 
 def cmd_ingest(args) -> dict:
@@ -206,6 +230,8 @@ def cmd_ingest(args) -> dict:
 
 
 def cmd_build_index(args) -> dict:
+    from .vindex import VectorIndex
+
     cfg, embedder = _embedder_from_args(args)
     rows = _read_processed(args.corpus)
     index = None  # remote embedders reveal their dimension with the first vector
@@ -234,6 +260,8 @@ def cmd_retrieve(args) -> dict:
     rows = _read_processed(args.corpus)
     embedder_fp = None
     if rag:
+        from .vindex import VectorIndex
+
         index = VectorIndex.load(args.index)
         _, embedder = _embedder_from_args(args, index)
         embedder_fp = embedder.fingerprint
@@ -298,6 +326,8 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_evaluate(args) -> dict:
+    from . import metrics
+
     outcomes, failures = clf.read_outcomes(args.outcomes)
     if not outcomes:
         raise UndefinedMetricError("no successful outcomes to evaluate")
@@ -323,14 +353,14 @@ def cmd_evaluate(args) -> dict:
         },
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    outputs = [args.out]
     if args.roc_out:
         report.write_roc_csv(args.roc_out, metrics.roc_points(cohort))
-        outputs.append(args.roc_out)
-    return {"config": {"threshold": args.threshold}, "output_paths": outputs}
+    return {"config": {"threshold": args.threshold}}
 
 
 def cmd_delong(args) -> dict:
+    from . import metrics
+
     labels = _labels_by_patient(args.corpus)
     outcomes_a, _ = clf.read_outcomes(args.outcomes_a)
     outcomes_b, _ = clf.read_outcomes(args.outcomes_b)
@@ -354,8 +384,7 @@ def cmd_project(args) -> dict:
     prices = dataclasses.replace(prices, **{k: v for k, v in overrides.items() if v is not None})
     cost_rows = costmodel.project_cost(args.per_patient_tokens, prices, args.counts)
     time_projection = costmodel.project_time(prices, args.counts)
-    cost_path = f"{args.out}_cost.csv"
-    time_path = f"{args.out}_time.csv"
+    cost_path, time_path = _output_paths(args)
     costmodel.write_cost_csv(cost_path, cost_rows)
     costmodel.write_time_csv(time_path, time_projection.rows)
     return {
@@ -368,7 +397,6 @@ def cmd_project(args) -> dict:
             "counts": args.counts,
             "improvement_fraction": time_projection.improvement_fraction,
         },
-        "output_paths": [cost_path, time_path],
     }
 
 
@@ -383,11 +411,10 @@ def cmd_report(args) -> dict:
         rows.append(row)
         curves.append((f"{label} (AUROC {row['auroc']:.3f})", color, _parse_file(roc_path, report.read_roc_csv)))
     delong_data = _parse_file(args.delong, _delong_summary) if args.delong else None
-    svg_path = f"{args.out}.svg"
-    md_path = f"{args.out}.md"
+    svg_path, md_path = _output_paths(args)
     Path(svg_path).write_text(report.render_roc_svg(curves), encoding="utf-8")
     Path(md_path).write_text(report.render_markdown(rows, delong_data), encoding="utf-8")
-    return {"config": {}, "output_paths": [svg_path, md_path]}
+    return {"config": {}}
 
 
 # --- parser ----------------------------------------------------------------
@@ -396,7 +423,7 @@ def cmd_report(args) -> dict:
 def _add_embedder_flags(parser) -> None:
     parser.add_argument("--embedder", choices=["hashing", "remote"], default="hashing")
     parser.add_argument("--dim", type=_at_least(2), default=None,
-                        help=f"hashing dimension (default {DEFAULT_DIM}, or the index's own)")
+                        help="hashing dimension (default: the index's own, else the hashing embedder's default)")
     parser.add_argument("--endpoint", default=None)
     parser.add_argument("--model", default=None)
 
@@ -407,28 +434,28 @@ def build_parser() -> _Parser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, inputs=())
+        p.set_defaults(func=func, inputs=(), outputs=())
         p.add_argument("--deterministic", action="store_true",
                        help="zero timestamps so identical inputs give byte-identical outputs")
         return p
 
     p = add("ingest", cmd_ingest, "validate, window, and chunk a raw corpus")
     p.add_input("--corpus", required=True, help="raw corpus JSONL")
-    p.add_argument("--out", required=True, help="processed corpus JSONL")
+    p.add_output("--out", required=True, help="processed corpus JSONL")
     p.add_argument("--window-days", type=_at_least(1), default=30)
     p.add_argument("--max-words", type=_at_least(1), default=DEFAULT_MAX_CHUNK_WORDS)
     p.add_input("--whitelist", default=None, help="note-type whitelist file (one per line)")
 
     p = add("build-index", cmd_build_index, "embed chunks into a vector index file")
     p.add_input("--corpus", required=True, help="processed corpus JSONL")
-    p.add_argument("--out", required=True, help="index file")
+    p.add_output("--out", required=True, help="index file")
     _add_embedder_flags(p)
 
     p = add("retrieve", cmd_retrieve, "assemble model contexts (RAG or whole text)")
     p.add_input("--corpus", required=True, help="processed corpus JSONL")
     p.add_argument("--mode", choices=["rag", "long"], required=True)
     p.add_input("--index", default=None, help="index file (required for rag)")
-    p.add_argument("--out", required=True, help="contexts JSONL")
+    p.add_output("--out", required=True, help="contexts JSONL")
     p.add_argument("--budget-words", type=_at_least(1), default=retrieval.DEFAULT_BUDGET_WORDS)
     p.add_argument("--top-n-scan", type=_at_least(1), default=retrieval.DEFAULT_TOP_N_SCAN)
     p.add_argument("--query", default=retrieval.DEFAULT_QUERY_TEXT)
@@ -436,7 +463,7 @@ def build_parser() -> _Parser:
 
     p = add("classify", cmd_classify, "classify contexts into outcomes")
     p.add_input("--contexts", required=True)
-    p.add_argument("--out", required=True, help="outcomes JSONL")
+    p.add_output("--out", required=True, help="outcomes JSONL")
     p.add_argument("--classifier", choices=["mock", "remote"], default="mock")
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
@@ -449,18 +476,19 @@ def build_parser() -> _Parser:
     p = add("evaluate", cmd_evaluate, "compute the metric bundle from outcomes")
     p.add_input("--outcomes", required=True)
     p.add_input("--corpus", required=True, help="processed corpus JSONL (ground-truth labels)")
-    p.add_argument("--out", required=True, help="metrics JSON")
-    p.add_argument("--roc-out", default=None, help="ROC points CSV")
+    p.add_output("--out", required=True, help="metrics JSON")
+    p.add_output("--roc-out", default=None, help="ROC points CSV")
     p.add_argument("--threshold", type=_finite, default=0.5)
 
     p = add("delong", cmd_delong, "paired DeLong test between two outcome files")
     p.add_input("--outcomes-a", required=True)
     p.add_input("--outcomes-b", required=True)
     p.add_input("--corpus", required=True, help="processed corpus JSONL (ground-truth labels)")
-    p.add_argument("--out", required=True, help="DeLong result JSON")
+    p.add_output("--out", required=True, help="DeLong result JSON")
 
     p = add("project", cmd_project, "linear cost and runtime projections")
-    p.add_argument("--out", required=True, help="output prefix for _cost.csv and _time.csv")
+    p.add_output("--out", required=True, suffixes=("_cost.csv", "_time.csv"),
+                 help="output prefix for _cost.csv and _time.csv")
     p.add_input("--prices", default=None, help="price sheet JSON")
     p.add_argument("--price-per-million", type=_at_least(0.0, float), default=None)
     p.add_argument("--per-patient-tokens", type=_at_least(0.0, float), required=True)
@@ -475,18 +503,39 @@ def build_parser() -> _Parser:
     p.add_input("--metrics-long", required=True)
     p.add_input("--roc-long", required=True)
     p.add_input("--delong", default=None)
-    p.add_argument("--out", required=True, help="output prefix for .svg and .md")
+    p.add_output("--out", required=True, suffixes=(".svg", ".md"), help="output prefix for .svg and .md")
 
     return parser
 
 
+def _output_paths(args) -> list[str]:
+    """Every file the command writes, in declaration order."""
+    return [f"{getattr(args, dest)}{suffix}" for dest, suffixes in args.outputs
+            if getattr(args, dest) is not None for suffix in suffixes]
+
+
+def _stage_outputs(args) -> dict[str, str]:
+    """Point each output flag at a staged name; return final path -> staged path."""
+    finals = _output_paths(args)
+    for path in finals:
+        if Path(path).is_dir():  # found now, not when the written outputs are moved into place
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for dest, _ in args.outputs:
+        if getattr(args, dest) is not None:
+            setattr(args, dest, manifest.staged_name(getattr(args, dest)))
+    return dict(zip(finals, _output_paths(args)))
+
+
 def main(argv=None) -> int:
+    staged = {}
     try:
         args = build_parser().parse_args(argv)
         started = manifest.utc_now(args.deterministic)
         given = [getattr(args, dest) for dest in args.inputs]
         inputs = {Path(path).name: manifest.validate_input(path) for path in given if path}
-        manifest.write_manifest(args.out, command=args.command, inputs=inputs, started_at=started,
+        out = args.out
+        staged = _stage_outputs(args)
+        manifest.write_manifest(out, command=args.command, inputs=inputs, outputs=staged, started_at=started,
                                 deterministic=args.deterministic, **args.func(args))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
@@ -495,6 +544,9 @@ def main(argv=None) -> int:
         payload = {"error": type(exc).__name__, "category": category, "message": str(exc)}
         print(json.dumps(payload, ensure_ascii=False), file=sys.stderr)
         return _EXIT_CODES[category]
+    finally:  # what a failed command wrote; moved away already after a success
+        for path in staged.values():
+            Path(path).unlink(missing_ok=True)
     return 0
 
 

@@ -4,13 +4,16 @@ Every pipeline command writes exactly one manifest next to its primary
 output (``<out>.manifest.json``). The manifest snapshots the effective
 configuration and the SHA-256 fingerprints of all inputs and outputs.
 Downstream commands re-hash their inputs and compare against the
-sidecar manifest when one exists; a mismatch stops the run.
+sidecar manifest when one exists; a mismatch stops the run. Outputs are
+written under a staged name (:func:`staged_name`) and moved into place
+after their manifest is written, so no output appears without one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -82,6 +85,13 @@ def manifest_path(artifact: str | Path) -> Path:
     return Path(f"{artifact}.manifest.json")
 
 
+def staged_name(path: str | Path) -> str:
+    """A hidden name in the same directory, unique to this process, under which ``path`` is
+    written until :func:`write_manifest` moves it into place."""
+    path = Path(path)
+    return str(path.with_name(f".{path.name}.{os.getpid()}.partial"))
+
+
 def validate_input(path: str | Path) -> str:
     """Hash an input file and check it against its sidecar manifest.
 
@@ -110,20 +120,23 @@ def write_manifest(
     command: str,
     config: dict,
     inputs: dict[str, str],
+    outputs: dict[str, str],
     started_at: str,
-    output_paths: list[str | Path] | None = None,
     deterministic: bool = False,
     embedder: str | None = None,
     classifier: dict | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Write ``<primary_out>.manifest.json``; ``output_paths`` defaults to ``[primary_out]``."""
-    outputs = {Path(p).name: sha256_file(p) for p in output_paths or [primary_out]}
+    """Write ``<primary_out>.manifest.json``, then move each output into place.
+
+    ``outputs`` maps each final output path to the staged path it was
+    written under; the manifest names the final files.
+    """
     manifest = {
         "command": command,
         "config": config,
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": {Path(final).name: sha256_file(staged) for final, staged in outputs.items()},
         "embedder": embedder,
         "classifier": classifier,
         "started_at": started_at,
@@ -133,4 +146,6 @@ def write_manifest(
         manifest.update(extra)
     path = manifest_path(primary_out)
     path.write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    for final, staged in outputs.items():
+        os.replace(staged, final)
     return path

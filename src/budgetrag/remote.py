@@ -3,6 +3,8 @@
 Standard library only: each POST goes through ``urllib.request`` on a
 connection of its own, through the proxies named by ``HTTP(S)_PROXY``
 and ``NO_PROXY``, and HTTPS is verified against the system trust store.
+The HTTP stack (``urllib.request``, ``http.client``, ``ssl``) is
+imported on the first POST, so offline commands never load it.
 
 Auth: when the ``BUDGETRAG_API_KEY`` environment variable is set, it is
 sent as ``Authorization: Bearer <token>``. Retries use exponential
@@ -13,12 +15,9 @@ immediately.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 
 from .errors import RemoteSchemaError, RemoteServiceError
 
@@ -31,6 +30,9 @@ BACKOFF_FACTOR = 2.0
 
 def _send(url: str, body: bytes) -> tuple[int, bytes]:
     """One POST; returns the status and, for a 2xx response, the body."""
+    import urllib.error
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(API_KEY_ENV)
     if token:
@@ -55,6 +57,8 @@ def post_json(url: str, payload: dict, *, max_attempts: int = DEFAULT_MAX_ATTEMP
         raise ValueError("max_attempts must be >= 1")
     if not url.lower().startswith(("http://", "https://")):  # urllib would also open file: and ftp: URLs
         raise RemoteServiceError(f"{url!r} is not an http(s) URL")
+    import http.client
+
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
     for attempt in range(max_attempts):
         if attempt:

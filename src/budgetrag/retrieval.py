@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import Chunk, PatientRecord, chunk_record, concat_text, window_notes, word_count
 from .errors import BudgetRagError, MissingPatientError
 from .manifest import check_types, read_jsonl, write_jsonl
-from .vindex import VectorIndex
+
+if TYPE_CHECKING:  # annotations only: LONG contexts need no numpy
+    from .vindex import VectorIndex
 
 MODE_RAG = "RAG"
 MODE_LONG = "LONG"
@@ -150,6 +153,8 @@ def context_stats(ctx: AssembledContext) -> tuple[int, float]:
 
 
 # --- audit export ------------------------------------------------------
+# A contexts line holds every field of AssembledContext except
+# candidate_scores, the ranking a RAG context was selected from.
 
 
 def context_to_json(ctx: AssembledContext) -> dict:
@@ -157,6 +162,7 @@ def context_to_json(ctx: AssembledContext) -> dict:
         "patient_id": ctx.patient_id,
         "mode": ctx.mode,
         "word_count": ctx.word_count,
+        "total_words": ctx.total_words,
         "selected_positions": list(ctx.selected_positions),
         "text": ctx.text,
     }
@@ -166,7 +172,7 @@ def write_contexts(path: str | Path, contexts: list[AssembledContext]) -> None:
     write_jsonl(path, (context_to_json(ctx) for ctx in contexts))
 
 
-_CONTEXT_FIELDS = {"patient_id": str, "mode": str, "text": str, "word_count": int}
+_CONTEXT_FIELDS = {"patient_id": str, "mode": str, "text": str, "word_count": int, "total_words": int}
 
 
 def _context_from_json(obj: dict) -> AssembledContext:
@@ -177,6 +183,7 @@ def _context_from_json(obj: dict) -> AssembledContext:
         text=obj["text"],
         word_count=obj["word_count"],
         selected_positions=tuple(obj.get("selected_positions", ())),
+        total_words=obj["total_words"],
     )
 
 

@@ -16,10 +16,10 @@ from budgetrag.synthetic import generate_corpus, write_corpus
 # 11 manifests. A change to the CLI that alters any output byte, manifests included, fails here.
 PINNED_CHAIN_SHA256 = {
     "corpus.jsonl": "da771358db123964b579301558224117bfa82a087887a2ed197168a387315217",
-    "ctx_long.jsonl": "d085f90581dc0ed70226d798dfac29323eb1a46fa811a87e47d3a464a8054139",
-    "ctx_long.jsonl.manifest.json": "3e9f55c27b414864d09d8a32f995e9547a792991c93a8cbb569578bf7092ba7c",
-    "ctx_rag.jsonl": "5dd8698398add2f690520728e0e39fc10df96527a7cbdb0fb075b0dc9aa6207f",
-    "ctx_rag.jsonl.manifest.json": "f8fd0517d2232374a9cd273bf07dd00b39b0de0c621ff06a50b70124a8579823",
+    "ctx_long.jsonl": "09d7d51da0e61b08ac01e29e73332c0ab338eb2b7f63c6187e26a2437b76a37f",
+    "ctx_long.jsonl.manifest.json": "81997e83be34407435dec5a75760c67d6ae235d66749c49086ab0b71b3255759",
+    "ctx_rag.jsonl": "30b031b62876c775c08a6cdd370a4fbcfa4ed46f1abe13384cbd19cb14be8e2e",
+    "ctx_rag.jsonl.manifest.json": "7f3f95b9d77e7170b58ddf4de4195de1f796e9d414ad40914507c5ce98eec288",
     "delong.json": "3e35b7ad36a1d86efe90af6949a3f5e644880034f1d053e3dbd1568a3fa95b77",
     "delong.json.manifest.json": "b4b2f829db801d70e50967fefe47c01a6c05e47f67e0bafb1c40238c72a5d262",
     "index.brag": "983e64f03f7b8ac9682ce513cf3c88f87c9566bc158045c3e58940c3340af6cf",
@@ -29,9 +29,9 @@ PINNED_CHAIN_SHA256 = {
     "m_rag.json": "b329103a802d0961705549294edaec26c65b342bd6eea39eb8b6a3f0a8e9423d",
     "m_rag.json.manifest.json": "084d77a196c6e11fad573048fdff88b6518309d60a69d8bf8648101439a30084",
     "out_long.jsonl": "025a324c05091d41144ba7eff188486531797791fe3d8a8b043dedc4f7c2abf6",
-    "out_long.jsonl.manifest.json": "c551e5807bc8bc29db9ad90d1e019521e6ed70125f66ba018819acb2536cc01c",
+    "out_long.jsonl.manifest.json": "d567af8ffa55f4ff28f125c0020cf3dcde7405c1dd41657a6006ebc99c6d81a3",
     "out_rag.jsonl": "e93b3886056ef1f00f70958d108eb1a78f2c0ca0da52af282641a574430c0d1b",
-    "out_rag.jsonl.manifest.json": "52301551afe1f44e1225a1c3f588ee4ffe4aaae26c6a3f2df6bdc9d89369a8be",
+    "out_rag.jsonl.manifest.json": "697839b4aa75c54bd76b337c35acf9123cd36ecadd55d2918eb07231f1354804",
     "proc.jsonl": "37ac15570c7219cc71da3269e2eb8d4a1bc3a8d44675cd7e718665fe8a917841",
     "proc.jsonl.manifest.json": "af242c8bd47438c9b6fadf957bcb4aeee64244fe74c9a171e42060a155397b81",
     "proj.manifest.json": "bd4656a1817c5b443f1e4f6063c77660b45cea439dbcfa018bcb0ea9a9b11d81",
@@ -400,6 +400,28 @@ class TestExitCodes:
         err = json.loads(err_lines[0])
         assert err["category"] == "data"
         assert str(tmp_path) in err["message"]
+
+
+class TestFailedRunsLeaveNoOutput:
+    @pytest.mark.parametrize("roc_out", ["roc", "missing/roc.csv"], ids=["a-directory", "in-a-missing-directory"])
+    def test_evaluate_failing_at_its_second_output_leaves_neither(self, demo_dir, tmp_path, capsys, roc_out):
+        (tmp_path / "roc").mkdir()
+        assert main(["evaluate", "--outcomes", str(demo_dir / "out_rag.jsonl"), "--corpus", str(demo_dir / "proc.jsonl"),
+                     "--out", str(tmp_path / "m.json"), "--roc-out", str(tmp_path / roc_out)]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert json.loads(err_lines[0])["category"] == "data"
+        assert list(tmp_path.iterdir()) == [tmp_path / "roc"]
+        assert list((tmp_path / "roc").iterdir()) == []
+
+    def test_a_failed_rerun_keeps_the_earlier_outputs(self, demo_dir, tmp_path):
+        argv = ["evaluate", "--outcomes", str(demo_dir / "out_rag.jsonl"), "--corpus", str(demo_dir / "proc.jsonl"),
+                "--out", str(tmp_path / "m.json")]
+        run(0, *argv, "--deterministic")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["m.json", "m.json.manifest.json"]
+        run(2, *argv, "--threshold", "0.9", "--roc-out", tmp_path / "missing" / "roc.csv")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestRetrieveValidation:

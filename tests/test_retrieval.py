@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -234,6 +235,7 @@ class TestContextExport:
             "patient_id": "p1",
             "mode": "RAG",
             "word_count": 1,
+            "total_words": 3,
             "selected_positions": [2, 5],
             "text": "t",
         }
@@ -252,4 +254,17 @@ class TestContextExport:
         assert loaded[0].selected_positions == (0,)
         # file is line-delimited JSON with the documented keys
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert set(first) == {"patient_id", "mode", "word_count", "selected_positions", "text"}
+        assert set(first) == {"patient_id", "mode", "word_count", "total_words", "selected_positions", "text"}
+
+    def test_read_back_contexts_equal_the_assembled_ones(self, tmp_path):
+        chunks = [make_chunk("p1", 0, 40), make_chunk("p1", 1, 30), make_chunk("p1", 2, 20)]
+        rag = assemble_rag_from_chunks("p1", chunks, scripted_index("p1", {0: 0.2, 1: 0.9, 2: 0.5}),
+                                       QUERY_E0, RetrievalConfig(budget_words=55))
+        note = ClinicalNote(note_type="Progress Note", timestamp=datetime(2024, 1, 1, tzinfo=UTC), text="gamma delta")
+        long = assemble_long(PatientRecord(patient_id="p2", label=0, notes=(note,)))
+        assert (rag.word_count, rag.total_words) == (50, 90)
+        path = tmp_path / "ctx.jsonl"
+        write_contexts(path, [rag, long])
+        # the file keeps every field but the ranking behind a RAG selection
+        assert read_contexts(path) == [dataclasses.replace(rag, candidate_scores=()), long]
+        assert [context_stats(c) for c in read_contexts(path)] == [(50, 50 / 90), (2, 1.0)]
