@@ -4,8 +4,8 @@ Stages: ingest -> build-index -> retrieve -> classify -> evaluate /
 delong / project / report. Each subcommand declares which of its flags
 name input files (``add_input``). ``main`` takes the start time,
 validates and fingerprints those files in declaration order (a file
-with a sidecar manifest must match the fingerprint recorded there),
-runs the command, and writes the one run manifest
+that an input's sidecar manifest records must match the fingerprint
+recorded there), runs the command, and writes the one run manifest
 (``<out>.manifest.json``) from the fields the command returns. Output
 flags are declared too (``add_output``): the command writes under
 staged names, and ``write_manifest`` moves the outputs into place after
@@ -114,17 +114,9 @@ def _processed_row(obj: dict) -> dict:
     return obj
 
 
-def _check_unique(patient_ids, what: str) -> None:
-    """Raise a data error naming the patients that ``what`` holds more than once."""
-    ordered = sorted(patient_ids)
-    repeated = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
-    if repeated:
-        raise BudgetRagError(f"{what} repeat patients: {repeated[:10]}")
-
-
 def _read_processed(path) -> list[dict]:
     rows = manifest.read_jsonl(path, "processed corpus", _processed_row)
-    _check_unique([row["patient_id"] for row in rows], f"{path}: processed corpus rows")
+    manifest.check_unique([row["patient_id"] for row in rows], f"{path}: processed corpus")
     return rows
 
 
@@ -196,7 +188,7 @@ def _cohort_from_outcomes(outcomes, labels: dict[str, int]) -> ScoredCohort:
     if missing:
         raise BudgetRagError(f"outcomes reference patients absent from the corpus: {missing[:10]}")
     ordered = sorted(outcomes, key=lambda o: o.patient_id)
-    _check_unique([o.patient_id for o in ordered], "outcomes")
+    manifest.check_unique([o.patient_id for o in ordered], "outcomes")
     return ScoredCohort(
         labels=tuple(labels[o.patient_id] for o in ordered),
         scores=tuple(o.score for o in ordered),
@@ -531,8 +523,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         started = manifest.utc_now(args.deterministic)
-        given = [getattr(args, dest) for dest in args.inputs]
-        inputs = {Path(path).name: manifest.validate_input(path) for path in given if path}
+        inputs = manifest.validate_inputs([getattr(args, dest) for dest in args.inputs if getattr(args, dest)])
         out = args.out
         staged = _stage_outputs(args)
         manifest.write_manifest(out, command=args.command, inputs=inputs, outputs=staged, started_at=started,

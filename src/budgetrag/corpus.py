@@ -5,8 +5,12 @@ The corpus file is UTF-8 JSONL, one patient per line:
     {"patient_id": str, "label": 0|1, "anchor_date": RFC3339|null,
      "notes": [{"note_type": str, "timestamp": RFC3339, "text": str}]}
 
-Notes are kept only when their type is on the admissible-type whitelist
-and their text is non-empty after trimming. A "word" everywhere in this
+It is read through :func:`manifest.read_jsonl`, like every JSON-lines
+file of the pipeline, so a malformed line raises the same
+:class:`CorpusFormatError` naming its line, and a repeated patient is
+caught by the same :func:`manifest.check_unique`. Notes are kept only
+when their type is on the admissible-type whitelist and their text is
+non-empty after trimming. A "word" everywhere in this
 package is a maximal run of non-whitespace characters (``str.split``),
 which keeps counting reproducible across tokenizers and languages.
 """
@@ -14,13 +18,13 @@ which keeps counting reproducible across tokenizers and languages.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusFormatError
+from .manifest import check_types, check_unique, read_jsonl
 
 # Admissible peri-operative note types (the default whitelist).
 DEFAULT_NOTE_TYPES = frozenset({
@@ -86,24 +90,27 @@ class Chunk:
     text: str
 
 
-def parse_rfc3339(value: str, *, context: str = "timestamp") -> datetime:
+def parse_rfc3339(value: str) -> datetime:
     """Parse an RFC 3339 timestamp into an aware UTC datetime.
 
     Python 3.10's ``fromisoformat`` rejects the trailing ``Z``, so it is
     normalized first. Timestamps without a UTC offset are rejected.
     """
     if not isinstance(value, str):
-        raise CorpusFormatError(f"{context}: expected an RFC 3339 string, got {type(value).__name__}")
+        raise TypeError(f"expected an RFC 3339 string, got {value!r:.40}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
         parsed = datetime.fromisoformat(text)
     except ValueError as exc:
-        raise CorpusFormatError(f"{context}: not a valid RFC 3339 timestamp: {value!r}") from exc
+        raise ValueError(f"not a valid RFC 3339 timestamp: {value!r}") from exc
     if parsed.tzinfo is None:
-        raise CorpusFormatError(f"{context}: timestamp {value!r} has no UTC offset")
-    return parsed.astimezone(timezone.utc)
+        raise ValueError(f"timestamp {value!r} has no UTC offset")
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError as exc:  # e.g. 0001-01-01T00:00:00+01:00
+        raise ValueError(f"timestamp {value!r} lies outside the years 1-9999 in UTC") from exc
 
 
 def read_lines(path: str | Path) -> tuple[str, ...]:
@@ -121,54 +128,31 @@ def load_whitelist(path: str | Path) -> frozenset[str]:
     return frozenset(read_lines(path))
 
 
-def _parse_note(obj: dict, line_no: int, idx: int) -> ClinicalNote:
-    where = f"line {line_no}, note {idx}"
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{where}: note must be an object")
-    for field in ("note_type", "timestamp", "text"):
-        if field not in obj:
-            raise CorpusFormatError(f"{where}: missing required field {field!r}")
-    if not isinstance(obj["note_type"], str):
-        raise CorpusFormatError(f"{where}: note_type must be a string")
-    if not isinstance(obj["text"], str):
-        raise CorpusFormatError(f"{where}: text must be a string")
-    ts = parse_rfc3339(obj["timestamp"], context=where)
-    return ClinicalNote(note_type=obj["note_type"], timestamp=ts, text=obj["text"])
+_RECORD_FIELDS = {"patient_id": str, "label": int, "notes": list}
+_NOTE_FIELDS = {"note_type": str, "timestamp": str, "text": str}
 
 
-def _parse_record(obj: dict, line_no: int, whitelist: frozenset[str]) -> PatientRecord:
-    where = f"line {line_no}"
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{where}: record must be a JSON object")
-    for field in ("patient_id", "label", "notes"):
-        if field not in obj:
-            raise CorpusFormatError(f"{where}: missing required field {field!r}")
-    patient_id = obj["patient_id"]
-    if not isinstance(patient_id, str) or not patient_id:
-        raise CorpusFormatError(f"{where}: patient_id must be a non-empty string")
-    label = obj["label"]
-    if label not in (0, 1) or isinstance(label, bool):
-        raise CorpusFormatError(f"{where}: label must be 0 or 1, got {label!r}")
+def _parse_note(obj) -> ClinicalNote:
+    if type(obj) is not dict:
+        raise TypeError(f"each note must be an object, got {obj!r:.40}")
+    check_types(obj, _NOTE_FIELDS)
+    return ClinicalNote(note_type=obj["note_type"], timestamp=parse_rfc3339(obj["timestamp"]), text=obj["text"])
+
+
+def _parse_record(obj: dict, whitelist: frozenset[str]) -> PatientRecord:
+    check_types(obj, _RECORD_FIELDS)
+    if not obj["patient_id"]:
+        raise ValueError("'patient_id' must be non-empty")
+    if obj["label"] not in (0, 1):
+        raise ValueError(f"'label' must be 0 or 1, got {obj['label']}")
     anchor = obj.get("anchor_date")
-    anchor_dt = None if anchor is None else parse_rfc3339(anchor, context=f"{where}, anchor_date")
-    raw_notes = obj["notes"]
-    if not isinstance(raw_notes, list):
-        raise CorpusFormatError(f"{where}: notes must be a list")
-
-    notes = []
-    for idx, raw in enumerate(raw_notes):
-        note = _parse_note(raw, line_no, idx)
-        if note.note_type not in whitelist:
-            continue
-        if not note.text.strip():
-            continue
-        notes.append(note)
+    notes = [note for note in map(_parse_note, obj["notes"]) if note.note_type in whitelist and note.text.strip()]
     notes.sort(key=lambda n: n.timestamp)  # stable: equal timestamps keep file order
     return PatientRecord(
-        patient_id=patient_id,
-        label=int(label),
+        patient_id=obj["patient_id"],
+        label=obj["label"],
         notes=tuple(notes),
-        anchor_date=anchor_dt,
+        anchor_date=None if anchor is None else parse_rfc3339(anchor),
     )
 
 
@@ -178,27 +162,13 @@ def load_corpus(path: str | Path, note_whitelist: Iterable[str] | None = None) -
     Only whitelisted, non-blank notes are retained; notes are sorted by
     timestamp. Patients whose notes were all filtered out are still
     returned (``record.is_empty``) so cohort counts match the input.
-    Unknown fields are ignored; a malformed line, or one that is not
-    UTF-8, raises :class:`CorpusFormatError` naming the line number.
+    Unknown fields are ignored; a malformed line raises
+    :class:`CorpusFormatError` naming the line number, and a patient
+    repeated in the file raises it naming the patient.
     """
     whitelist = frozenset(note_whitelist) if note_whitelist is not None else DEFAULT_NOTE_TYPES
-    records: list[PatientRecord] = []
-    seen: set[str] = set()
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
-            record = _parse_record(obj, line_no, whitelist)
-            if record.patient_id in seen:
-                raise CorpusFormatError(f"line {line_no}: duplicate patient_id {record.patient_id!r}")
-            seen.add(record.patient_id)
-            records.append(record)
+    records = read_jsonl(path, "raw corpus", lambda obj: _parse_record(obj, whitelist))
+    check_unique([record.patient_id for record in records], "raw corpus")
     return records
 
 

@@ -32,12 +32,11 @@ class PriceSheet:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PriceSheet":
+        """Read a JSON object of some or all fields; another value or an unknown key is a ``TypeError``."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**{
-            k: data[k]
-            for k in ("usd_per_million_tokens", "seconds_per_patient_rag", "seconds_per_patient_long")
-            if k in data
-        })
+        if type(data) is not dict:
+            raise TypeError(f"a price sheet must be a JSON object, got {data!r:.40}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,15 @@ class BudgetRagError(Exception):
     category = "data"
 
 
-# --- corpus -----------------------------------------------------------------
+# --- JSON-lines files -------------------------------------------------------
 
 class CorpusFormatError(BudgetRagError):
-    """Malformed corpus file (bad JSON, missing field, bad timestamp...)."""
+    """Malformed line in any JSON-lines file: the raw or processed corpus, contexts or outcomes.
+
+    Raised by ``manifest.read_jsonl`` for a line that is not UTF-8, not a
+    JSON object, or lacks or mistypes a field (a bad timestamp too), and
+    by ``manifest.check_unique`` for a patient repeated in one file.
+    """
 
 
 # --- vector index -----------------------------------------------------------

@@ -2,9 +2,13 @@
 
 Every pipeline command writes exactly one manifest next to its primary
 output (``<out>.manifest.json``). The manifest snapshots the effective
-configuration and the SHA-256 fingerprints of all inputs and outputs.
-Downstream commands re-hash their inputs and compare against the
-sidecar manifest when one exists; a mismatch stops the run. Outputs are
+configuration and the SHA-256 fingerprints of all inputs and outputs,
+each keyed by its path relative to the manifest's directory. Downstream
+commands re-hash their inputs and compare each against every sidecar
+manifest of their inputs that records it (so a ROC CSV is checked
+against its metrics file's manifest); a mismatch stops the run.
+JSON-lines files, the raw corpus included, are read and written by
+:func:`read_jsonl` and :func:`write_jsonl` alone. Outputs are
 written under a staged name (:func:`staged_name`) and moved into place
 after their manifest is written, so no output appears without one.
 """
@@ -17,7 +21,7 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import BudgetRagError, FingerprintMismatchError
+from .errors import BudgetRagError, CorpusFormatError, FingerprintMismatchError
 
 EPOCH = "1970-01-01T00:00:00Z"
 
@@ -44,12 +48,12 @@ def write_jsonl(path: str | Path, rows) -> None:
 
 
 def read_jsonl(path: str | Path, what: str, parse) -> list:
-    """Parse each non-blank line of a JSON-lines artifact with ``parse``.
+    """Parse each non-blank line of a JSON-lines file with ``parse``.
 
     A line that is not UTF-8, invalid JSON, a line that is not an object,
     and a ``KeyError``, ``TypeError`` or ``ValueError`` raised by
     ``parse`` (a missing field or a bad value) become a
-    :class:`BudgetRagError` naming ``what`` and the line number.
+    :class:`CorpusFormatError` naming ``what`` and the line number.
     """
     items = []
     with open(path, "rb") as fh:
@@ -60,18 +64,26 @@ def read_jsonl(path: str | Path, what: str, parse) -> list:
             try:
                 obj = json.loads(line.decode("utf-8"))
             except UnicodeDecodeError as exc:
-                raise BudgetRagError(f"{where}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+                raise CorpusFormatError(f"{where}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
             except json.JSONDecodeError as exc:
-                raise BudgetRagError(f"{where}: invalid JSON: {exc.msg}") from exc
+                raise CorpusFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
-                raise BudgetRagError(f"{where}: expected a JSON object")
+                raise CorpusFormatError(f"{where}: expected a JSON object")
             try:
                 items.append(parse(obj))
             except KeyError as exc:
-                raise BudgetRagError(f"{where}: missing field {exc}") from exc
+                raise CorpusFormatError(f"{where}: missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
-                raise BudgetRagError(f"{where}: {exc}") from exc
+                raise CorpusFormatError(f"{where}: {exc}") from exc
     return items
+
+
+def check_unique(patient_ids, what: str) -> None:
+    """Raise :class:`CorpusFormatError` naming the patients that ``what`` holds more than once."""
+    ordered = sorted(patient_ids)
+    repeated = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
+    if repeated:
+        raise CorpusFormatError(f"{what}: duplicate patients {repeated[:10]}")
 
 
 def check_types(obj: dict, fields: dict[str, type]) -> None:
@@ -92,26 +104,37 @@ def staged_name(path: str | Path) -> str:
     return str(path.with_name(f".{path.name}.{os.getpid()}.partial"))
 
 
-def validate_input(path: str | Path) -> str:
-    """Hash an input file and check it against its sidecar manifest.
+def _recorded_outputs(sidecar: Path) -> dict[Path, str]:
+    """The output fingerprints a sidecar manifest records, keyed by resolved path."""
+    try:
+        recorded = json.loads(sidecar.read_text(encoding="utf-8")).get("outputs", {})
+        return {(sidecar.parent / key).resolve(): digest for key, digest in recorded.items()}
+    except (AttributeError, ValueError) as exc:  # not JSON, or not an object of objects
+        raise BudgetRagError(f"{sidecar}: not a run manifest: {type(exc).__name__}: {exc}") from exc
 
-    Returns the fingerprint. Inputs without a sidecar manifest (e.g.
-    the raw corpus) are accepted as-is.
+
+def validate_inputs(paths: list[str]) -> dict[str, str]:
+    """Hash each input file and check it against every input's sidecar manifest that records it.
+
+    A sidecar records all outputs of the run that wrote its file, so a
+    secondary output read by the same command (a ROC CSV next to its
+    metrics file) is checked as well; files are matched by resolved
+    path. Returns path -> fingerprint. Files that no sidecar records
+    (e.g. the raw corpus) are accepted as-is.
     """
-    actual = sha256_file(path)
-    sidecar = manifest_path(path)
-    if sidecar.exists():
-        try:
-            recorded = json.loads(sidecar.read_text(encoding="utf-8"))
-            expected = recorded.get("outputs", {}).get(Path(path).name)
-        except (AttributeError, ValueError) as exc:  # not JSON, or not an object of objects
-            raise BudgetRagError(f"{sidecar}: not a run manifest: {type(exc).__name__}: {exc}") from exc
-        if expected is not None and expected != actual:
-            raise FingerprintMismatchError(
-                f"{path} does not match its manifest fingerprint "
-                f"(recorded {expected}, actual {actual}); the file was modified after it was produced"
-            )
-    return actual
+    fingerprints = {path: sha256_file(path) for path in paths}
+    by_resolved = {Path(path).resolve(): path for path in paths}
+    for sidecar in map(manifest_path, paths):
+        if not sidecar.exists():
+            continue
+        for resolved, expected in _recorded_outputs(sidecar).items():
+            path = by_resolved.get(resolved)
+            if path is not None and fingerprints[path] != expected:
+                raise FingerprintMismatchError(
+                    f"{path} does not match its fingerprint in {sidecar} (recorded {expected}, "
+                    f"actual {fingerprints[path]}); the file was modified after it was produced"
+                )
+    return fingerprints
 
 
 def write_manifest(
@@ -129,14 +152,17 @@ def write_manifest(
 ) -> Path:
     """Write ``<primary_out>.manifest.json``, then move each output into place.
 
-    ``outputs`` maps each final output path to the staged path it was
-    written under; the manifest names the final files.
+    ``inputs`` maps each input path to its fingerprint, and ``outputs``
+    maps each final output path to the staged path it was written
+    under. The manifest keys every file by its path relative to the
+    manifest's directory, so a file next to it goes by its bare name.
     """
+    path = manifest_path(primary_out)
     manifest = {
         "command": command,
         "config": config,
-        "inputs": inputs,
-        "outputs": {Path(final).name: sha256_file(staged) for final, staged in outputs.items()},
+        "inputs": {os.path.relpath(file, path.parent): digest for file, digest in inputs.items()},
+        "outputs": {os.path.relpath(final, path.parent): sha256_file(staged) for final, staged in outputs.items()},
         "embedder": embedder,
         "classifier": classifier,
         "started_at": started_at,
@@ -144,7 +170,6 @@ def write_manifest(
     }
     if extra:
         manifest.update(extra)
-    path = manifest_path(primary_out)
     path.write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     for final, staged in outputs.items():
         os.replace(staged, final)

@@ -124,11 +124,14 @@ def write_roc_csv(path: str | Path, points: list[tuple[float, float]]) -> None:
 
 
 def read_roc_csv(path: str | Path) -> list[tuple[float, float]]:
-    points = []
+    """Read what :func:`write_roc_csv` wrote; a missing header or a rate outside [0, 1] is a ``ValueError``."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:  # skip header
-        if not line.strip():
-            continue
-        fpr, tpr = line.split(",")
-        points.append((float(fpr), float(tpr)))
+    if lines[:1] != ["fpr,tpr"]:
+        raise ValueError(f"first line must be the header 'fpr,tpr', got {lines[:1]}")
+    points = []
+    for line in filter(str.strip, lines[1:]):
+        fpr, tpr = map(float, line.split(","))
+        if not (0 <= fpr <= 1 and 0 <= tpr <= 1):  # false for nan too
+            raise ValueError(f"rates must lie in [0, 1], got {line!r}")
+        points.append((fpr, tpr))
     return points

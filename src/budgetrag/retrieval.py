@@ -153,38 +153,31 @@ def context_stats(ctx: AssembledContext) -> tuple[int, float]:
 
 
 # --- audit export ------------------------------------------------------
-# A contexts line holds every field of AssembledContext except
-# candidate_scores, the ranking a RAG context was selected from.
+# A contexts line holds these fields of AssembledContext, in this order;
+# candidate_scores, the ranking a RAG context was selected from, is not
+# written.
+
+_CONTEXT_FIELDS = {"patient_id": str, "mode": str, "word_count": int, "total_words": int,
+                   "selected_positions": list, "text": str}
 
 
 def context_to_json(ctx: AssembledContext) -> dict:
-    return {
-        "patient_id": ctx.patient_id,
-        "mode": ctx.mode,
-        "word_count": ctx.word_count,
-        "total_words": ctx.total_words,
-        "selected_positions": list(ctx.selected_positions),
-        "text": ctx.text,
-    }
+    row = {key: getattr(ctx, key) for key in _CONTEXT_FIELDS}
+    row["selected_positions"] = list(ctx.selected_positions)
+    return row
 
 
 def write_contexts(path: str | Path, contexts: list[AssembledContext]) -> None:
     write_jsonl(path, (context_to_json(ctx) for ctx in contexts))
 
 
-_CONTEXT_FIELDS = {"patient_id": str, "mode": str, "text": str, "word_count": int, "total_words": int}
-
-
 def _context_from_json(obj: dict) -> AssembledContext:
     check_types(obj, _CONTEXT_FIELDS)
-    return AssembledContext(
-        patient_id=obj["patient_id"],
-        mode=obj["mode"],
-        text=obj["text"],
-        word_count=obj["word_count"],
-        selected_positions=tuple(obj.get("selected_positions", ())),
-        total_words=obj["total_words"],
-    )
+    positions = obj["selected_positions"]
+    if any(type(position) is not int for position in positions):
+        raise TypeError(f"'selected_positions' must be a list of int, got {positions!r:.40}")
+    fields = {key: obj[key] for key in _CONTEXT_FIELDS}
+    return AssembledContext(**(fields | {"selected_positions": tuple(positions)}))
 
 
 def read_contexts(path: str | Path) -> list[AssembledContext]:

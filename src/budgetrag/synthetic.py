@@ -18,7 +18,6 @@ to write a demo corpus.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -26,6 +25,7 @@ from pathlib import Path
 
 from .classifier import DEFAULT_COMPLICATION_KEYWORDS
 from .corpus import DEFAULT_NOTE_TYPES
+from .manifest import write_jsonl
 
 # Benign filler; must stay free of every word used by the default
 # retrieval query and keyword phrases (tests enforce the disjointness).
@@ -182,9 +182,7 @@ def generate_corpus(
 
 
 def write_corpus(path: str | Path, corpus: SyntheticCorpus) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in corpus.records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(path, corpus.records)
 
 
 def main(argv=None) -> int:

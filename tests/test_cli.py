@@ -159,6 +159,22 @@ class TestFullPipeline:
             for file_name, fingerprint in recorded.items():
                 assert fingerprint == sha256_file(demo_dir / file_name), file_name
 
+    def test_inputs_with_equal_file_names_are_each_recorded(self, demo_dir, tmp_path):
+        import os
+
+        from budgetrag.manifest import sha256_file
+
+        for sub, source in (("a", "out_rag.jsonl"), ("b", "out_long.jsonl")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "out.jsonl").write_bytes((demo_dir / source).read_bytes())
+        run(0, "delong", "--outcomes-a", tmp_path / "a" / "out.jsonl", "--outcomes-b", tmp_path / "b" / "out.jsonl",
+            "--corpus", demo_dir / "proc.jsonl", "--out", tmp_path / "d.json")
+        manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
+        files = [tmp_path / "a" / "out.jsonl", tmp_path / "b" / "out.jsonl", demo_dir / "proc.jsonl"]
+        assert manifest["inputs"] == {os.path.relpath(f, tmp_path): sha256_file(f) for f in files}
+        assert len(set(manifest["inputs"].values())) == 3
+        assert manifest["outputs"] == {"d.json": sha256_file(tmp_path / "d.json")}
+
 
 class TestDeterminism:
     def test_pipeline_outputs_byte_identical(self, demo_dir, tmp_path):
@@ -274,6 +290,19 @@ class TestExitCodes:
         assert err["error"] == "FingerprintMismatchError"
 
 
+    def test_tampered_secondary_output_is_exit_2(self, demo_dir, tmp_path, capsys):
+        for name in ("m_rag.json", "m_rag.json.manifest.json", "roc_rag.csv"):
+            (tmp_path / name).write_bytes((demo_dir / name).read_bytes())
+        with open(tmp_path / "roc_rag.csv", "a", encoding="utf-8") as fh:
+            fh.write("1.0,1.0\n")
+        run(2, "report", "--metrics-rag", tmp_path / "m_rag.json", "--roc-rag", tmp_path / "roc_rag.csv",
+            "--metrics-long", demo_dir / "m_long.json", "--roc-long", demo_dir / "roc_long.csv",
+            "--out", tmp_path / "report")
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "FingerprintMismatchError"
+        assert "roc_rag.csv" in err["message"]
+        assert not (tmp_path / "report.svg").exists()
+
     @pytest.mark.parametrize("flag,value,argv", [
         ("--budget-words", "0", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
                                  "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
@@ -338,9 +367,25 @@ class TestExitCodes:
          ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl", "--whitelist", "{bad}"]),
         ("prices.json", lambda demo: '{"seconds_per_patient_rag": NaN}',
          ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
+        ("prices.json", lambda demo: '{"usd_per_milion_tokens": 10.0}',
+         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
+        ("prices.json", lambda demo: "[]",
+         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
+        ("prices.json", lambda demo: '"x"',
+         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
+        ("roc.csv", lambda demo: "0.0,0.0\n0.5,0.5\n1.0,1.0\n",
+         ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
+          "{demo}/roc_rag.csv", "--roc-long", "{bad}", "--out", "{tmp}/report"]),
+        ("roc.csv", lambda demo: "fpr,tpr\n0.0,0.0\nnan,0.5\n1.0,1.0\n",
+         ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
+          "{demo}/roc_rag.csv", "--roc-long", "{bad}", "--out", "{tmp}/report"]),
+        ("roc.csv", lambda demo: "fpr,tpr\n0.0,0.0\n0.5,2.5\n1.0,1.0\n",
+         ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
+          "{demo}/roc_rag.csv", "--roc-long", "{bad}", "--out", "{tmp}/report"]),
     ], ids=["template-without-context", "price-not-a-number", "metrics-without-auroc",
             "roc-line-without-comma", "delong-without-p-value", "keywords-not-utf8", "keywords-empty",
-            "whitelist-not-utf8", "whitelist-empty", "price-nan"])
+            "whitelist-not-utf8", "whitelist-empty", "price-nan", "price-unknown-key", "prices-a-list",
+            "prices-a-string", "roc-without-header", "roc-nan-rate", "roc-rate-above-one"])
     def test_bad_side_file_is_one_json_data_error(self, demo_dir, tmp_path, capsys, name, content, argv):
         bad = tmp_path / name
         data = content(demo_dir)
@@ -388,8 +433,7 @@ class TestExitCodes:
         err = json.loads(err_lines[0])
         assert err["category"] == "data"
         assert "line 2:" in err["message"]
-        if source == "corpus.jsonl":
-            assert err["error"] == "CorpusFormatError"
+        assert err["error"] == "CorpusFormatError"
 
     @pytest.mark.parametrize("flag", ["--corpus", "--out"])
     def test_directory_path_is_one_json_data_error(self, demo_dir, tmp_path, capsys, flag):
@@ -496,9 +540,19 @@ class TestProcessedCorpus:
          ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
         ("out_rag.jsonl", "severity_defaulted", {"severity_defaulted": "no"}, 2,
          ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
+        ("ctx_rag.jsonl", "selected_positions", {"selected_positions": "xyz"}, 2,
+         ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+        ("ctx_rag.jsonl", "selected_positions", {"selected_positions": [1.5]}, 2,
+         ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+        ("ctx_rag.jsonl", "selected_positions", {}, 2,
+         ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+        ("corpus.jsonl", "anchor_date", {"anchor_date": "0001-01-01T00:00:00+01:00"}, 2,
+         ["ingest", "--corpus", "{bad}", "--out", "{tmp}/p.jsonl"]),
     ], ids=["processed-without-text", "old-processed-format", "context-without-mode", "outcome-without-label",
             "outcome-nan-score", "outcome-nan-string-score", "processed-label-2", "processed-bool-label",
-            "context-int-text", "outcome-without-latency", "outcome-string-severity-defaulted"])
+            "context-int-text", "outcome-without-latency", "outcome-string-severity-defaulted",
+            "context-string-positions", "context-float-position", "context-without-positions",
+            "corpus-anchor-before-year-1-in-utc"])
     def test_malformed_artifact_line_is_exit_2(self, demo_dir, tmp_path, capsys,
                                                source, drop, extra, bad_line, argv):
         rows = [json.loads(l) for l in (demo_dir / source).read_text().splitlines()[:3]]
