@@ -16,6 +16,12 @@ so numpy (``embedding``, ``vindex``, ``metrics``) is imported only inside
 build-index, retrieve --mode rag, evaluate and delong, and the HTTP
 stack only by a remote embedder or classifier.
 
+build-index embeds the chunks of all patients, in patient order, in
+batches of ``EMBED_BATCH``: one numpy pass per batch for the hashing
+embedder, and one request of at most ``EMBED_BATCH`` inputs per batch
+for a remote one. The rows, and so the index bytes, do not depend on
+how the chunks are batched.
+
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
 2 data error (a file that cannot be read or written, a malformed or
@@ -28,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import itertools
 import json
 import math
 import os
@@ -47,6 +54,7 @@ if TYPE_CHECKING:
     from .vindex import VectorIndex
 
 _EXIT_CODES = {"usage": 1, "data": 2, "remote": 3}
+EMBED_BATCH = 64  # chunks per embed_many call: bounds a remote request's inputs and a hashing pass's tokens
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,14 +189,14 @@ def _embedder_from_args(args, index: VectorIndex | None = None) -> tuple[Embedde
     return cfg, embedder
 
 
-def _cohort_from_outcomes(outcomes, labels: dict[str, int]) -> ScoredCohort:
+def _cohort_from_outcomes(outcomes, labels: dict[str, int], path) -> ScoredCohort:
     from .metrics import ScoredCohort
 
     missing = sorted({o.patient_id for o in outcomes} - labels.keys())
     if missing:
-        raise BudgetRagError(f"outcomes reference patients absent from the corpus: {missing[:10]}")
+        raise BudgetRagError(f"{path}: outcomes reference patients absent from the corpus: {missing[:10]}")
     ordered = sorted(outcomes, key=lambda o: o.patient_id)
-    manifest.check_unique([o.patient_id for o in ordered], "outcomes")
+    manifest.check_unique([o.patient_id for o in ordered], f"{path}: outcomes")
     return ScoredCohort(
         labels=tuple(labels[o.patient_id] for o in ordered),
         scores=tuple(o.score for o in ordered),
@@ -225,16 +233,17 @@ def cmd_build_index(args) -> dict:
     from .vindex import VectorIndex
 
     cfg, embedder = _embedder_from_args(args)
-    rows = _read_processed(args.corpus)
+    chunks = (chunk for row in _read_processed(args.corpus) for chunk in _chunks(row))
     index = None  # remote embedders reveal their dimension with the first vector
-    for row in rows:
-        chunks = _chunks(row)
-        if not chunks:
-            continue
-        vectors = embedder.embed_many([c.text for c in chunks])
+    while batch := list(itertools.islice(chunks, EMBED_BATCH)):
+        vectors = embedder.embed_many([c.text for c in batch])
         if index is None:
-            index = VectorIndex(dim=vectors[0].shape[0], embedder_fingerprint=embedder.fingerprint)
-        index.add_many(row["patient_id"], [c.position for c in chunks], vectors)
+            index = VectorIndex(dim=vectors.shape[1], embedder_fingerprint=embedder.fingerprint)
+        start = 0
+        for patient_id, run in itertools.groupby(batch, key=lambda c: c.patient_id):
+            positions = [c.position for c in run]
+            index.add_many(patient_id, positions, vectors[start:start + len(positions)])
+            start += len(positions)
     if index is None:
         index = VectorIndex(dim=cfg.dim, embedder_fingerprint=embedder.fingerprint)
     index.save(args.out)
@@ -324,7 +333,7 @@ def cmd_evaluate(args) -> dict:
     if not outcomes:
         raise UndefinedMetricError("no successful outcomes to evaluate")
     labels = _labels_by_patient(args.corpus)
-    cohort = _cohort_from_outcomes(outcomes, labels)
+    cohort = _cohort_from_outcomes(outcomes, labels, args.outcomes)
     bundle = metrics.evaluate_cohort(cohort, threshold=args.threshold)
     modes = sorted({o.mode for o in outcomes})
     payload = {
@@ -356,8 +365,8 @@ def cmd_delong(args) -> dict:
     labels = _labels_by_patient(args.corpus)
     outcomes_a, _ = clf.read_outcomes(args.outcomes_a)
     outcomes_b, _ = clf.read_outcomes(args.outcomes_b)
-    cohort_a = _cohort_from_outcomes(outcomes_a, labels)
-    cohort_b = _cohort_from_outcomes(outcomes_b, labels)
+    cohort_a = _cohort_from_outcomes(outcomes_a, labels, args.outcomes_a)
+    cohort_b = _cohort_from_outcomes(outcomes_b, labels, args.outcomes_b)
     result = metrics.delong_test(cohort_a, cohort_b)
     payload = {"patients": len(cohort_a), **dataclasses.asdict(result)}
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

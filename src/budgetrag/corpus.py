@@ -68,11 +68,6 @@ class PatientRecord:
     notes: tuple[ClinicalNote, ...]
     anchor_date: datetime | None = None
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no notes survived filtering."""
-        return not self.notes
-
 
 @dataclass(frozen=True)
 class Chunk:
@@ -90,27 +85,28 @@ class Chunk:
     text: str
 
 
-def parse_rfc3339(value: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime.
+def parse_rfc3339(value: str, field: str) -> datetime:
+    """Parse the RFC 3339 timestamp in ``field`` into an aware UTC datetime.
 
     Python 3.10's ``fromisoformat`` rejects the trailing ``Z``, so it is
-    normalized first. Timestamps without a UTC offset are rejected.
+    normalized first. Timestamps without a UTC offset are rejected. Each
+    error names ``field``.
     """
     if not isinstance(value, str):
-        raise TypeError(f"expected an RFC 3339 string, got {value!r:.40}")
+        raise TypeError(f"{field!r} must be an RFC 3339 string, got {value!r:.40}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
         parsed = datetime.fromisoformat(text)
     except ValueError as exc:
-        raise ValueError(f"not a valid RFC 3339 timestamp: {value!r}") from exc
+        raise ValueError(f"{field!r} is not a valid RFC 3339 timestamp: {value!r}") from exc
     if parsed.tzinfo is None:
-        raise ValueError(f"timestamp {value!r} has no UTC offset")
+        raise ValueError(f"{field!r} has no UTC offset: {value!r}")
     try:
         return parsed.astimezone(timezone.utc)
     except OverflowError as exc:  # e.g. 0001-01-01T00:00:00+01:00
-        raise ValueError(f"timestamp {value!r} lies outside the years 1-9999 in UTC") from exc
+        raise ValueError(f"{field!r} lies outside the years 1-9999 in UTC: {value!r}") from exc
 
 
 def read_lines(path: str | Path) -> tuple[str, ...]:
@@ -123,11 +119,6 @@ def read_lines(path: str | Path) -> tuple[str, ...]:
     return entries
 
 
-def load_whitelist(path: str | Path) -> frozenset[str]:
-    """Read a note-type whitelist file, one type name per line."""
-    return frozenset(read_lines(path))
-
-
 _RECORD_FIELDS = {"patient_id": str, "label": int, "notes": list}
 _NOTE_FIELDS = {"note_type": str, "timestamp": str, "text": str}
 
@@ -136,7 +127,8 @@ def _parse_note(obj) -> ClinicalNote:
     if type(obj) is not dict:
         raise TypeError(f"each note must be an object, got {obj!r:.40}")
     check_types(obj, _NOTE_FIELDS)
-    return ClinicalNote(note_type=obj["note_type"], timestamp=parse_rfc3339(obj["timestamp"]), text=obj["text"])
+    timestamp = parse_rfc3339(obj["timestamp"], "timestamp")
+    return ClinicalNote(note_type=obj["note_type"], timestamp=timestamp, text=obj["text"])
 
 
 def _parse_record(obj: dict, whitelist: frozenset[str]) -> PatientRecord:
@@ -152,7 +144,7 @@ def _parse_record(obj: dict, whitelist: frozenset[str]) -> PatientRecord:
         patient_id=obj["patient_id"],
         label=obj["label"],
         notes=tuple(notes),
-        anchor_date=None if anchor is None else parse_rfc3339(anchor),
+        anchor_date=None if anchor is None else parse_rfc3339(anchor, "anchor_date"),
     )
 
 
@@ -161,14 +153,14 @@ def load_corpus(path: str | Path, note_whitelist: Iterable[str] | None = None) -
 
     Only whitelisted, non-blank notes are retained; notes are sorted by
     timestamp. Patients whose notes were all filtered out are still
-    returned (``record.is_empty``) so cohort counts match the input.
+    returned, with no notes, so cohort counts match the input.
     Unknown fields are ignored; a malformed line raises
     :class:`CorpusFormatError` naming the line number, and a patient
     repeated in the file raises it naming the patient.
     """
     whitelist = frozenset(note_whitelist) if note_whitelist is not None else DEFAULT_NOTE_TYPES
     records = read_jsonl(path, "raw corpus", lambda obj: _parse_record(obj, whitelist))
-    check_unique([record.patient_id for record in records], "raw corpus")
+    check_unique([record.patient_id for record in records], f"{path}: raw corpus")
     return records
 
 

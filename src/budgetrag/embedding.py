@@ -4,19 +4,26 @@ Two kinds are supported:
 
 * ``hashing`` -- a deterministic signed feature-hashing embedder
   (bag-of-words, FNV-1a 64-bit word hash). Dependency-free, identical
-  output across runs and platforms; the offline default.
+  output across runs and platforms; the offline default. A batch of
+  texts is embedded in one numpy pass: every word of the batch is
+  mapped to its cached word hash, and one ``np.bincount`` over
+  ``row * dim + bucket`` with the signs as weights sums all rows at
+  once. Each bucket sum, and each row's sum of squares, is an integer
+  below 2**52 for a text of fewer than 2**26 words, so float64 holds it
+  exactly whatever the order of summation: a text's vector is
+  bit-identical alone or in any batch.
 * ``remote`` -- an embeddings-API endpoint speaking the usual shape:
   request ``{"model": str, "input": [str]}``, response
   ``{"data": [{"embedding": [number]}]}``.
 
 All produced embeddings are float32 and unit-normalized (L2 norm within
-1e-5 of 1).
+1e-5 of 1). ``embed_many`` returns one ``(len(texts), dim)`` matrix.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import filterfalse
 
 import numpy as np
 
@@ -40,14 +47,6 @@ def fnv1a64(data: bytes) -> int:
     h = _FNV_OFFSET
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _FNV_MASK
-    return h
-
-
-def _word_hash(word: str) -> int:
-    h = _hash_cache.get(word)
-    if h is None:
-        h = fnv1a64(word.encode("utf-8"))
-        _hash_cache[word] = h
     return h
 
 
@@ -77,19 +76,26 @@ def embed_hashing(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     else -1; counts accumulate and the vector is L2-normalized. Empty
     text maps to the first basis vector.
     """
+    return _hash_rows([text], dim)[0]
+
+
+def _hash_rows(texts: list[str], dim: int) -> np.ndarray:
+    """``embed_hashing`` of each text, as the rows of one float32 matrix."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    acc = np.zeros(dim, dtype=np.float64)
-    for word, count in Counter(text.lower().split()).items():
-        h = _word_hash(word)
-        sign = 1.0 if (h >> 63) == 0 else -1.0
-        acc[h % dim] += sign * count
-    norm = float(np.linalg.norm(acc))
-    if norm == 0.0:
-        out = np.zeros(dim, dtype=np.float32)
-        out[0] = 1.0
-        return out
-    return (acc / norm).astype(np.float32)
+    lengths, word_hashes = [], []
+    for text in texts:  # one text's words at a time: the batch keeps only their hashes
+        words = text.lower().split()
+        for word in filterfalse(_hash_cache.__contains__, words):
+            _hash_cache[word] = fnv1a64(word.encode("utf-8"))
+        word_hashes += map(_hash_cache.__getitem__, words)
+        lengths.append(len(words))
+    hashes = np.array(word_hashes, dtype=np.uint64)
+    cells = np.repeat(np.arange(len(texts)) * dim, lengths) + (hashes % np.uint64(dim)).astype(np.intp)
+    signs = 1.0 - 2.0 * (hashes >> np.uint64(63))  # -1 where the top bit is set
+    acc = np.bincount(cells, weights=signs, minlength=len(texts) * dim).reshape(len(texts), dim)
+    acc[~acc.any(axis=1), 0] = 1.0  # a text with no words maps to the first basis vector
+    return (acc / np.linalg.norm(acc, axis=1, keepdims=True)).astype(np.float32)
 
 
 def _normalize(values, *, context: str) -> np.ndarray:
@@ -104,7 +110,7 @@ def _normalize(values, *, context: str) -> np.ndarray:
     return (vec / norm).astype(np.float32)
 
 
-def _extract_embeddings(response: dict, expected: int) -> list[np.ndarray]:
+def _extract_embeddings(response: dict, expected: int) -> np.ndarray:
     if "data" not in response:
         raise RemoteSchemaError("response is missing 'data'")
     data = response["data"]
@@ -115,7 +121,10 @@ def _extract_embeddings(response: dict, expected: int) -> list[np.ndarray]:
         if not isinstance(item, dict) or "embedding" not in item:
             raise RemoteSchemaError(f"response is missing 'data[{i}].embedding'")
         out.append(_normalize(item["embedding"], context=f"data[{i}].embedding"))
-    return out
+    lengths = {len(vec) for vec in out}
+    if len(lengths) > 1:
+        raise RemoteSchemaError(f"response embeddings differ in length: {sorted(lengths)}")
+    return np.stack(out)
 
 
 class _Embedder:
@@ -148,12 +157,12 @@ class HashingEmbedder(_Embedder):
     def _embed_one(self, text: str) -> np.ndarray:
         return embed_hashing(text, self.dim)
 
-    def embed_many(self, texts: list[str]) -> list[np.ndarray]:
-        return [embed_hashing(t, self.dim) for t in texts]
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        return _hash_rows(texts, self.dim)
 
 
 class RemoteEmbedder(_Embedder):
-    """Embeddings-API client; batches each ``embed_many`` into one request."""
+    """Embeddings-API client; sends each ``embed_many`` as one request, and none for no texts."""
 
     def __init__(self, cfg: EmbedderConfig):
         if cfg.kind != "remote":
@@ -167,10 +176,10 @@ class RemoteEmbedder(_Embedder):
     def _embed_one(self, text: str) -> np.ndarray:
         return self._request([text])[0]
 
-    def embed_many(self, texts: list[str]) -> list[np.ndarray]:
-        return self._request(texts) if texts else []
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        return self._request(texts) if texts else np.empty((0, self.cfg.dim), np.float32)
 
-    def _request(self, texts: list[str]) -> list[np.ndarray]:
+    def _request(self, texts: list[str]) -> np.ndarray:
         """One order-preserving request. ``embed`` reaches this without going
         through ``embed_many``, so a wrapper counting calls to either method
         sees each call once."""
@@ -184,11 +193,3 @@ def build_embedder(cfg: EmbedderConfig):
         return HashingEmbedder(cfg.dim)
     return RemoteEmbedder(cfg)
 
-
-# Function forms of the embedder methods, kept for callers of the old function API.
-def embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
-    return RemoteEmbedder(cfg).embed(text)
-
-
-def embed_batch(texts: list[str], cfg: EmbedderConfig) -> list[np.ndarray]:
-    return build_embedder(cfg).embed_many(texts)

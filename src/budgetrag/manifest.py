@@ -53,14 +53,15 @@ def read_jsonl(path: str | Path, what: str, parse) -> list:
     A line that is not UTF-8, invalid JSON, a line that is not an object,
     and a ``KeyError``, ``TypeError`` or ``ValueError`` raised by
     ``parse`` (a missing field or a bad value) become a
-    :class:`CorpusFormatError` naming ``what`` and the line number.
+    :class:`CorpusFormatError` naming the path as given, ``what`` and the
+    line number.
     """
     items = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            where = f"{what} line {line_no}"
+            where = f"{path}: {what} line {line_no}"
             try:
                 obj = json.loads(line.decode("utf-8"))
             except UnicodeDecodeError as exc:

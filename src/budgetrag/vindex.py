@@ -145,10 +145,6 @@ class SearchHit:
     position: int
     score: float
 
-    @property
-    def chunk_ref(self) -> tuple[str, int]:
-        return (self.patient_id, self.position)
-
 
 class VectorIndex:
     """Append-only flat index of unit-normalized chunk embeddings."""

@@ -1,15 +1,21 @@
-"""Independent reference implementations used to cross-check metrics.
+"""Independent reference implementations used to cross-check metrics
+and the hashing embedder.
 
 These deliberately avoid the main code paths: direct O(m*n) pair loops,
-explicit covariance sums, scipy's normal tail, and a vectorized paired
-bootstrap. They exist so the package's midrank-based implementations
-are verified against a different computational route.
+explicit covariance sums, scipy's normal tail, a vectorized paired
+bootstrap, and a per-word loop for feature hashing. They exist so the
+package's midrank-based and batched implementations are verified
+against a different computational route.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 from scipy import stats
+
+from budgetrag.embedding import fnv1a64
 
 
 def psi(x: float, y: float) -> float:
@@ -133,3 +139,20 @@ def bootstrap_p_value(labels, scores_a, scores_b, n_resamples=10_000, seed=0) ->
         return 1.0 if observed == 0.0 else 0.0
     z = observed / se
     return float(2.0 * stats.norm.sf(abs(z)))
+
+
+def hashing_embedding_reference(text: str, dim: int) -> np.ndarray:
+    """Signed feature hashing of one text, one scalar update per distinct word.
+
+    Bucket ``fnv1a64(word) % dim``, sign -1 when the hash's top bit is set,
+    weight the word's count; the float64 sum is L2-normalized and cast to
+    float32. A text with no words maps to the first basis vector.
+    """
+    acc = np.zeros(dim, dtype=np.float64)
+    for word, count in Counter(text.lower().split()).items():
+        h = fnv1a64(word.encode("utf-8"))
+        acc[h % dim] += (1.0 if (h >> 63) == 0 else -1.0) * count
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        acc[0], norm = 1.0, 1.0
+    return (acc / norm).astype(np.float32)

@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from budgetrag.cli import main
@@ -255,6 +256,18 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["category"] == "data"
         assert json.loads(lines[4])["patient_id"] in err["message"]
+        assert err["message"].startswith(f"{repeated}: outcomes: ")
+
+    def test_bad_line_in_second_outcomes_file_names_that_file(self, demo_dir, tmp_path, capsys):
+        lines = (demo_dir / "out_long.jsonl").read_text().splitlines()
+        bad_row = {**json.loads(lines[1]), "score": "0.5"}
+        bad = tmp_path / "b.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(bad_row), *lines[2:]]) + "\n")
+        assert main(["delong", "--outcomes-a", str(demo_dir / "out_rag.jsonl"), "--outcomes-b", str(bad),
+                     "--corpus", str(demo_dir / "proc.jsonl"), "--out", str(tmp_path / "d.json")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "CorpusFormatError"
+        assert err["message"].startswith(f"{bad}: outcomes file line 2: ")
 
     def test_missing_file_is_exit_2(self, tmp_path):
         assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -471,19 +484,70 @@ class TestFailedRunsLeaveNoOutput:
 class TestRetrieveValidation:
     def test_remote_rag_embeds_the_query_once(self, tmp_path, api_server):
         write_corpus(tmp_path / "corpus.jsonl", generate_corpus(5, seed=3))
-        # one chunk per patient, so every request carries one text and the
-        # scripted one-vector response answers build-index and retrieve alike
+        # one chunk per patient, so build-index sends the five chunks in one
+        # request (ceil(5 / EMBED_BATCH)) and retrieve sends only the query
         run(0, "ingest", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "proc.jsonl",
             "--max-words", "1000000")
         remote = ["--embedder", "remote", "--endpoint", api_server.url, "--model", "m"]
-        api_server.reset([(200, {"data": [{"embedding": [3.0, 4.0]}]})])
+        api_server.reset([(200, {"data": [{"embedding": [3.0, 4.0]}] * 5})])
         run(0, "build-index", "--corpus", tmp_path / "proc.jsonl", "--out", tmp_path / "i.brag", *remote)
-        assert len(api_server.requests) == 5
+        assert len(api_server.requests) == 1
         api_server.reset([(200, {"data": [{"embedding": [3.0, 4.0]}]})])
         run(0, "retrieve", "--corpus", tmp_path / "proc.jsonl", "--index", tmp_path / "i.brag",
             "--mode", "rag", "--out", tmp_path / "c.jsonl", *remote)
         assert [body["input"] for _, _, body in api_server.requests] == [[DEFAULT_QUERY_TEXT]]
         assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 5
+
+
+class TestBuildIndexBatching:
+    """build-index embeds chunks in batches of EMBED_BATCH across patients: one remote request per batch."""
+
+    PATIENTS, CHUNKS = 3, 50
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        # 3 patients of 50 one-word chunks: the batches hold chunks 0-63, 64-127
+        # and 128-149, so p1 straddles the first boundary and p2 the second
+        rows = [{"patient_id": f"p{p}", "label": p % 2, "max_words": 1, "word_count": self.CHUNKS,
+                 "text": " ".join(f"w{p}x{i}" for i in range(self.CHUNKS))} for p in range(self.PATIENTS)]
+        path = tmp_path / "proc.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        return path
+
+    def _build(self, corpus, api_server, script, expected_code):
+        api_server.reset(script)
+        run(expected_code, "build-index", "--corpus", corpus, "--out", corpus.parent / "i.brag",
+            "--embedder", "remote", "--endpoint", api_server.url, "--model", "m")
+
+    @staticmethod
+    def _response(first, count):
+        # chunk g of the corpus gets the direction (1, g)
+        return 200, {"data": [{"embedding": [1.0, float(g)]} for g in range(first, first + count)]}
+
+    def test_one_request_per_batch_across_patients(self, corpus, api_server):
+        from budgetrag.vindex import VectorIndex
+
+        self._build(corpus, api_server, [self._response(0, 64), self._response(64, 64), self._response(128, 22)], 0)
+        inputs = [body["input"] for _, _, body in api_server.requests]
+        assert [len(batch) for batch in inputs] == [64, 64, 22]
+        texts = [f"w{p}x{i}" for p in range(self.PATIENTS) for i in range(self.CHUNKS)]
+        assert [text for batch in inputs for text in batch] == texts
+        entries = VectorIndex.load(corpus.parent / "i.brag").entries
+        assert [ref for ref, _ in entries] == [(f"p{p}", i) for p in range(self.PATIENTS) for i in range(self.CHUNKS)]
+        for g, (_, vec) in enumerate(entries):
+            direction = np.array([1.0, g])
+            assert np.array_equal(vec, (direction / np.linalg.norm(direction)).astype(np.float32))
+
+    @pytest.mark.parametrize("bad", ["short-data", "ragged-rows"])
+    def test_bad_response_is_exit_3_and_leaves_no_output(self, corpus, api_server, capsys, bad):
+        second = self._response(64, 63) if bad == "short-data" else self._response(64, 64)
+        if bad == "ragged-rows":
+            second[1]["data"][10]["embedding"].append(0.5)
+        self._build(corpus, api_server, [self._response(0, 64), second, self._response(128, 22)], 3)
+        err = json.loads(capsys.readouterr().err.strip())
+        assert (err["error"], err["category"]) == ("RemoteSchemaError", "remote")
+        assert len(api_server.requests) == 2
+        assert list(corpus.parent.iterdir()) == [corpus]
 
 
 class TestSyntheticCli:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -16,7 +17,7 @@ from budgetrag.corpus import (
     chunk_text,
     concat_text,
     load_corpus,
-    load_whitelist,
+    read_lines,
     window_notes,
 )
 from budgetrag.errors import CorpusFormatError
@@ -76,7 +77,7 @@ class TestLoadCorpus:
             {"note_type": "OR PreOp", "timestamp": "2024-03-09T10:00:00Z", "text": "  \n\t "},
         ])]
         records = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
-        assert records[0].is_empty
+        assert not records[0].notes
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -113,10 +114,20 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="offset"):
             load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
 
+    @pytest.mark.parametrize("field,row", [
+        ("anchor_date", raw_patient(anchor_date=5)),
+        ("anchor_date", raw_patient(anchor_date="2024-03-10")),
+        ("timestamp", raw_patient(notes=[{"note_type": "OR PreOp", "timestamp": "yesterday", "text": "x"}])),
+    ])
+    def test_bad_timestamp_names_its_field(self, tmp_path, field, row):
+        path = write_jsonl(tmp_path / "c.jsonl", [raw_patient(patient_id="p0"), row])
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: raw corpus line 2: '{field}' "):
+            load_corpus(path)
+
     def test_whitelist_file(self, tmp_path):
         wl = tmp_path / "types.txt"
         wl.write_text("OR PreOp\n\nBrief Op Note\n", encoding="utf-8")
-        assert load_whitelist(wl) == frozenset({"OR PreOp", "Brief Op Note"})
+        assert frozenset(read_lines(wl)) == frozenset({"OR PreOp", "Brief Op Note"})
 
     def test_default_whitelist_has_sixteen_types(self):
         assert len(DEFAULT_NOTE_TYPES) == 16

@@ -12,12 +12,12 @@ from budgetrag.embedding import (
     HashingEmbedder,
     RemoteEmbedder,
     build_embedder,
-    embed_batch,
     embed_hashing,
-    embed_remote,
     fnv1a64,
 )
 from budgetrag.errors import RemoteSchemaError, RemoteServiceError, ZeroVectorError
+
+from .oracles import hashing_embedding_reference
 
 
 class TestFnv1a64:
@@ -73,6 +73,44 @@ class TestHashingEmbedder:
         assert np.array_equal(embedder.embed("x"), embed_hashing("x", 128))
 
 
+# Texts on which lower-casing, splitting or counting could go wrong: empty and
+# whitespace-only texts, repeated words, case mappings that change length or
+# depend on position ("İ", "ß", final "Σ"), and the non-ASCII whitespace that
+# str.split breaks on (no-break space, U+2003, the C0 separator "\x1c", NEL).
+ORACLE_TEXTS = [
+    "",
+    "   ",
+    "\t\n \u00a0",
+    "alpha",
+    "alpha alpha beta ALPHA Beta",
+    "İstanbul İ i̇",
+    "STRASSE straße ß SS",
+    "ΟΔΟΣ Σ σ ς ΣΑΣ",
+    "wound\u00a0infection\u2003sepsis\x1cfever\x85ileus",
+    "post-operative course unremarkable " * 40,
+]
+
+
+class TestHashingOracle:
+    """The batched embedder against the per-word reference, compared bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 256, 4096])
+    def test_batch_rows_equal_reference_and_one_row_call(self, dim):
+        batch = HashingEmbedder(dim).embed_many(ORACLE_TEXTS)
+        assert batch.dtype == np.float32 and batch.shape == (len(ORACLE_TEXTS), dim)
+        for row, text in zip(batch, ORACLE_TEXTS):
+            assert np.array_equal(row.view(np.uint32), hashing_embedding_reference(text, dim).view(np.uint32))
+            assert np.array_equal(row.view(np.uint32), embed_hashing(text, dim).view(np.uint32))
+
+    @given(texts=st.lists(st.text(alphabet="aAb İßΣς\u00a0\x1c\x85\t", max_size=12), max_size=8),
+           dim=st.sampled_from([2, 4096]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_mix_of_texts_matches_reference(self, texts, dim):
+        batch = HashingEmbedder(dim).embed_many(texts)
+        expected = np.array([hashing_embedding_reference(t, dim) for t in texts], np.float32).reshape(-1, dim)
+        assert np.array_equal(batch.view(np.uint32), expected.view(np.uint32))
+
+
 class TestEmbedderConfig:
     def test_remote_requires_endpoint(self):
         with pytest.raises(ValueError, match="endpoint"):
@@ -89,13 +127,13 @@ class TestRemoteEmbedding:
 
     def test_normalizes_service_vector(self, api_server):
         api_server.reset([(200, {"data": [{"embedding": [3.0, 4.0]}]})])
-        vec = embed_remote("hello", self._cfg(api_server))
+        vec = RemoteEmbedder(self._cfg(api_server)).embed("hello")
         assert vec.tolist() == pytest.approx([0.6, 0.8])
 
     def test_request_shape_and_auth_header(self, api_server, monkeypatch):
         monkeypatch.setenv("BUDGETRAG_API_KEY", "sekret")
         api_server.reset([(200, {"data": [{"embedding": [1.0, 0.0]}]})])
-        embed_remote("some words", self._cfg(api_server))
+        RemoteEmbedder(self._cfg(api_server)).embed("some words")
         path, headers, body = api_server.requests[0]
         assert body == {"model": "embed-small", "input": ["some words"]}
         assert headers.get("Authorization") == "Bearer sekret"
@@ -104,7 +142,7 @@ class TestRemoteEmbedding:
         monkeypatch.setattr("budgetrag.remote.time.sleep", lambda s: None)
         api_server.reset([(500, {"oops": 1})])
         with pytest.raises(RemoteServiceError) as err:
-            embed_remote("x", self._cfg(api_server))
+            RemoteEmbedder(self._cfg(api_server)).embed("x")
         assert err.value.status == 500
         assert err.value.retryable
         assert len(api_server.requests) == 3  # default attempts
@@ -117,14 +155,14 @@ class TestRemoteEmbedding:
             (500, {}),
             (200, {"data": [{"embedding": [0.0, 2.0]}]}),
         ])
-        vec = embed_remote("x", self._cfg(api_server))
+        vec = RemoteEmbedder(self._cfg(api_server)).embed("x")
         assert vec.tolist() == [0.0, 1.0]
         assert sleeps == [0.5, 1.0]  # exponential backoff, base 0.5, factor 2
 
     def test_client_error_is_not_retried(self, api_server):
         api_server.reset([(403, {"detail": "no"})])
         with pytest.raises(RemoteServiceError) as err:
-            embed_remote("x", self._cfg(api_server))
+            RemoteEmbedder(self._cfg(api_server)).embed("x")
         assert err.value.status == 403
         assert not err.value.retryable
         assert len(api_server.requests) == 1
@@ -132,26 +170,32 @@ class TestRemoteEmbedding:
     def test_missing_data_field_is_schema_error(self, api_server):
         api_server.reset([(200, {"vectors": []})])
         with pytest.raises(RemoteSchemaError, match="data"):
-            embed_remote("x", self._cfg(api_server))
+            RemoteEmbedder(self._cfg(api_server)).embed("x")
 
     def test_missing_embedding_path_named(self, api_server):
         api_server.reset([(200, {"data": [{"vector": [1.0]}]})])
         with pytest.raises(RemoteSchemaError, match=r"data\[0\].embedding"):
-            embed_remote("x", self._cfg(api_server))
+            RemoteEmbedder(self._cfg(api_server)).embed("x")
 
     def test_zero_vector_rejected(self, api_server):
         api_server.reset([(200, {"data": [{"embedding": [0.0, 0.0]}]})])
         with pytest.raises(ZeroVectorError):
-            embed_remote("x", self._cfg(api_server))
+            RemoteEmbedder(self._cfg(api_server)).embed("x")
 
 
 class TestEmbedBatch:
     def test_empty_batch(self):
-        assert embed_batch([], EmbedderConfig(kind="hashing", dim=8)) == []
+        assert build_embedder(EmbedderConfig(kind="hashing", dim=8)).embed_many([]).shape == (0, 8)
+
+    def test_empty_remote_batch_sends_no_request(self, api_server):
+        api_server.reset([(200, {"data": []})])
+        cfg = EmbedderConfig(kind="remote", endpoint=api_server.url, model_name="m", dim=8)
+        assert build_embedder(cfg).embed_many([]).shape == (0, 8)
+        assert api_server.requests == []
 
     def test_hashing_batch_equals_map(self):
         cfg = EmbedderConfig(kind="hashing", dim=16)
-        batch = embed_batch(["a", "b"], cfg)
+        batch = build_embedder(cfg).embed_many(["a", "b"])
         assert np.array_equal(batch[0], embed_hashing("a", 16))
         assert np.array_equal(batch[1], embed_hashing("b", 16))
 
@@ -163,11 +207,11 @@ class TestEmbedBatch:
         singles = []
         for text, vec in vectors.items():
             api_server.reset([(200, {"data": [{"embedding": vec}]})])
-            singles.append(embed_remote(text, cfg))
+            singles.append(RemoteEmbedder(cfg).embed(text))
 
         # one batched request
         api_server.reset([(200, {"data": [{"embedding": v} for v in vectors.values()]})])
-        batched = embed_batch(list(vectors), cfg)
+        batched = build_embedder(cfg).embed_many(list(vectors))
         assert len(api_server.requests) == 1
         assert api_server.requests[0][2]["input"] == list(vectors)
         for got, expected in zip(batched, singles):
@@ -177,7 +221,7 @@ class TestEmbedBatch:
         cfg = EmbedderConfig(kind="remote", endpoint=api_server.url, model_name="m")
         api_server.reset([(200, {"data": [{"embedding": [1.0, 0.0]}, {"bad": 1}]})])
         with pytest.raises(RemoteSchemaError, match=r"data\[1\]"):
-            embed_batch(["a", "b"], cfg)
+            build_embedder(cfg).embed_many(["a", "b"])
 
 
 def test_build_embedder_dispatch(api_server):

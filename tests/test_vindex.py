@@ -161,7 +161,7 @@ class TestSearch:
         index.add("p1", 0, unit([0, 1, 0]))
         index.add("p1", 1, target)
         hits = index.search(target, k=1)
-        assert hits[0].chunk_ref == ("p1", 1)
+        assert (hits[0].patient_id, hits[0].position) == ("p1", 1)
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
 
     def test_tie_broken_by_position_then_patient(self):
@@ -198,7 +198,8 @@ class TestSearch:
             query = random_unit_rows(rng, 1, 16)[0]
             got = index.search(query, k=10)
             expected = brute_force_search(index, query, k=10)
-            assert [(h.chunk_ref, h.score) for h in got] == [(h.chunk_ref, h.score) for h in expected]
+            assert [(h.patient_id, h.position, h.score) for h in got] == \
+                [(h.patient_id, h.position, h.score) for h in expected]
 
     def test_prefix_monotonicity(self):
         rng = np.random.default_rng(7)
