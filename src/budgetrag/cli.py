@@ -13,8 +13,14 @@ writing their manifest, so a failed command leaves no output behind.
 
 Every command is a fresh process that pays for each import at start-up,
 so numpy (``embedding``, ``vindex``, ``metrics``) is imported only inside
-build-index, retrieve --mode rag, evaluate and delong, and the HTTP
-stack only by a remote embedder or classifier.
+build-index, retrieve --mode rag, evaluate and delong, ``costmodel`` only
+inside project, ``report`` only inside report and evaluate --roc-out, and
+the HTTP stack only by a remote embedder or classifier.
+
+Before anything is read or staged, ``main`` rejects a run in which a
+file it would write (an output, or the run manifest) is also an input,
+an input's sidecar manifest, or another file it writes: that run would
+destroy the file.
 
 build-index embeds the chunks of all patients, in patient order, in
 batches of ``EMBED_BATCH``: one numpy pass per batch for the hashing
@@ -43,7 +49,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import classifier as clf
-from . import costmodel, manifest, report, retrieval
+from . import manifest, retrieval
 from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_text, concat_text, load_corpus, read_lines, window_notes,
                      word_count)
 from .errors import BudgetRagError, UndefinedMetricError, UsageError
@@ -355,6 +361,8 @@ def cmd_evaluate(args) -> dict:
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     if args.roc_out:
+        from . import report
+
         report.write_roc_csv(args.roc_out, metrics.roc_points(cohort))
     return {"config": {"threshold": args.threshold}}
 
@@ -374,6 +382,8 @@ def cmd_delong(args) -> dict:
 
 
 def cmd_project(args) -> dict:
+    from . import costmodel
+
     prices = costmodel.PriceSheet()
     if args.prices:
         prices = _parse_file(args.prices, costmodel.PriceSheet.from_json)
@@ -402,6 +412,8 @@ def cmd_project(args) -> dict:
 
 
 def cmd_report(args) -> dict:
+    from . import report
+
     rows = []
     curves = []
     for label, color, metrics_path, roc_path in (
@@ -527,10 +539,35 @@ def _stage_outputs(args) -> dict[str, str]:
     return dict(zip(finals, _output_paths(args)))
 
 
+def _check_no_overwrite(args) -> None:
+    """A file the command writes that it also reads (an input or an input's sidecar manifest), or
+    that another output or the run manifest also names, is a usage error naming both flags;
+    paths are compared resolved."""
+
+    def flag(dest):
+        return "--" + dest.replace("_", "-")
+
+    written = [(flag(dest), f"{getattr(args, dest)}{suffix}") for dest, suffixes in args.outputs
+               if getattr(args, dest) is not None for suffix in suffixes]
+    written.append(("the --out run manifest", manifest.manifest_path(args.out)))
+    read = []
+    for dest in args.inputs:
+        if path := getattr(args, dest):
+            read += [(flag(dest), path), (f"the {flag(dest)} manifest", manifest.manifest_path(path))]
+    writers = {}
+    for i, (name, path) in enumerate(written + read):
+        resolved = Path(path).resolve()
+        if resolved in writers:
+            raise UsageError(f"{writers[resolved]} and {name} name the same file: {path}")
+        if i < len(written):
+            writers[resolved] = name
+
+
 def main(argv=None) -> int:
     staged = {}
     try:
         args = build_parser().parse_args(argv)
+        _check_no_overwrite(args)
         started = manifest.utc_now(args.deterministic)
         inputs = manifest.validate_inputs([getattr(args, dest) for dest in args.inputs if getattr(args, dest)])
         out = args.out

@@ -11,6 +11,15 @@ sentences never straddle chunk boundaries when the chunk size equals
 the block size. Everything is driven by a seeded ``random.Random``;
 identical arguments produce byte-identical corpora.
 
+Filler words are drawn from ``rng.random()`` and ``rng.getrandbits(k)``
+alone, with no ``random.choice`` or ``randint`` frames per word: each
+draw reads a table of its values padded with None to ``2**k`` entries
+(``k`` the bit length of the value count) at ``getrandbits(k)``, and
+draws again while it reads None. These are exactly the draws that
+``choice`` and ``randint`` make, so corpora are byte-identical to those
+of earlier versions, and they depend only on ``random()`` and
+``getrandbits``, which CPython keeps stable across versions.
+
 Run ``python -m budgetrag.synthetic --patients 60 --out corpus.jsonl``
 to write a demo corpus.
 """
@@ -28,7 +37,7 @@ from .corpus import DEFAULT_NOTE_TYPES
 from .manifest import write_jsonl
 
 # Benign filler; must stay free of every word used by the default
-# retrieval query and keyword phrases (tests enforce the disjointness).
+# retrieval query and keyword phrases (tests/test_synthetic.py enforces the disjointness).
 FILLER_VOCAB = (
     "patient", "remains", "stable", "overnight", "tolerating", "regular",
     "diet", "ambulating", "hallway", "without", "assistance", "vital",
@@ -64,18 +73,42 @@ class SyntheticCorpus:
         return [r["patient_id"] for r in self.records]
 
 
-def _filler_word(rng: random.Random) -> str:
-    # sprinkle numeric observations for vocabulary spread
-    roll = rng.random()
-    if roll < 0.08:
-        return str(rng.randint(50, 199))
-    if roll < 0.12:
-        return f"{rng.randint(95, 135)}/{rng.randint(55, 90)}"
-    return rng.choice(FILLER_VOCAB)
+def _padded(values) -> tuple[int, tuple]:
+    """``(k, table)``: ``k = len(values).bit_length()`` and ``values`` padded with None to ``2**k``
+    entries, so a draw is ``table[getrandbits(k)]``, repeated while it is None."""
+    values = tuple(values)
+    k = len(values).bit_length()
+    return k, values + (None,) * (2 ** k - len(values))
+
+
+# One table per draw of the filler: rng.randint(50, 199), rng.randint(95, 135),
+# rng.randint(55, 90) and rng.choice(FILLER_VOCAB), as strings.
+_NUMBER_BITS, _NUMBERS = _padded(str(v) for v in range(50, 200))
+_SYSTOLIC_BITS, _SYSTOLIC = _padded(str(v) for v in range(95, 136))
+_DIASTOLIC_BITS, _DIASTOLIC = _padded(str(v) for v in range(55, 91))
+_VOCAB_BITS, _VOCAB = _padded(FILLER_VOCAB)
+
+
+def _draw(getrandbits, k: int, table: tuple) -> str:
+    value = table[getrandbits(k)]
+    while value is None:
+        value = table[getrandbits(k)]
+    return value
 
 
 def _filler_block(rng: random.Random, block_words: int) -> list[str]:
-    return [_filler_word(rng) for _ in range(block_words)]
+    uniform, getrandbits = rng.random, rng.getrandbits
+    words = []
+    for _ in range(block_words):
+        roll = uniform()  # sprinkle numeric observations for vocabulary spread
+        if roll < 0.08:
+            words.append(_draw(getrandbits, _NUMBER_BITS, _NUMBERS))
+        elif roll < 0.12:
+            systolic = _draw(getrandbits, _SYSTOLIC_BITS, _SYSTOLIC)
+            words.append(f"{systolic}/{_draw(getrandbits, _DIASTOLIC_BITS, _DIASTOLIC)}")
+        else:
+            words.append(_draw(getrandbits, _VOCAB_BITS, _VOCAB))
+    return words
 
 
 def _planted_sentence(phrases: list[str]) -> list[str]:
@@ -131,10 +164,20 @@ def generate_corpus(
     Each patient has ``notes_per_patient`` notes of
     ``blocks_per_note * block_words`` words. Positive patients get
     ``min_planted``..``max_planted`` planted sentences, each built from
-    distinct keyword phrases and placed in a distinct block.
+    distinct keyword phrases and placed in a distinct block. A bad
+    argument is a ``ValueError`` naming it, raised before any draw; so
+    is a drawn sentence longer than a block, or more drawn sentences
+    than the patient has blocks.
     """
     if not 0.0 <= positive_fraction <= 1.0:
-        raise ValueError("positive_fraction must be within [0, 1]")
+        raise ValueError(f"positive_fraction must be within [0, 1], got {positive_fraction}")
+    for name, value, low in (("n_patients", n_patients, 0), ("notes_per_patient", notes_per_patient, 1),
+                             ("blocks_per_note", blocks_per_note, 1), ("block_words", block_words, 1),
+                             ("min_planted", min_planted, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if min_planted > max_planted:
+        raise ValueError(f"min_planted={min_planted} exceeds max_planted={max_planted}")
     rng = random.Random(seed)
     n_positive = round(n_patients * positive_fraction)
     labels = [1] * n_positive + [0] * (n_patients - n_positive)
@@ -149,6 +192,9 @@ def generate_corpus(
         sentences: list[str] = []
         if label == 1:
             groups = _sample_phrase_groups(rng, keywords, rng.randint(min_planted, max_planted))
+            if len(groups) > total_blocks:
+                raise ValueError(f"{len(groups)} planted sentences drawn for {patient_id} do not fit in "
+                                 f"notes_per_patient x blocks_per_note = {total_blocks} blocks")
             target_blocks = rng.sample(range(total_blocks), k=len(groups))
             for block_idx, phrases in zip(target_blocks, groups):
                 sentence = _planted_sentence(phrases)
@@ -164,7 +210,7 @@ def generate_corpus(
         notes = []
         for note_idx in range(notes_per_patient):
             note_blocks = blocks[note_idx * blocks_per_note:(note_idx + 1) * blocks_per_note]
-            text = " ".join(word for block in note_blocks for word in block)
+            text = " ".join([word for block in note_blocks for word in block])
             timestamp = _BASE_TIME + timedelta(hours=6 * note_idx, minutes=i % 60)
             notes.append({
                 "note_type": _NOTE_TYPES[(i + note_idx) % len(_NOTE_TYPES)],
@@ -194,13 +240,16 @@ def main(argv=None) -> int:
     parser.add_argument("--blocks-per-note", type=int, default=5)
     parser.add_argument("--block-words", type=int, default=64)
     args = parser.parse_args(argv)
-    corpus = generate_corpus(
-        args.patients,
-        notes_per_patient=args.notes_per_patient,
-        blocks_per_note=args.blocks_per_note,
-        block_words=args.block_words,
-        seed=args.seed,
-    )
+    try:
+        corpus = generate_corpus(
+            args.patients,
+            notes_per_patient=args.notes_per_patient,
+            blocks_per_note=args.blocks_per_note,
+            block_words=args.block_words,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     write_corpus(args.out, corpus)
     words = args.notes_per_patient * args.blocks_per_note * args.block_words
     print(f"wrote {args.patients} patients ({words} words each) to {args.out}")

@@ -1,21 +1,27 @@
-"""Independent reference implementations used to cross-check metrics
-and the hashing embedder.
+"""Independent reference implementations used to cross-check metrics,
+the hashing embedder and the synthetic corpus generator.
 
 These deliberately avoid the main code paths: direct O(m*n) pair loops,
 explicit covariance sums, scipy's normal tail, a vectorized paired
-bootstrap, and a per-word loop for feature hashing. They exist so the
-package's midrank-based and batched implementations are verified
-against a different computational route.
+bootstrap, a per-word loop for feature hashing, and per-word
+``random.choice`` / ``randint`` calls for filler text. They exist so the
+package's midrank-based, batched and table-driven implementations are
+verified against a different computational route.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from datetime import timedelta
 
 import numpy as np
 from scipy import stats
 
+from budgetrag.classifier import DEFAULT_COMPLICATION_KEYWORDS
 from budgetrag.embedding import fnv1a64
+from budgetrag.synthetic import (_BASE_TIME, _NOTE_TYPES, FILLER_VOCAB, SyntheticCorpus, _planted_sentence,
+                                 _sample_phrase_groups)
 
 
 def psi(x: float, y: float) -> float:
@@ -156,3 +162,45 @@ def hashing_embedding_reference(text: str, dim: int) -> np.ndarray:
     if norm == 0.0:
         acc[0], norm = 1.0, 1.0
     return (acc / norm).astype(np.float32)
+
+
+def _filler_word_reference(rng: random.Random) -> str:
+    roll = rng.random()
+    if roll < 0.08:
+        return str(rng.randint(50, 199))
+    if roll < 0.12:
+        return f"{rng.randint(95, 135)}/{rng.randint(55, 90)}"
+    return rng.choice(FILLER_VOCAB)
+
+
+def synthetic_corpus_reference(n_patients: int = 60, *, positive_fraction: float = 0.5, notes_per_patient: int = 2,
+                               blocks_per_note: int = 5, block_words: int = 64, min_planted: int = 2,
+                               max_planted: int = 4, keywords: tuple[str, ...] = DEFAULT_COMPLICATION_KEYWORDS,
+                               seed: int = 0) -> SyntheticCorpus:
+    """``generate_corpus`` with each filler word drawn by ``rng.choice`` / ``rng.randint``, one call per draw."""
+    rng = random.Random(seed)
+    n_positive = round(n_patients * positive_fraction)
+    labels = [1] * n_positive + [0] * (n_patients - n_positive)
+    rng.shuffle(labels)
+    corpus = SyntheticCorpus()
+    total_blocks = notes_per_patient * blocks_per_note
+    for i, label in enumerate(labels):
+        patient_id = f"p{i:04d}"
+        blocks = [[_filler_word_reference(rng) for _ in range(block_words)] for _ in range(total_blocks)]
+        sentences = []
+        if label == 1:
+            groups = _sample_phrase_groups(rng, keywords, rng.randint(min_planted, max_planted))
+            for block_idx, phrases in zip(rng.sample(range(total_blocks), k=len(groups)), groups):
+                sentence = _planted_sentence(phrases)
+                offset = rng.randint(0, block_words - len(sentence))
+                blocks[block_idx][offset:offset + len(sentence)] = sentence
+                sentences.append(" ".join(sentence))
+        notes = []
+        for note_idx in range(notes_per_patient):
+            words = (w for block in blocks[note_idx * blocks_per_note:(note_idx + 1) * blocks_per_note] for w in block)
+            timestamp = _BASE_TIME + timedelta(hours=6 * note_idx, minutes=i % 60)
+            notes.append({"note_type": _NOTE_TYPES[(i + note_idx) % len(_NOTE_TYPES)],
+                          "timestamp": timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"), "text": " ".join(words)})
+        corpus.records.append({"patient_id": patient_id, "label": label, "anchor_date": None, "notes": notes})
+        corpus.planted[patient_id] = sentences
+    return corpus

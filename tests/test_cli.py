@@ -316,6 +316,27 @@ class TestExitCodes:
         assert "roc_rag.csv" in err["message"]
         assert not (tmp_path / "report.svg").exists()
 
+    @pytest.mark.parametrize("argv,first,second", [
+        (["retrieve", "--corpus", "{tmp}/proc.jsonl", "--mode", "long", "--out", "{tmp}/proc.jsonl"],
+         "--out", "--corpus"),
+        (["evaluate", "--outcomes", "{tmp}/out_rag.jsonl", "--corpus", "{tmp}/proc.jsonl",
+          "--out", "{tmp}/m.json", "--roc-out", "{tmp}/m.json"], "--out", "--roc-out"),
+        (["retrieve", "--corpus", "{tmp}/proc.jsonl", "--mode", "long",
+          "--out", "{tmp}/sub/../proc.jsonl.manifest.json"], "--out", "the --corpus manifest"),
+        (["evaluate", "--outcomes", "{tmp}/out_rag.jsonl", "--corpus", "{tmp}/proc.jsonl",
+          "--out", "{tmp}/m", "--roc-out", "{tmp}/m.manifest.json"], "--roc-out", "the --out run manifest"),
+    ])
+    def test_output_naming_an_input_or_another_output_is_exit_1(self, demo_dir, tmp_path, capsys,
+                                                                argv, first, second):
+        for name in ("proc.jsonl", "proc.jsonl.manifest.json", "out_rag.jsonl", "out_rag.jsonl.manifest.json"):
+            (tmp_path / name).write_bytes((demo_dir / name).read_bytes())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        run(1, *[a.format(tmp=tmp_path) for a in argv])
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "UsageError"
+        assert err["message"].startswith(f"{first} and {second} name the same file: ")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # nothing written or replaced
+
     @pytest.mark.parametrize("flag,value,argv", [
         ("--budget-words", "0", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
                                  "--mode", "rag", "--out", "{tmp}/c.jsonl"]),

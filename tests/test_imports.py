@@ -2,7 +2,8 @@
 
 Every CLI command is a fresh process, so a module it imports without
 using (numpy is about 0.16 s, the HTTP stack about 0.03 s) is start-up
-time paid on every run.
+time paid on every run. ``costmodel`` and ``report`` serve only the
+project, report and evaluate --roc-out commands.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import budgetrag
 from budgetrag.synthetic import generate_corpus, write_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-UNUSED_OFFLINE = ("numpy", "http.client", "urllib.request", "ssl", "concurrent.futures")
+UNUSED_OFFLINE = ("numpy", "http.client", "urllib.request", "ssl", "concurrent.futures",
+                  "budgetrag.costmodel", "budgetrag.report")
 
 # In a fresh interpreter: run the statement, then print which of UNUSED_OFFLINE got loaded.
 _PROBE = """
