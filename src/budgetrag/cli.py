@@ -481,7 +481,8 @@ def build_parser() -> _Parser:
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--temperature", type=_finite, default=0.0)
-    p.add_argument("--max-retries", type=_at_least(1), default=3)
+    p.add_argument("--max-retries", type=_at_least(1), default=3,
+                   help="attempts per remote request, the first included (1 means no retry)")
     p.add_argument("--parallelism", type=_at_least(1), default=1)
     p.add_input("--keywords", default=None, help="keyword list file for the mock (one phrase per line)")
     p.add_input("--prompt-template", default=None, help="prompt template file with {context}")

@@ -165,9 +165,10 @@ def generate_corpus(
     ``blocks_per_note * block_words`` words. Positive patients get
     ``min_planted``..``max_planted`` planted sentences, each built from
     distinct keyword phrases and placed in a distinct block. A bad
-    argument is a ``ValueError`` naming it, raised before any draw; so
-    is a drawn sentence longer than a block, or more drawn sentences
-    than the patient has blocks.
+    argument is a ``ValueError`` naming it, raised before any draw (empty
+    ``keywords`` or ``max_planted=0`` are bad once a positive patient is
+    drawn); so is a drawn sentence longer than a block, or more drawn
+    sentences than the patient has blocks.
     """
     if not 0.0 <= positive_fraction <= 1.0:
         raise ValueError(f"positive_fraction must be within [0, 1], got {positive_fraction}")
@@ -178,8 +179,13 @@ def generate_corpus(
             raise ValueError(f"{name} must be >= {low}, got {value}")
     if min_planted > max_planted:
         raise ValueError(f"min_planted={min_planted} exceeds max_planted={max_planted}")
-    rng = random.Random(seed)
     n_positive = round(n_patients * positive_fraction)
+    if n_positive and not keywords:  # a positive patient must carry a planted sentence
+        raise ValueError(f"keywords must not be empty when {n_positive} positive patients are drawn")
+    if n_positive and max_planted < 1:
+        raise ValueError(f"max_planted must be >= 1 when {n_positive} positive patients are drawn, "
+                         f"got {max_planted}")
+    rng = random.Random(seed)
     labels = [1] * n_positive + [0] * (n_patients - n_positive)
     rng.shuffle(labels)
 

@@ -13,13 +13,14 @@ class StubApiServer:
     """Scriptable JSON endpoint.
 
     Responses are served from ``script`` (a list consumed per request;
-    the last entry repeats). Each entry is ``(status, payload)`` where
-    payload may be a dict (sent as JSON) or raw bytes. Requests are
-    recorded as (path, headers, body-json).
+    the last entry repeats). Each entry is ``(status, payload)`` or
+    ``(status, payload, headers)``, where payload may be a dict (sent as
+    JSON) or raw bytes and headers is a dict of extra response headers.
+    Requests are recorded as (path, headers, body-json).
     """
 
     def __init__(self):
-        self.script: list[tuple[int, object]] = [(200, {})]
+        self.script: list[tuple] = [(200, {})]
         self.requests: list[tuple[str, dict, dict]] = []
         self._lock = threading.Lock()
 
@@ -36,10 +37,12 @@ class StubApiServer:
                 with server._lock:
                     server.requests.append((self.path, dict(self.headers), body))
                     idx = min(len(server.requests) - 1, len(server.script) - 1)
-                    status, payload = server.script[idx]
+                    status, payload, *extra = server.script[idx]
                 data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
@@ -56,7 +59,7 @@ class StubApiServer:
         host, port = self.httpd.server_address
         return f"http://{host}:{port}/v1"
 
-    def reset(self, script: list[tuple[int, object]]) -> None:
+    def reset(self, script: list[tuple]) -> None:
         with self._lock:
             self.script = script
             self.requests = []

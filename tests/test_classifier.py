@@ -185,6 +185,13 @@ class TestRemoteClassifier:
         assert err.value.status == 503
         assert len(api_server.requests) == 2
 
+    def test_max_retries_counts_attempts_so_one_is_no_retry(self, api_server, monkeypatch):
+        monkeypatch.setattr("budgetrag.remote.time.sleep", lambda s: None)
+        api_server.reset([(503, {})])
+        with pytest.raises(RemoteServiceError):
+            classify(ctx("x"), self._cfg(api_server, max_retries=1))
+        assert len(api_server.requests) == 1
+
     def test_unparseable_body_is_parse_error(self, api_server):
         api_server.reset([(200, self._chat_payload("I cannot say."))])
         with pytest.raises(ResponseParseError):

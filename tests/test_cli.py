@@ -502,6 +502,29 @@ class TestFailedRunsLeaveNoOutput:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+class TestInputCheckedBeforeAnyRequest:
+    """A remote command reads and checks its whole input before its first request, so a malformed
+    last line costs no request."""
+
+    @pytest.mark.parametrize("argv,source,bad_line", [
+        (["classify", "--contexts", "{tmp}/in.jsonl", "--out", "{tmp}/o.jsonl", "--classifier", "remote"],
+         "ctx_rag.jsonl", '{"patient_id": "p9999", "mode": "rag"'),
+        (["build-index", "--corpus", "{tmp}/in.jsonl", "--out", "{tmp}/i.brag", "--embedder", "remote"],
+         "proc.jsonl", '{"patient_id": "p9999", "label": "yes", "max_words": 64, "word_count": 1, "text": "x"}'),
+    ], ids=["classify-contexts", "build-index-corpus"])
+    def test_malformed_last_line_is_exit_2_with_no_request(self, demo_dir, tmp_path, api_server, capsys,
+                                                           argv, source, bad_line):
+        lines = (demo_dir / source).read_text(encoding="utf-8").splitlines()[:5]
+        (tmp_path / "in.jsonl").write_text("\n".join(lines + [bad_line]) + "\n", encoding="utf-8")
+        api_server.reset([(500, {})])
+        run(2, *[a.format(tmp=tmp_path) for a in argv], "--endpoint", api_server.url, "--model", "m")
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["category"] == "data"
+        assert "line 6" in err["message"], err
+        assert api_server.requests == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "in.jsonl"]
+
+
 class TestRetrieveValidation:
     def test_remote_rag_embeds_the_query_once(self, tmp_path, api_server):
         write_corpus(tmp_path / "corpus.jsonl", generate_corpus(5, seed=3))

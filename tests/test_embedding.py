@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,7 @@ class TestRemoteEmbedding:
     def test_retry_recovers_after_transient_500(self, api_server, monkeypatch):
         sleeps = []
         monkeypatch.setattr("budgetrag.remote.time.sleep", sleeps.append)
+        monkeypatch.setattr("budgetrag.remote.RNG", random.Random(3))
         api_server.reset([
             (500, {}),
             (500, {}),
@@ -157,7 +160,8 @@ class TestRemoteEmbedding:
         ])
         vec = RemoteEmbedder(self._cfg(api_server)).embed("x")
         assert vec.tolist() == [0.0, 1.0]
-        assert sleeps == [0.5, 1.0]  # exponential backoff, base 0.5, factor 2
+        twin = random.Random(3)
+        assert sleeps == [twin.uniform(0, 0.5), twin.uniform(0, 1.0)]  # full jitter, base 0.5, factor 2
 
     def test_client_error_is_not_retried(self, api_server):
         api_server.reset([(403, {"detail": "no"})])

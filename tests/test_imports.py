@@ -21,7 +21,7 @@ import budgetrag
 from budgetrag.synthetic import generate_corpus, write_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-UNUSED_OFFLINE = ("numpy", "http.client", "urllib.request", "ssl", "concurrent.futures",
+UNUSED_OFFLINE = ("numpy", "http.client", "urllib.request", "ssl", "email.utils", "concurrent.futures",
                   "budgetrag.costmodel", "budgetrag.report")
 
 # In a fresh interpreter: run the statement, then print which of UNUSED_OFFLINE got loaded.

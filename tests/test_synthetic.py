@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from budgetrag.classifier import DEFAULT_COMPLICATION_KEYWORDS, mock_response
+from budgetrag import synthetic
 from budgetrag.retrieval import DEFAULT_QUERY_TEXT
 from budgetrag.synthetic import FILLER_VOCAB, _planted_sentence, generate_corpus, main, write_corpus
 
@@ -64,6 +66,10 @@ class TestMatchesPerWordReference:
            min_planted=st.integers(0, 3), extra_planted=st.integers(0, 2), seed=st.integers(0, 2**32))
     def test_small_shapes(self, extra_planted, **kwargs):
         kwargs["max_planted"] = kwargs["min_planted"] + extra_planted
+        if kwargs["max_planted"] == 0 and round(kwargs["n_patients"] * kwargs["positive_fraction"]):
+            with pytest.raises(ValueError, match="^max_planted must be >= 1 when "):  # a positive with nothing planted
+                generate_corpus(**kwargs)
+            return
         try:
             expected = synthetic_corpus_reference(**kwargs)
         except ValueError:  # a sentence longer than a block, or more sentences than blocks
@@ -88,10 +94,18 @@ class TestBadArguments:
         (dict(min_planted=-1), "min_planted must be >= 0, got -1"),
         (dict(min_planted=3, max_planted=2), "min_planted=3 exceeds max_planted=2"),
         (dict(positive_fraction=1.5), r"positive_fraction must be within \[0, 1\], got 1.5"),
+        (dict(n_patients=4, positive_fraction=1.0, keywords=()),
+         "keywords must not be empty when 4 positive patients are drawn"),
+        (dict(n_patients=4, min_planted=0, max_planted=0),
+         "max_planted must be >= 1 when 2 positive patients are drawn, got 0"),
     ])
     def test_rejected_with_its_name(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             generate_corpus(**kwargs)
+
+    def test_nothing_to_plant_is_fine_without_positives(self):
+        corpus = generate_corpus(3, positive_fraction=0.0, keywords=(), min_planted=0, max_planted=0)
+        assert corpus.planted == {"p0000": [], "p0001": [], "p0002": []}
 
     def test_more_sentences_than_blocks_names_both_counts(self):
         with pytest.raises(ValueError, match=r"^4 planted sentences drawn for p0000 do not fit in "
@@ -104,15 +118,28 @@ class TestBadArguments:
         (["--patients", "-3"], "n_patients must be >= 0, got -3"),
     ])
     def test_command_reports_a_usage_error(self, tmp_path, capsys, argv, message):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--out", str(tmp_path / "corpus.jsonl"), *argv])
-        assert exit_info.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        error_lines = [line for line in captured.err.splitlines() if ": error: " in line]
-        assert len(error_lines) == 1 and message in error_lines[0]
-        assert "Traceback" not in captured.err
-        assert not (tmp_path / "corpus.jsonl").exists()
+        _assert_usage_error(tmp_path, capsys, argv, message)
+
+    @pytest.mark.parametrize("defaults,message", [
+        ({"keywords": ()}, "keywords must not be empty when 2 positive patients are drawn"),
+        ({"min_planted": 0, "max_planted": 0}, "max_planted must be >= 1 when 2 positive patients are drawn, got 0"),
+    ])
+    def test_command_reports_nothing_to_plant_as_a_usage_error(self, tmp_path, capsys, monkeypatch, defaults, message):
+        # the command has no flag for these, so the library call it makes is given them
+        monkeypatch.setattr(synthetic, "generate_corpus", functools.partial(synthetic.generate_corpus, **defaults))
+        _assert_usage_error(tmp_path, capsys, ["--patients", "4"], message)
+
+
+def _assert_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--out", str(tmp_path / "corpus.jsonl"), *argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error_lines = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert len(error_lines) == 1 and message in error_lines[0]
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "corpus.jsonl").exists()
 
 
 class TestFillerVocabulary:
