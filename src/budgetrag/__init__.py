@@ -22,9 +22,8 @@ _EXPORTS = {
                    "window_notes"),
         "embedding": ("EmbedderConfig", "HashingEmbedder", "build_embedder", "embed_hashing"),
         "vindex": ("SearchHit", "VectorIndex"),
-        "retrieval": ("AssembledContext", "RetrievalConfig", "assemble_long", "assemble_rag", "context_stats"),
-        "classifier": ("ClassificationOutcome", "ClassifierConfig", "classify", "classify_batch", "classify_mock",
-                       "parse_response"),
+        "retrieval": ("AssembledContext", "RetrievalConfig", "context_stats"),
+        "classifier": ("ClassificationOutcome", "ClassifierConfig", "classify", "classify_batch", "parse_response"),
         "metrics": ("DeLongResult", "MetricBundle", "ScoredCohort", "auroc", "confusion_metrics", "delong_test",
                     "evaluate_cohort", "normal_cdf", "pr_auc", "roc_points"),
         "costmodel": ("PriceSheet", "UsageSummary", "project_cost", "project_time", "summarize_usage"),

@@ -211,11 +211,6 @@ def classify(ctx: AssembledContext, cfg: ClassifierConfig) -> ClassificationOutc
     )
 
 
-def classify_mock(ctx: AssembledContext, keywords: tuple[str, ...] = DEFAULT_COMPLICATION_KEYWORDS) -> ClassificationOutcome:
-    """Classify offline with the keyword mock."""
-    return classify(ctx, ClassifierConfig(kind="mock", keywords=tuple(keywords)))
-
-
 def classify_batch(contexts: list[AssembledContext], cfg: ClassifierConfig, parallelism: int = 1) -> BatchResult:
     """Classify a batch, recording per-item failures without aborting.
 

@@ -26,7 +26,8 @@ build-index embeds the chunks of all patients, in patient order, in
 batches of ``EMBED_BATCH``: one numpy pass per batch for the hashing
 embedder, and one request of at most ``EMBED_BATCH`` inputs per batch
 for a remote one. The rows, and so the index bytes, do not depend on
-how the chunks are batched.
+how the chunks are batched. retrieve --mode rag embeds ``--query`` once
+per run and ranks every patient's chunks against that one vector.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -272,12 +273,9 @@ def cmd_retrieve(args) -> dict:
         index = VectorIndex.load(args.index)
         _, embedder = _embedder_from_args(args, index)
         embedder_fp = embedder.fingerprint
-        cfg = retrieval.RetrievalConfig(
-            budget_words=args.budget_words,
-            query_text=args.query,
-            top_n_scan=args.top_n_scan,
-        )
-        contexts = [retrieval.assemble_rag_from_chunks(row["patient_id"], _chunks(row), index, embedder, cfg)
+        cfg = retrieval.RetrievalConfig(budget_words=args.budget_words, top_n_scan=args.top_n_scan)
+        query = embedder.embed(args.query)
+        contexts = [retrieval.assemble_rag_from_chunks(row["patient_id"], _chunks(row), index, query, cfg)
                     for row in rows]
     else:  # the processed corpus is already windowed
         contexts = [retrieval.long_context(row["patient_id"], row["text"], row["word_count"]) for row in rows]
@@ -540,6 +538,13 @@ def _stage_outputs(args) -> dict[str, str]:
     return dict(zip(finals, _output_paths(args)))
 
 
+def _check_utf8(args) -> None:
+    """A flag value holding a lone surrogate (Python's stand-in for an argv byte that is not UTF-8) is a usage error."""
+    for dest, value in vars(args).items():
+        if isinstance(value, str) and any("\ud800" <= char <= "\udfff" for char in value):
+            raise UsageError(f"--{dest.replace('_', '-')} is not valid UTF-8: {value!r}")
+
+
 def _check_no_overwrite(args) -> None:
     """A file the command writes that it also reads (an input or an input's sidecar manifest), or
     that another output or the run manifest also names, is a usage error naming both flags;
@@ -568,6 +573,7 @@ def main(argv=None) -> int:
     staged = {}
     try:
         args = build_parser().parse_args(argv)
+        _check_utf8(args)
         _check_no_overwrite(args)
         started = manifest.utc_now(args.deterministic)
         inputs = manifest.validate_inputs([getattr(args, dest) for dest in args.inputs if getattr(args, dest)])

@@ -212,8 +212,3 @@ def chunk_text(text: str, max_words: int = DEFAULT_MAX_CHUNK_WORDS, *, patient_i
             text=" ".join(piece),
         ))
     return chunks
-
-
-def chunk_record(record: PatientRecord, max_words: int = DEFAULT_MAX_CHUNK_WORDS) -> list[Chunk]:
-    """Chunk a patient's concatenated note text."""
-    return chunk_text(concat_text(record), max_words, patient_id=record.patient_id)

@@ -127,22 +127,7 @@ def _extract_embeddings(response: dict, expected: int) -> np.ndarray:
     return np.stack(out)
 
 
-class _Embedder:
-    """``embed`` keeps its last text and vector: ``retrieve`` embeds the same
-    query once per patient, and this makes it one embedding per run. The
-    kept vector is read-only, so no caller can change it for the next."""
-
-    _last: tuple[str, np.ndarray] | None = None
-
-    def embed(self, text: str) -> np.ndarray:
-        if self._last is None or self._last[0] != text:
-            vec = self._embed_one(text)
-            vec.flags.writeable = False
-            self._last = (text, vec)
-        return self._last[1]
-
-
-class HashingEmbedder(_Embedder):
+class HashingEmbedder:
     """Deterministic offline embedder (the default pipeline choice)."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
@@ -154,14 +139,14 @@ class HashingEmbedder(_Embedder):
     def fingerprint(self) -> str:
         return f"hashing-fnv1a64:dim={self.dim}"
 
-    def _embed_one(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> np.ndarray:
         return embed_hashing(text, self.dim)
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
         return _hash_rows(texts, self.dim)
 
 
-class RemoteEmbedder(_Embedder):
+class RemoteEmbedder:
     """Embeddings-API client; sends each ``embed_many`` as one request, and none for no texts."""
 
     def __init__(self, cfg: EmbedderConfig):
@@ -173,7 +158,7 @@ class RemoteEmbedder(_Embedder):
     def fingerprint(self) -> str:
         return f"remote:{self.cfg.model_name or 'unknown'}"
 
-    def _embed_one(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> np.ndarray:
         return self._request([text])[0]
 
     def embed_many(self, texts: list[str]) -> np.ndarray:

@@ -50,9 +50,10 @@ def write_jsonl(path: str | Path, rows) -> None:
 def read_jsonl(path: str | Path, what: str, parse) -> list:
     """Parse each non-blank line of a JSON-lines file with ``parse``.
 
-    A line that is not UTF-8, invalid JSON, a line that is not an object,
-    and a ``KeyError``, ``TypeError`` or ``ValueError`` raised by
-    ``parse`` (a missing field or a bad value) become a
+    A line that is not UTF-8, invalid JSON, a line whose ``\\u`` escapes
+    leave a lone surrogate (text that no UTF-8 file can hold), a line that
+    is not an object, and a ``KeyError``, ``TypeError`` or ``ValueError``
+    raised by ``parse`` (a missing field or a bad value) become a
     :class:`CorpusFormatError` naming the path as given, ``what`` and the
     line number.
     """
@@ -64,8 +65,12 @@ def read_jsonl(path: str | Path, what: str, parse) -> list:
             where = f"{path}: {what} line {line_no}"
             try:
                 obj = json.loads(line.decode("utf-8"))
+                if b"\\u" in line:  # only an escape can decode to a lone surrogate
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusFormatError(f"{where}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+            except UnicodeEncodeError as exc:
+                raise CorpusFormatError(f"{where}: not valid Unicode: a lone surrogate escape") from exc
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
@@ -171,7 +176,7 @@ def write_manifest(
     }
     if extra:
         manifest.update(extra)
-    path.write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    path.write_bytes((json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))  # encode, then open
     for final, staged in outputs.items():
         os.replace(staged, final)
     return path

@@ -169,13 +169,6 @@ def roc_points(cohort: ScoredCohort) -> list[tuple[float, float]]:
     return [(0.0, 0.0), *zip((fp / n).tolist(), (tp / m).tolist())]
 
 
-def trapezoid_area(points: list[tuple[float, float]]) -> float:
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
-
-
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 

@@ -26,8 +26,9 @@ sent fail at once. Before retry k the call waits
 All attempts of one call share a deadline, ``DEADLINE_S`` after the call
 starts on ``time.monotonic``: the default attempts, each answered within
 ``TIMEOUT_S``, with the longest jitter wait before each retry, fit in it.
-A wait that would end past the deadline is not taken; the call raises
-the retryable error at once, and names the ``Retry-After`` it refused.
+No attempt is given more than the time left to the deadline, and a wait
+that would end past it is not taken; the call raises the retryable error
+at once, and names the ``Retry-After`` it refused.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ DEADLINE_S = DEFAULT_MAX_ATTEMPTS * TIMEOUT_S + sum(
 RNG = random.Random()  # the jitter source; tests replace it with a seeded one
 
 
-def _send(url: str, body: bytes) -> tuple[int, bytes, str | None]:
-    """One POST; returns the status, the body of a 2xx response and the ``Retry-After`` of any other."""
+def _send(url: str, body: bytes, timeout: float) -> tuple[int, bytes, str | None]:
+    """One POST given ``timeout`` s; returns the status, a 2xx body, and any other's ``Retry-After``."""
     import urllib.error
     import urllib.request
 
@@ -60,7 +61,7 @@ def _send(url: str, body: bytes) -> tuple[int, bytes, str | None]:
         headers["Authorization"] = f"Bearer {token}"
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
-        with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, response.read(), None
     except urllib.error.HTTPError as exc:  # a non-2xx status, or a redirect urllib will not follow
         exc.close()
@@ -108,8 +109,9 @@ def post_json(url: str, payload: dict, *, max_attempts: int = DEFAULT_MAX_ATTEMP
                                          f"deadline", status=error.status, retryable=True)
             time.sleep(wait)
         retry_after = None
+        timeout = min(TIMEOUT_S, max(deadline - time.monotonic(), 1e-3))  # 1 ms at least: a sleep may overrun
         try:
-            status, raw, retry_after = _send(url, body)
+            status, raw, retry_after = _send(url, body, timeout)
         except ValueError as exc:  # retrying cannot mend it, and the text of exc may quote the key
             raise RemoteServiceError(f"cannot send to {url}: malformed URL or {API_KEY_ENV}") from exc
         except (OSError, http.client.HTTPException) as exc:  # OSError covers URLError

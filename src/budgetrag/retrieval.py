@@ -1,12 +1,13 @@
 """Context assembly for both ingestion modes.
 
-RAG mode embeds a complication-seeking query, ranks the patient's
-chunks by similarity, and packs ranked chunks into a hard word budget;
-accepted chunks are re-sorted into their original narrative order. LONG
-mode concatenates the whole windowed record. Budget filling is greedy
-in rank order with skip: a chunk that does not fit the remaining budget
-is skipped and scanning continues, up to ``top_n_scan`` ranked
-candidates. Chunks are never truncated.
+RAG mode ranks the patient's chunks against the vector of a
+complication-seeking query, which the caller embeds once for all
+patients, and packs ranked chunks into a hard word budget; accepted
+chunks are re-sorted into their original narrative order. LONG mode
+takes the whole windowed text. Budget filling is greedy in rank order
+with skip: a chunk that does not fit the remaining budget is skipped
+and scanning continues, up to ``top_n_scan`` ranked candidates. Chunks
+are never truncated.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .corpus import Chunk, PatientRecord, chunk_record, concat_text, window_notes, word_count
+from .corpus import Chunk
 from .errors import BudgetRagError, MissingPatientError
 from .manifest import check_types, read_jsonl, write_jsonl
 
@@ -28,7 +29,7 @@ MODE_LONG = "LONG"
 DEFAULT_BUDGET_WORDS = 4000
 DEFAULT_TOP_N_SCAN = 64
 
-# Shipped default retrieval query; overridable via config or --query.
+# Shipped default retrieval query; overridable via --query.
 # Logged with every run through the manifest.
 DEFAULT_QUERY_TEXT = (
     "Evidence of post-operative complications such as anastomotic leak, "
@@ -42,7 +43,6 @@ DEFAULT_QUERY_TEXT = (
 @dataclass(frozen=True)
 class RetrievalConfig:
     budget_words: int = DEFAULT_BUDGET_WORDS
-    query_text: str = DEFAULT_QUERY_TEXT
     top_n_scan: int = DEFAULT_TOP_N_SCAN
 
     def __post_init__(self):
@@ -69,10 +69,10 @@ def assemble_rag_from_chunks(
     patient_id: str,
     chunks: list[Chunk],
     index: VectorIndex,
-    embedder,
+    query,
     cfg: RetrievalConfig,
 ) -> AssembledContext:
-    """Assemble a budgeted context from pre-computed chunks.
+    """Assemble a budgeted context from pre-computed chunks, ranked against the unit vector ``query``.
 
     The chunks must be the same ones whose embeddings were added to the
     index (positions are matched against index entries for this
@@ -82,7 +82,7 @@ def assemble_rag_from_chunks(
     if not chunks:
         return AssembledContext(patient_id=patient_id, mode=MODE_RAG, text="", word_count=0)
 
-    hits = index.search(embedder.embed(cfg.query_text), k=cfg.top_n_scan, filter_patient=patient_id)
+    hits = index.search(query, k=cfg.top_n_scan, filter_patient=patient_id)
     if not hits:
         raise MissingPatientError(f"patient {patient_id!r} has chunks but none are indexed")
 
@@ -112,33 +112,10 @@ def assemble_rag_from_chunks(
     )
 
 
-def assemble_rag(
-    record: PatientRecord,
-    index: VectorIndex,
-    embedder,
-    cfg: RetrievalConfig,
-    max_words: int | None = None,
-) -> AssembledContext:
-    """Chunk a record and assemble its budgeted context.
-
-    The record must be the already-windowed record whose chunks were
-    indexed; ``max_words`` must match the chunk size used at index
-    build time (defaults to the standard 512).
-    """
-    chunks = chunk_record(record) if max_words is None else chunk_record(record, max_words)
-    return assemble_rag_from_chunks(record.patient_id, chunks, index, embedder, cfg)
-
-
 def long_context(patient_id: str, text: str, words: int) -> AssembledContext:
     """The whole-text context of an already windowed text of ``words`` words."""
     return AssembledContext(patient_id=patient_id, mode=MODE_LONG, text=text,
                             word_count=words, total_words=words)
-
-
-def assemble_long(record: PatientRecord, window_days: int = 30) -> AssembledContext:
-    """Assemble the whole-text context from the trailing note window."""
-    text = concat_text(window_notes(record, window_days))
-    return long_context(record.patient_id, text, word_count(text))
 
 
 def context_stats(ctx: AssembledContext) -> tuple[int, float]:

@@ -372,4 +372,7 @@ class _Cursor:
     def text(self, what: str) -> str:
         n = self.u32(f"{what} length")
         start = self.skip(n, what)
-        return str(self.view[start:start + n], "utf-8", "replace")
+        try:
+            return str(self.view[start:start + n], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"{what} is not UTF-8: {exc.reason} at byte {exc.start}") from exc

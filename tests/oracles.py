@@ -2,7 +2,7 @@
 the hashing embedder and the synthetic corpus generator.
 
 These deliberately avoid the main code paths: direct O(m*n) pair loops,
-explicit covariance sums, scipy's normal tail, a vectorized paired
+the trapezoid rule over ROC points, explicit covariance sums, scipy's normal tail, a vectorized paired
 bootstrap, a per-word loop for feature hashing, and per-word
 ``random.choice`` / ``randint`` calls for filler text. They exist so the
 package's midrank-based, batched and table-driven implementations are
@@ -30,6 +30,14 @@ def psi(x: float, y: float) -> float:
     if x == y:
         return 0.5
     return 0.0
+
+
+def trapezoid_area(points: list[tuple[float, float]]) -> float:
+    """Area under a piecewise-linear curve by the trapezoid rule: the ROC-area oracle."""
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return area
 
 
 def auc_pair_enumeration(labels, scores) -> float:

@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from budgetrag.classifier import ClassificationOutcome, classify_mock
+from budgetrag.classifier import ClassificationOutcome, ClassifierConfig, classify
 from budgetrag.corpus import chunk_text
 from budgetrag.costmodel import PriceSheet, project_time, summarize_usage
 from budgetrag.embedding import HashingEmbedder
@@ -33,8 +33,9 @@ from budgetrag.errors import (
     IndexFormatError,
     IndexTruncatedError,
 )
-from budgetrag.metrics import ScoredCohort, auroc, delong_test, f1_score, roc_points, trapezoid_area
+from budgetrag.metrics import ScoredCohort, auroc, delong_test, f1_score, roc_points
 from budgetrag.retrieval import (
+    DEFAULT_QUERY_TEXT,
     MODE_LONG,
     AssembledContext,
     RetrievalConfig,
@@ -43,7 +44,7 @@ from budgetrag.retrieval import (
 from budgetrag.synthetic import generate_corpus, write_corpus
 from budgetrag.vindex import VectorIndex
 
-from .oracles import auc_pair_enumeration, bootstrap_p_value, delong_reference
+from .oracles import auc_pair_enumeration, bootstrap_p_value, delong_reference, trapezoid_area
 
 
 class _Criterion:
@@ -184,16 +185,6 @@ def test_criterion_04_retrieval_exactness():
 # --- 05: budget invariant ----------------------------------------------------
 
 
-class _FixedQueryEmbedder:
-    fingerprint = "fixed-query"
-
-    def __init__(self, vector: np.ndarray):
-        self._vector = vector
-
-    def embed(self, text: str) -> np.ndarray:
-        return self._vector
-
-
 def test_criterion_05_budget_invariant():
     crit = _Criterion(5, "budget-invariant", 60.0)
     rng = np.random.default_rng(50505)
@@ -217,8 +208,7 @@ def test_criterion_05_budget_invariant():
         query /= np.linalg.norm(query)
         cfg = RetrievalConfig(budget_words=int(rng.integers(1, 3001)),
                               top_n_scan=int(rng.integers(1, 41)))
-        ctx = assemble_rag_from_chunks("p1", chunks, index,
-                                       _FixedQueryEmbedder(query.astype(np.float32)), cfg)
+        ctx = assemble_rag_from_chunks("p1", chunks, index, query.astype(np.float32), cfg)
         assert ctx.word_count <= cfg.budget_words
         positions = list(ctx.selected_positions)
         assert positions == sorted(positions)
@@ -314,11 +304,12 @@ def test_criterion_08_end_to_end_synthetic():
             index.add(pid, chunk.position, vector)
 
     cfg = RetrievalConfig(budget_words=4000)
+    query = embedder.embed(DEFAULT_QUERY_TEXT)
     planted_total = planted_found = 0
     labels, scores_rag, scores_long = [], [], []
     ids = tuple(sorted(chunk_map))
     for pid in ids:
-        ctx_rag = assemble_rag_from_chunks(pid, chunk_map[pid], index, embedder, cfg)
+        ctx_rag = assemble_rag_from_chunks(pid, chunk_map[pid], index, query, cfg)
         assert ctx_rag.word_count <= 4000
         normalized = " ".join(ctx_rag.text.split())
         for sentence in corpus.planted[pid]:
@@ -328,8 +319,8 @@ def test_criterion_08_end_to_end_synthetic():
         ctx_long = AssembledContext(patient_id=pid, mode=MODE_LONG, text=text_map[pid],
                                     word_count=words, total_words=words)
         labels.append(label_map[pid])
-        scores_rag.append(classify_mock(ctx_rag).score)
-        scores_long.append(classify_mock(ctx_long).score)
+        scores_rag.append(classify(ctx_rag, ClassifierConfig()).score)
+        scores_long.append(classify(ctx_long, ClassifierConfig()).score)
 
     rate = planted_found / planted_total
     cohort_rag = ScoredCohort(tuple(labels), tuple(scores_rag), ids)

@@ -11,7 +11,6 @@ from budgetrag.classifier import (
     ClassifierConfig,
     classify,
     classify_batch,
-    classify_mock,
     mock_response,
     parse_response,
     rank_score,
@@ -20,6 +19,9 @@ from budgetrag.classifier import (
 )
 from budgetrag.errors import RemoteServiceError, ResponseParseError
 from budgetrag.retrieval import MODE_RAG, AssembledContext
+
+
+MOCK = ClassifierConfig()  # the keyword mock with the default keywords
 
 
 def ctx(text, pid="p1", mode=MODE_RAG):
@@ -99,36 +101,36 @@ class TestRankScore:
 
 class TestMock:
     def test_no_keywords(self):
-        outcome = classify_mock(ctx("routine recovery, nothing remarkable"))
+        outcome = classify(ctx("routine recovery, nothing remarkable"), MOCK)
         assert (outcome.label, outcome.severity) == (0, 1)
 
     def test_two_distinct_keywords(self):
-        outcome = classify_mock(ctx("sepsis followed by reoperation"))
+        outcome = classify(ctx("sepsis followed by reoperation"), MOCK)
         assert (outcome.label, outcome.severity) == (1, 3)
 
     def test_planted_sentence_detected(self):
-        outcome = classify_mock(ctx("note: postoperative anastomotic leak requiring reoperation."))
+        outcome = classify(ctx("note: postoperative anastomotic leak requiring reoperation."), MOCK)
         assert outcome.label == 1
 
     def test_case_insensitive(self):
-        assert classify_mock(ctx("SEPSIS")).label == 1
+        assert classify(ctx("SEPSIS"), MOCK).label == 1
 
     def test_repeated_keyword_counts_once(self):
-        outcome = classify_mock(ctx("sepsis sepsis sepsis"))
+        outcome = classify(ctx("sepsis sepsis sepsis"), MOCK)
         assert outcome.severity == 2
 
     def test_severity_caps_at_five(self):
         text = " then ".join(DEFAULT_COMPLICATION_KEYWORDS)
-        assert classify_mock(ctx(text)).severity == 5
+        assert classify(ctx(text), MOCK).severity == 5
 
     def test_empty_context(self):
-        outcome = classify_mock(ctx(""))
+        outcome = classify(ctx(""), MOCK)
         assert (outcome.label, outcome.severity) == (0, 1)
         assert outcome.score == pytest.approx(0.4)
 
     def test_deterministic(self):
-        a = classify_mock(ctx("wound dehiscence observed"))
-        b = classify_mock(ctx("wound dehiscence observed"))
+        a = classify(ctx("wound dehiscence observed"), MOCK)
+        b = classify(ctx("wound dehiscence observed"), MOCK)
         assert a == b
 
     def test_mock_response_is_json(self):
@@ -136,15 +138,15 @@ class TestMock:
         assert json.loads(raw) == {"complication": 1, "severity": 2}
 
     def test_latency_zero_for_mock(self):
-        assert classify_mock(ctx("anything")).latency_ms == 0
+        assert classify(ctx("anything"), MOCK).latency_ms == 0
 
     def test_prompt_words_counted(self):
-        outcome = classify_mock(ctx("alpha beta gamma"))
+        outcome = classify(ctx("alpha beta gamma"), MOCK)
         template_words = len(ClassifierConfig().prompt_template.replace("{context}", "").split())
         assert outcome.prompt_words == template_words + 3
 
     def test_custom_keywords(self):
-        outcome = classify_mock(ctx("flux capacitor failure"), keywords=("flux capacitor",))
+        outcome = classify(ctx("flux capacitor failure"), ClassifierConfig(keywords=("flux capacitor",)))
         assert outcome.label == 1
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,8 @@ import pytest
 from budgetrag.cli import main
 from budgetrag.retrieval import DEFAULT_QUERY_TEXT
 from budgetrag.synthetic import generate_corpus, write_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # SHA-256 of every file the demo_dir chain leaves: the input corpus, 15 outputs and
 # 11 manifests. A change to the CLI that alters any output byte, manifests included, fails here.
@@ -502,6 +507,52 @@ class TestFailedRunsLeaveNoOutput:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+class TestTextThatIsNotUnicode:
+    """Text that no UTF-8 file can hold ends the command with one JSON error line and no file behind."""
+
+    def _error(self, capsys) -> dict:
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        return json.loads(err_lines[0])
+
+    def test_lone_surrogate_escape_in_the_raw_corpus_is_a_data_error(self, demo_dir, tmp_path, capsys):
+        first = (demo_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(first + '\n{"patient_id": "p\\ud800", "label": 0, "notes": []}\n', encoding="utf-8")
+        run(2, "ingest", "--corpus", corpus, "--out", tmp_path / "p.jsonl")
+        err = self._error(capsys)
+        assert err["error"] == "CorpusFormatError"
+        assert err["message"].startswith(f"{corpus}: raw corpus line 2: not valid Unicode")
+        assert list(tmp_path.iterdir()) == [corpus]
+
+    def test_query_that_is_not_utf8_is_a_usage_error(self, demo_dir, tmp_path, capsys):
+        # Python hands an argv byte that is not UTF-8 to the program as a lone surrogate
+        run(1, "retrieve", "--corpus", demo_dir / "proc.jsonl", "--index", demo_dir / "index.brag",
+            "--mode", "rag", "--out", tmp_path / "c.jsonl", "--query", "sepsis \udcff")
+        err = self._error(capsys)
+        assert (err["error"], err["message"]) == ("UsageError", "--query is not valid UTF-8: 'sepsis \\udcff'")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_path_that_is_not_utf8_writes_neither_output_nor_manifest(self, demo_dir, tmp_path):
+        done = subprocess.run([sys.executable, "-m", "budgetrag.cli", "ingest", "--corpus",
+                               str(demo_dir / "corpus.jsonl"), "--out", os.fsencode(tmp_path) + b"/p\xff.jsonl"],
+                              capture_output=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert done.returncode == 1
+        err = json.loads(done.stderr)
+        assert err["error"] == "UsageError" and err["message"].startswith("--out is not valid UTF-8")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_that_cannot_be_encoded_is_not_opened(self, tmp_path):
+        from budgetrag.manifest import write_manifest
+
+        staged = tmp_path / "staged"
+        staged.write_text("x", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            write_manifest(tmp_path / "out", command="ingest", config={"note": "\udcff"}, inputs={},
+                           outputs={str(tmp_path / "out"): str(staged)}, started_at="")
+        assert list(tmp_path.iterdir()) == [staged]
+
+
 class TestInputCheckedBeforeAnyRequest:
     """A remote command reads and checks its whole input before its first request, so a malformed
     last line costs no request."""
@@ -605,9 +656,9 @@ class TestSyntheticCli:
 
 class TestProcessedCorpus:
     def test_rows_hold_text_once_and_rag_contexts_match_library(self, demo_dir):
-        from budgetrag.corpus import load_corpus, window_notes
+        from budgetrag.corpus import chunk_text, concat_text, load_corpus, window_notes
         from budgetrag.embedding import HashingEmbedder
-        from budgetrag.retrieval import RetrievalConfig, assemble_rag, context_to_json
+        from budgetrag.retrieval import RetrievalConfig, assemble_rag_from_chunks, context_to_json
         from budgetrag.vindex import VectorIndex
 
         rows = [json.loads(l) for l in (demo_dir / "proc.jsonl").read_text().splitlines()]
@@ -615,14 +666,15 @@ class TestProcessedCorpus:
         for row in rows:
             assert set(row) == {"patient_id", "label", "max_words", "word_count", "text"}
         index = VectorIndex.load(demo_dir / "index.brag")
-        embedder = HashingEmbedder(512)
+        query = HashingEmbedder(512).embed(DEFAULT_QUERY_TEXT)
         cfg = RetrievalConfig(budget_words=256)
         contexts = {c["patient_id"]: c for c in
                     map(json.loads, (demo_dir / "ctx_rag.jsonl").read_text().splitlines())}
         records = load_corpus(demo_dir / "corpus.jsonl")
         assert sorted(contexts) == sorted(r.patient_id for r in records)
         for record in records:
-            expected = assemble_rag(window_notes(record, 30), index, embedder, cfg, max_words=64)
+            chunks = chunk_text(concat_text(window_notes(record, 30)), 64, patient_id=record.patient_id)
+            expected = assemble_rag_from_chunks(record.patient_id, chunks, index, query, cfg)
             assert contexts[record.patient_id] == context_to_json(expected), record.patient_id
 
     @pytest.mark.parametrize("source,drop,extra,bad_line,argv", [

@@ -60,7 +60,7 @@ def test_corpus_generator_loads_no_numpy_or_http():
 
 class TestPackageExports:
     def test_each_name_is_its_submodules_object(self):
-        assert len(budgetrag.__all__) == len(set(budgetrag.__all__)) == 39
+        assert len(budgetrag.__all__) == len(set(budgetrag.__all__)) == 36
         for name in budgetrag.__all__:
             value = getattr(budgetrag, name)
             assert value.__module__.startswith("budgetrag."), name

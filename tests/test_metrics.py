@@ -21,10 +21,10 @@ from budgetrag.metrics import (
     normal_cdf,
     pr_auc,
     roc_points,
-    trapezoid_area,
 )
 
-from .oracles import auc_pair_enumeration, average_precision_bruteforce, delong_reference, roc_points_bruteforce
+from .oracles import (auc_pair_enumeration, average_precision_bruteforce, delong_reference, roc_points_bruteforce,
+                      trapezoid_area)
 
 
 def cohort(labels, scores, ids=None):

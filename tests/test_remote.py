@@ -120,9 +120,10 @@ def test_deadline_holds_the_default_attempts_and_refuses_a_later_wait(monkeypatc
     # every attempt times out after the full TIMEOUT_S on a clock that only sends and sleeps advance
     clock, sends, sleeps = [0.0], [], []
 
-    def timed_out(url, body):
+    def timed_out(url, body, timeout):
+        assert timeout == remote.TIMEOUT_S  # the default attempts and waits leave each its full timeout
         sends.append(clock[0])
-        clock[0] += remote.TIMEOUT_S
+        clock[0] += timeout
         raise TimeoutError("timed out")
 
     def sleep(seconds):
@@ -142,6 +143,32 @@ def test_deadline_holds_the_default_attempts_and_refuses_a_later_wait(monkeypatc
         post_json("http://127.0.0.1:9/v1", {"x": 1}, max_attempts=4)
     assert err.value.retryable
     assert (len(sends), sleeps) == (3, [0.5, 1.0])
+
+
+def test_deadline_shortens_the_timeout_of_an_attempt_after_a_long_retry_after(monkeypatch):
+    # a 503 at once asks for 150 s, which fits in the deadline but leaves the next attempt 31.5 s
+    clock, timeouts, sleeps = [0.0], [], []
+
+    def send(url, body, timeout):
+        timeouts.append(timeout)
+        if len(timeouts) == 1:
+            return 503, b"", "150"
+        clock[0] += timeout
+        raise TimeoutError("timed out")
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        clock[0] += seconds
+
+    monkeypatch.setattr(remote, "_send", send)
+    monkeypatch.setattr(remote, "RNG", _Ceiling())
+    monkeypatch.setattr("budgetrag.remote.time.sleep", sleep)
+    monkeypatch.setattr("budgetrag.remote.time.monotonic", lambda: clock[0])
+    with pytest.raises(RemoteServiceError, match="failed: timed out; not retried: a 1 s wait would pass the 181.5 s"):
+        post_json("http://127.0.0.1:9/v1", {"x": 1}, max_attempts=3)
+    assert sleeps == [150.0]
+    assert timeouts == [remote.TIMEOUT_S, remote.DEADLINE_S - 150.0]
+    assert timeouts[1] < remote.TIMEOUT_S and clock[0] == remote.DEADLINE_S
 
 
 @pytest.mark.parametrize("status", [400, 401, 404, 409, 422])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budgetrag.corpus import Chunk, ClinicalNote, PatientRecord, chunk_record
+from budgetrag.corpus import Chunk, ClinicalNote, PatientRecord, chunk_text, concat_text, window_notes, word_count
 from budgetrag.embedding import HashingEmbedder
 from budgetrag.errors import BudgetRagError, MissingPatientError
 from budgetrag.retrieval import (
@@ -19,35 +19,16 @@ from budgetrag.retrieval import (
     MODE_RAG,
     AssembledContext,
     RetrievalConfig,
-    assemble_long,
-    assemble_rag,
     assemble_rag_from_chunks,
     context_stats,
     context_to_json,
+    long_context,
     read_contexts,
     write_contexts,
 )
 from budgetrag.vindex import VectorIndex
 
 UTC = timezone.utc
-
-
-class ScriptedEmbedder:
-    """Returns a fixed query vector so chunk rankings can be scripted."""
-
-    dim = 4
-    fingerprint = "scripted"
-
-    def __init__(self, query_vector):
-        self.query_vector = np.asarray(query_vector, dtype=np.float64)
-        vec = self.query_vector / np.linalg.norm(self.query_vector)
-        self._unit = vec.astype(np.float32)
-
-    def embed(self, text):
-        return self._unit
-
-    def embed_many(self, texts):
-        return [self._unit for _ in texts]
 
 
 def axis_vector(dim, axis, value=1.0):
@@ -72,7 +53,13 @@ def scripted_index(pid, similarities):
     return index
 
 
-QUERY_E0 = ScriptedEmbedder([1.0, 0.0, 0.0, 0.0])
+QUERY_E0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float32)  # the query vector scripted_index scores against
+
+
+def whole_text(record, window_days=30):
+    """The LONG context of a raw record, as ingest and retrieve --mode long build it."""
+    text = concat_text(window_notes(record, window_days))
+    return long_context(record.patient_id, text, word_count(text))
 
 
 class TestAssembleRag:
@@ -142,6 +129,7 @@ class TestAssembleRag:
         assert ctx.selected_positions == (0, 1, 2)
 
     def test_record_level_entry_point(self):
+        # a record chunked as ingest and build-index chunk it, ranked against a query embedded once
         notes = tuple(
             ClinicalNote(note_type="OR PostOp",
                          timestamp=datetime(2024, 3, 10, tzinfo=UTC) + timedelta(hours=i),
@@ -149,13 +137,13 @@ class TestAssembleRag:
             for i in range(3)
         )
         record = PatientRecord(patient_id="p9", label=0, notes=notes)
-        chunks = chunk_record(record, 32)
+        chunks = chunk_text(concat_text(window_notes(record, 30)), 32, patient_id="p9")
         embedder = HashingEmbedder(dim=64)
         index = VectorIndex(dim=64)
         for chunk in chunks:
             index.add("p9", chunk.position, embedder.embed(chunk.text))
-        ctx = assemble_rag(record, index, embedder,
-                           RetrievalConfig(budget_words=64, query_text="n0w3 n0w4"), max_words=32)
+        ctx = assemble_rag_from_chunks("p9", chunks, index, embedder.embed("n0w3 n0w4"),
+                                       RetrievalConfig(budget_words=64))
         assert ctx.mode == MODE_RAG
         assert ctx.word_count <= 64
         assert list(ctx.selected_positions) == sorted(ctx.selected_positions)
@@ -172,13 +160,13 @@ class TestAssembleLong:
         return PatientRecord(patient_id="p1", label=0, notes=notes)
 
     def test_single_note(self):
-        ctx = assemble_long(self._record("A."))
+        ctx = whole_text(self._record("A."))
         assert ctx.text == "A." and ctx.word_count == 1 and ctx.mode == MODE_LONG
         assert ctx.selected_positions == ()
 
     def test_window_excludes_old_notes(self):
         record = self._record("old note", "recent note", gap_hours=24 * 40)
-        ctx = assemble_long(record, window_days=30)
+        ctx = whole_text(record, window_days=30)
         assert ctx.text == "recent note"
 
     def test_word_count_totals(self):
@@ -186,7 +174,7 @@ class TestAssembleLong:
         # at the reported scale (2,293 patients x ~75,010 words) this is
         # the ~172M total used by the cost model
         assert 2293 * 75010 == pytest.approx(172e6, rel=0.002)
-        ctx = assemble_long(self._record("a b c", "d e"))
+        ctx = whole_text(self._record("a b c", "d e"))
         assert ctx.word_count == 5 and ctx.total_words == 5
 
 
@@ -261,7 +249,7 @@ class TestContextExport:
         rag = assemble_rag_from_chunks("p1", chunks, scripted_index("p1", {0: 0.2, 1: 0.9, 2: 0.5}),
                                        QUERY_E0, RetrievalConfig(budget_words=55))
         note = ClinicalNote(note_type="Progress Note", timestamp=datetime(2024, 1, 1, tzinfo=UTC), text="gamma delta")
-        long = assemble_long(PatientRecord(patient_id="p2", label=0, notes=(note,)))
+        long = whole_text(PatientRecord(patient_id="p2", label=0, notes=(note,)))
         assert (rag.word_count, rag.total_words) == (50, 90)
         path = tmp_path / "ctx.jsonl"
         write_contexts(path, [rag, long])

@@ -329,6 +329,17 @@ class TestPersistence:
                 with pytest.raises(IndexTruncatedError):
                     VectorIndex.from_bytes(blob[:length])
 
+    @pytest.mark.parametrize("what", ["entry 0 id", "fingerprint"])
+    def test_text_that_is_not_utf8_with_valid_checksum_is_format_error(self, what):
+        index = VectorIndex(dim=3, embedder_fingerprint="fp")
+        index.add("ab", 0, unit([1, 0, 0]))
+        blob = bytearray(index.to_bytes())
+        offset = HEADER_SIZE + 4 if what == "entry 0 id" else len(blob) - 4 - len(b"fp")
+        blob[offset:offset + 2] = b"\xff\xfe"  # same length, so only the body checksum changes
+        blob[-4:] = struct.pack("<I", crc32c(bytes(blob[HEADER_SIZE:-4])))
+        with pytest.raises(IndexFormatError, match=f"^{what} is not UTF-8"):
+            VectorIndex.from_bytes(bytes(blob))
+
     def test_impossible_header_with_valid_checksum_is_format_error(self):
         blob = self._small_index().to_bytes()
         for dim, length in ((0, len(blob)), (3, HEADER_SIZE)):
