@@ -138,12 +138,12 @@ def parse_response(raw: str) -> ParsedResponse:
             continue
         label = obj["complication"]
         if label not in (0, 1):
-            raise ResponseParseError(f"'complication' must be 0 or 1, got {label!r}", raw_response=raw)
+            raise ResponseParseError(f"'complication' must be 0 or 1, got {label!r}")
         severity = obj.get("severity")
         if isinstance(severity, bool) or not isinstance(severity, int) or not 1 <= severity <= 5:
             return ParsedResponse(int(label), 3, True)
         return ParsedResponse(int(label), severity, False)
-    raise ResponseParseError("no JSON object with a 'complication' field found", raw_response=raw)
+    raise ResponseParseError("no JSON object with a 'complication' field found")
 
 
 def mock_response(context_text: str, keywords: tuple[str, ...] = DEFAULT_COMPLICATION_KEYWORDS) -> str:
@@ -173,10 +173,7 @@ def _remote_response(prompt: str, cfg: ClassifierConfig) -> str:
     try:
         content = response["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
-        raise ResponseParseError(
-            f"response is missing choices[0].message.content: {exc}",
-            raw_response=json.dumps(response)[:2000],
-        ) from exc
+        raise ResponseParseError(f"response is missing choices[0].message.content: {exc}") from exc
     if not isinstance(content, str):
         raise ResponseParseError("choices[0].message.content is not a string")
     return content

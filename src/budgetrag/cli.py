@@ -56,7 +56,7 @@ from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_text, concat_text, lo
 from .errors import BudgetRagError, UndefinedMetricError, UsageError
 
 if TYPE_CHECKING:
-    from .embedding import EmbedderConfig
+    from .embedding import HashingEmbedder, RemoteEmbedder
     from .metrics import ScoredCohort
     from .vindex import VectorIndex
 
@@ -172,28 +172,25 @@ def _delong_summary(path) -> dict:
     return {key: float(data[key]) for key in ("auc_a", "auc_b", "variance_of_difference", "z_statistic", "p_value")}
 
 
-def _embedder_from_args(args, index: VectorIndex | None = None) -> tuple[EmbedderConfig, object]:
-    from .embedding import DEFAULT_DIM, EmbedderConfig, build_embedder
+def _embedder_from_args(args, index: VectorIndex | None = None) -> HashingEmbedder | RemoteEmbedder:
+    from .embedding import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder
 
     if args.embedder == "remote" and not args.endpoint:
         raise UsageError("--embedder remote requires --endpoint")
     dim = args.dim
     if dim is None:
         dim = index.dim if index is not None else DEFAULT_DIM
-    cfg = EmbedderConfig(
-        kind=args.embedder,
-        dim=dim,
-        endpoint=args.endpoint,
-        model_name=args.model,
-    )
-    embedder = build_embedder(cfg)
+    if args.embedder == "remote":
+        embedder = RemoteEmbedder(args.endpoint, args.model, dim)
+    else:
+        embedder = HashingEmbedder(dim)
     if index is not None and index.embedder_fingerprint and \
             embedder.fingerprint != index.embedder_fingerprint:
         raise BudgetRagError(
             f"index was built with embedder {index.embedder_fingerprint!r} "
             f"but this run uses {embedder.fingerprint!r}"
         )
-    return cfg, embedder
+    return embedder
 
 
 def _cohort_from_outcomes(outcomes, labels: dict[str, int], path) -> ScoredCohort:
@@ -239,7 +236,7 @@ def cmd_ingest(args) -> dict:
 def cmd_build_index(args) -> dict:
     from .vindex import VectorIndex
 
-    cfg, embedder = _embedder_from_args(args)
+    embedder = _embedder_from_args(args)
     chunks = (chunk for row in _read_processed(args.corpus) for chunk in _chunks(row))
     index = None  # remote embedders reveal their dimension with the first vector
     while batch := list(itertools.islice(chunks, EMBED_BATCH)):
@@ -252,7 +249,7 @@ def cmd_build_index(args) -> dict:
             index.add_many(patient_id, positions, vectors[start:start + len(positions)])
             start += len(positions)
     if index is None:
-        index = VectorIndex(dim=cfg.dim, embedder_fingerprint=embedder.fingerprint)
+        index = VectorIndex(dim=embedder.dim, embedder_fingerprint=embedder.fingerprint)
     index.save(args.out)
     return {
         "config": {"embedder": args.embedder, "dim": index.dim, "model": args.model},
@@ -265,13 +262,15 @@ def cmd_retrieve(args) -> dict:
     rag = args.mode == "rag"
     if rag and not args.index:
         raise UsageError("--mode rag requires --index")
+    if not rag and args.index:
+        raise UsageError("--mode long takes no --index")
     rows = _read_processed(args.corpus)
     embedder_fp = None
     if rag:
         from .vindex import VectorIndex
 
         index = VectorIndex.load(args.index)
-        _, embedder = _embedder_from_args(args, index)
+        embedder = _embedder_from_args(args, index)
         embedder_fp = embedder.fingerprint
         cfg = retrieval.RetrievalConfig(budget_words=args.budget_words, top_n_scan=args.top_n_scan)
         query = embedder.embed(args.query)
@@ -346,9 +345,9 @@ def cmd_evaluate(args) -> dict:
         "failed_outcomes": len(failures),
         "threshold": bundle.threshold,
         "auroc": bundle.auroc,
-        "precision": bundle.precision,
-        "recall": bundle.recall,
-        "f1": bundle.f1,
+        "precision": bundle.confusion.precision,
+        "recall": bundle.confusion.recall,
+        "f1": bundle.confusion.f1,
         "pr_auc": bundle.pr_auc,
         "confusion": {
             "tp": bundle.confusion.tp,

@@ -27,8 +27,11 @@ class PriceSheet:
 
     def __post_init__(self):
         for name in ("usd_per_million_tokens", "seconds_per_patient_rag", "seconds_per_patient_long"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PriceSheet":
@@ -70,9 +73,7 @@ def summarize_usage(
         only_rag = sorted(ids_rag - ids_long)
         raise PatientSetMismatchError(
             f"outcome sets differ: {len(only_long)} only in long, {len(only_rag)} only in rag "
-            f"(only long: {only_long[:5]}, only rag: {only_rag[:5]})",
-            only_a=only_long,
-            only_b=only_rag,
+            f"(only long: {only_long[:5]}, only rag: {only_rag[:5]})"
         )
     total_long = sum(o.prompt_words for o in outcomes_long)
     total_rag = sum(o.prompt_words for o in outcomes_rag)

@@ -1,10 +1,11 @@
 """Text-to-unit-vector embedders.
 
-Two kinds are supported:
+Two embedders are supported; the CLI constructs the one its
+``--embedder`` flag names:
 
-* ``hashing`` -- a deterministic signed feature-hashing embedder
-  (bag-of-words, FNV-1a 64-bit word hash). Dependency-free, identical
-  output across runs and platforms; the offline default. A batch of
+* ``HashingEmbedder(dim)`` -- a deterministic signed feature-hashing
+  embedder (bag-of-words, FNV-1a 64-bit word hash). Dependency-free,
+  identical output across runs and platforms; the offline default. A batch of
   texts is embedded in one numpy pass: every word of the batch is
   mapped to its cached word hash, and one ``np.bincount`` over
   ``row * dim + bucket`` with the signs as weights sums all rows at
@@ -12,8 +13,9 @@ Two kinds are supported:
   below 2**52 for a text of fewer than 2**26 words, so float64 holds it
   exactly whatever the order of summation: a text's vector is
   bit-identical alone or in any batch.
-* ``remote`` -- an embeddings-API endpoint speaking the usual shape:
-  request ``{"model": str, "input": [str]}``, response
+* ``RemoteEmbedder(endpoint, model_name)`` -- an embeddings-API
+  endpoint speaking the usual shape: request
+  ``{"model": str, "input": [str]}``, response
   ``{"data": [{"embedding": [number]}]}``.
 
 All produced embeddings are float32 and unit-normalized (L2 norm within
@@ -22,7 +24,6 @@ All produced embeddings are float32 and unit-normalized (L2 norm within
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import filterfalse
 
 import numpy as np
@@ -48,24 +49,6 @@ def fnv1a64(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _FNV_MASK
     return h
-
-
-@dataclass(frozen=True)
-class EmbedderConfig:
-    """Configuration for building an embedder."""
-
-    kind: str = "hashing"  # "hashing" | "remote"
-    dim: int = DEFAULT_DIM
-    endpoint: str | None = None
-    model_name: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("hashing", "remote"):
-            raise ValueError(f"unknown embedder kind {self.kind!r}")
-        if self.kind == "remote" and not self.endpoint:
-            raise ValueError("remote embedder requires an endpoint")
-        if self.kind == "hashing" and self.dim < 2:
-            raise ValueError(f"hashing dim must be >= 2, got {self.dim}")
 
 
 def embed_hashing(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
@@ -149,32 +132,27 @@ class HashingEmbedder:
 class RemoteEmbedder:
     """Embeddings-API client; sends each ``embed_many`` as one request, and none for no texts."""
 
-    def __init__(self, cfg: EmbedderConfig):
-        if cfg.kind != "remote":
-            raise ValueError("RemoteEmbedder requires kind='remote'")
-        self.cfg = cfg
+    def __init__(self, endpoint: str | None, model_name: str | None, dim: int = DEFAULT_DIM):
+        if not endpoint:
+            raise ValueError("remote embedder requires an endpoint")
+        self.endpoint = endpoint
+        self.model_name = model_name
+        self.dim = dim  # the width of no texts' empty matrix; the service chooses its vectors' width
 
     @property
     def fingerprint(self) -> str:
-        return f"remote:{self.cfg.model_name or 'unknown'}"
+        return f"remote:{self.model_name or 'unknown'}"
 
     def embed(self, text: str) -> np.ndarray:
         return self._request([text])[0]
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
-        return self._request(texts) if texts else np.empty((0, self.cfg.dim), np.float32)
+        return self._request(texts) if texts else np.empty((0, self.dim), np.float32)
 
     def _request(self, texts: list[str]) -> np.ndarray:
         """One order-preserving request. ``embed`` reaches this without going
         through ``embed_many``, so a wrapper counting calls to either method
         sees each call once."""
-        payload = {"model": self.cfg.model_name, "input": list(texts)}
-        response = post_json(self.cfg.endpoint, payload)
+        payload = {"model": self.model_name, "input": list(texts)}
+        response = post_json(self.endpoint, payload)
         return _extract_embeddings(response, expected=len(texts))
-
-
-def build_embedder(cfg: EmbedderConfig):
-    if cfg.kind == "hashing":
-        return HashingEmbedder(cfg.dim)
-    return RemoteEmbedder(cfg)
-

@@ -73,10 +73,6 @@ class MissingPatientError(BudgetRagError):
 class ResponseParseError(BudgetRagError):
     """Model response did not contain a usable JSON verdict."""
 
-    def __init__(self, message: str, raw_response: str = ""):
-        super().__init__(message)
-        self.raw_response = raw_response
-
 
 # --- remote services --------------------------------------------------------
 
@@ -121,11 +117,6 @@ class InsufficientDataError(BudgetRagError):
 
 class PatientSetMismatchError(BudgetRagError):
     """Two outcome sets do not cover the same patients."""
-
-    def __init__(self, message: str, only_a: list[str] | None = None, only_b: list[str] | None = None):
-        super().__init__(message)
-        self.only_a = only_a or []
-        self.only_b = only_b or []
 
 
 class FingerprintMismatchError(BudgetRagError):

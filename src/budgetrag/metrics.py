@@ -70,9 +70,6 @@ class ConfusionMetrics:
 @dataclass(frozen=True)
 class MetricBundle:
     auroc: float
-    precision: float
-    recall: float
-    f1: float
     pr_auc: float
     confusion: ConfusionMetrics
     threshold: float
@@ -106,12 +103,10 @@ def auroc(cohort: ScoredCohort) -> float:
     Equals sum over positive/negative pairs of (1 if s+ > s-, 0.5 if
     equal, else 0) divided by m*n.
     """
-    pos, neg = _split(cohort)
-    m, n = len(pos), len(neg)
+    m, n = cohort.positives, cohort.negatives
     if m < 1 or n < 1:
         raise UndefinedMetricError(f"AUROC undefined: {m} positives, {n} negatives")
-    ranks = _midranks(np.concatenate([pos, neg]))
-    return float((ranks[:m].sum() - m * (m + 1) / 2.0) / (m * n))
+    return _placements(cohort)[0]
 
 
 def confusion_metrics(cohort: ScoredCohort, threshold: float = 0.5) -> ConfusionMetrics:
@@ -214,7 +209,9 @@ def delong_test(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> DeLongResult:
 
     var = (S10_aa + S10_bb - 2*S10_ab)/m + (S01_aa + S01_bb - 2*S01_ab)/n,
     z = (AUC_a - AUC_b)/sqrt(var), p = 2*(1 - Phi(|z|)). A degenerate
-    zero variance with equal AUCs yields z = 0, p = 1.
+    zero variance with equal AUCs yields z = 0, p = 1; with different
+    AUCs (a perfect arm against an arm of tied scores, say) z is
+    undefined and ``UndefinedMetricError`` names both AUCs.
     """
     _check_paired(cohort_a, cohort_b)
     m, n = cohort_a.positives, cohort_a.negatives
@@ -230,15 +227,15 @@ def delong_test(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> DeLongResult:
                 + (s01[0, 0] + s01[1, 1] - 2.0 * s01[0, 1]) / n)
     var = max(var, 0.0)
     diff = auc_a - auc_b
-    if var == 0.0:
-        if diff == 0.0:
-            z, p = 0.0, 1.0
-        else:
-            z = math.inf if diff > 0 else -math.inf
-            p = 0.0
-    else:
+    if var > 0.0:
         z = diff / math.sqrt(var)
         p = 2.0 * (1.0 - normal_cdf(abs(z)))
+    elif diff == 0.0:
+        z, p = 0.0, 1.0
+    else:
+        raise UndefinedMetricError(
+            f"DeLong test undefined: AUCs {auc_a!r} and {auc_b!r} differ but their difference has variance 0"
+        )
     return DeLongResult(
         auc_a=auc_a,
         auc_b=auc_b,
@@ -250,13 +247,9 @@ def delong_test(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> DeLongResult:
 
 def evaluate_cohort(cohort: ScoredCohort, threshold: float = 0.5) -> MetricBundle:
     """The full per-mode metric bundle."""
-    confusion = confusion_metrics(cohort, threshold)
     return MetricBundle(
         auroc=auroc(cohort),
-        precision=confusion.precision,
-        recall=confusion.recall,
-        f1=confusion.f1,
         pr_auc=pr_auc(cohort),
-        confusion=confusion,
+        confusion=confusion_metrics(cohort, threshold),
         threshold=threshold,
     )

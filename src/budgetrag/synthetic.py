@@ -68,10 +68,6 @@ class SyntheticCorpus:
     records: list[dict] = field(default_factory=list)
     planted: dict[str, list[str]] = field(default_factory=dict)  # patient_id -> sentences
 
-    @property
-    def patient_ids(self) -> list[str]:
-        return [r["patient_id"] for r in self.records]
-
 
 def _padded(values) -> tuple[int, tuple]:
     """``(k, table)``: ``k = len(values).bit_length()`` and ``values`` padded with None to ``2**k``

@@ -154,7 +154,6 @@ class VectorIndex:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.embedder_fingerprint = embedder_fingerprint
-        self.version = FORMAT_VERSION
         self._patient_ids: list[str] = []
         # row i of the first len(self) rows belongs to _patient_ids[i]
         self._matrix = np.empty((0, dim), dtype=np.float32)
@@ -266,7 +265,7 @@ class VectorIndex:
             parts += (pid_fields[pid], _U32.pack(pos), vectors[start:start + row])
         parts.append(_length_prefixed(self.embedder_fingerprint))
         body = b"".join(parts)
-        header = _HEADER.pack(MAGIC, self.version, self.dim, n, HEADER_SIZE + len(body) + 4)
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.dim, n, HEADER_SIZE + len(body) + 4)
         return b"".join([
             header, _U32.pack(crc32c(header)), body, _U32.pack(crc32c(body)),
         ])

@@ -69,11 +69,6 @@ class TestParseResponse:
         raw = '{"note": "uses { and } freely", "complication": 1, "severity": 4}'
         assert parse_response(raw)[:2] == (1, 4)
 
-    def test_carries_raw_response_on_error(self):
-        with pytest.raises(ResponseParseError) as err:
-            parse_response("nothing usable")
-        assert err.value.raw_response == "nothing usable"
-
 
 class TestRankScore:
     @pytest.mark.parametrize("label,severity,expected", [

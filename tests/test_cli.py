@@ -247,6 +247,18 @@ class TestExitCodes:
         dropped = {json.loads(l)["patient_id"] for l in lines[-3:]}
         assert any(pid in err["message"] for pid in dropped)
 
+    def test_delong_of_different_aucs_with_zero_variance_is_exit_2(self, demo_dir, tmp_path, capsys):
+        # whole text scores AUC 1.0; every score tied scores 0.5, and neither arm varies
+        tied = tmp_path / "tied.jsonl"
+        tied.write_text("".join(json.dumps({**json.loads(line), "score": 0.5}) + "\n"
+                                for line in (demo_dir / "out_long.jsonl").read_text().splitlines()))
+        run(2, "delong", "--outcomes-a", demo_dir / "out_long.jsonl", "--outcomes-b", tied,
+            "--corpus", demo_dir / "proc.jsonl", "--out", tmp_path / "delong.json")
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "UndefinedMetricError"
+        assert "AUCs 1.0 and 0.5 differ" in err["message"]
+        assert list(tmp_path.iterdir()) == [tied]
+
     @pytest.mark.parametrize("command", ["evaluate", "delong"])
     def test_repeated_patient_in_outcomes_is_exit_2(self, demo_dir, tmp_path, capsys, command):
         lines = (demo_dir / "out_rag.jsonl").read_text().splitlines()
@@ -365,6 +377,8 @@ class TestExitCodes:
         ("--per-patient-tokens", "inf", ["project", "--out", "{tmp}/proj"]),
         ("--seconds-rag", "nan", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),
         ("--mode", "rag", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/c.jsonl"]),
+        ("--mode", "long", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
+                            "--out", "{tmp}/c.jsonl"]),
     ])
     def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
         args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]
@@ -406,6 +420,8 @@ class TestExitCodes:
          ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl", "--whitelist", "{bad}"]),
         ("prices.json", lambda demo: '{"seconds_per_patient_rag": NaN}',
          ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
+        ("prices.json", lambda demo: '{"usd_per_million_tokens": true}',
+         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
         ("prices.json", lambda demo: '{"usd_per_milion_tokens": 10.0}',
          ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
         ("prices.json", lambda demo: "[]",
@@ -423,8 +439,8 @@ class TestExitCodes:
           "{demo}/roc_rag.csv", "--roc-long", "{bad}", "--out", "{tmp}/report"]),
     ], ids=["template-without-context", "price-not-a-number", "metrics-without-auroc",
             "roc-line-without-comma", "delong-without-p-value", "keywords-not-utf8", "keywords-empty",
-            "whitelist-not-utf8", "whitelist-empty", "price-nan", "price-unknown-key", "prices-a-list",
-            "prices-a-string", "roc-without-header", "roc-nan-rate", "roc-rate-above-one"])
+            "whitelist-not-utf8", "whitelist-empty", "price-nan", "price-a-boolean", "price-unknown-key",
+            "prices-a-list", "prices-a-string", "roc-without-header", "roc-nan-rate", "roc-rate-above-one"])
     def test_bad_side_file_is_one_json_data_error(self, demo_dir, tmp_path, capsys, name, content, argv):
         bad = tmp_path / name
         data = content(demo_dir)

@@ -42,10 +42,8 @@ class TestSummarizeUsage:
         assert summary.patients == 2
 
     def test_patient_set_mismatch_lists_difference(self):
-        with pytest.raises(PatientSetMismatchError) as err:
+        with pytest.raises(PatientSetMismatchError, match=r"only long: \['p1'\], only rag: \['p2'\]"):
             summarize_usage([outcome("p1", 10, "LONG")], [outcome("p2", 5)], PRICES)
-        assert err.value.only_a == ["p1"]
-        assert err.value.only_b == ["p2"]
 
     def test_permutation_invariance(self):
         long = [outcome(f"p{i}", 100 * i, "LONG") for i in range(1, 6)]
@@ -129,3 +127,8 @@ class TestCsvAndConfig:
     def test_non_finite_price_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
             PriceSheet(seconds_per_patient_long=value)
+
+    @pytest.mark.parametrize("value", [True, False, "2.5", None])
+    def test_price_that_is_not_a_number_rejected(self, value):
+        with pytest.raises(TypeError, match="usd_per_million_tokens must be a number"):
+            PriceSheet(usd_per_million_tokens=value)

@@ -9,14 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budgetrag.embedding import (
-    EmbedderConfig,
-    HashingEmbedder,
-    RemoteEmbedder,
-    build_embedder,
-    embed_hashing,
-    fnv1a64,
-)
+from budgetrag.embedding import HashingEmbedder, RemoteEmbedder, embed_hashing, fnv1a64
 from budgetrag.errors import RemoteSchemaError, RemoteServiceError, ZeroVectorError
 
 from .oracles import hashing_embedding_reference
@@ -113,29 +106,20 @@ class TestHashingOracle:
         assert np.array_equal(batch.view(np.uint32), expected.view(np.uint32))
 
 
-class TestEmbedderConfig:
-    def test_remote_requires_endpoint(self):
-        with pytest.raises(ValueError, match="endpoint"):
-            EmbedderConfig(kind="remote")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            EmbedderConfig(kind="magic")
-
-
 class TestRemoteEmbedding:
-    def _cfg(self, api_server, **kwargs):
-        return EmbedderConfig(kind="remote", endpoint=api_server.url, model_name="embed-small", **kwargs)
+    def test_requires_endpoint(self):
+        with pytest.raises(ValueError, match="endpoint"):
+            RemoteEmbedder(None, "embed-small")
 
     def test_normalizes_service_vector(self, api_server):
         api_server.reset([(200, {"data": [{"embedding": [3.0, 4.0]}]})])
-        vec = RemoteEmbedder(self._cfg(api_server)).embed("hello")
+        vec = RemoteEmbedder(api_server.url, "embed-small").embed("hello")
         assert vec.tolist() == pytest.approx([0.6, 0.8])
 
     def test_request_shape_and_auth_header(self, api_server, monkeypatch):
         monkeypatch.setenv("BUDGETRAG_API_KEY", "sekret")
         api_server.reset([(200, {"data": [{"embedding": [1.0, 0.0]}]})])
-        RemoteEmbedder(self._cfg(api_server)).embed("some words")
+        RemoteEmbedder(api_server.url, "embed-small").embed("some words")
         path, headers, body = api_server.requests[0]
         assert body == {"model": "embed-small", "input": ["some words"]}
         assert headers.get("Authorization") == "Bearer sekret"
@@ -144,7 +128,7 @@ class TestRemoteEmbedding:
         monkeypatch.setattr("budgetrag.remote.time.sleep", lambda s: None)
         api_server.reset([(500, {"oops": 1})])
         with pytest.raises(RemoteServiceError) as err:
-            RemoteEmbedder(self._cfg(api_server)).embed("x")
+            RemoteEmbedder(api_server.url, "embed-small").embed("x")
         assert err.value.status == 500
         assert err.value.retryable
         assert len(api_server.requests) == 3  # default attempts
@@ -158,7 +142,7 @@ class TestRemoteEmbedding:
             (500, {}),
             (200, {"data": [{"embedding": [0.0, 2.0]}]}),
         ])
-        vec = RemoteEmbedder(self._cfg(api_server)).embed("x")
+        vec = RemoteEmbedder(api_server.url, "embed-small").embed("x")
         assert vec.tolist() == [0.0, 1.0]
         twin = random.Random(3)
         assert sleeps == [twin.uniform(0, 0.5), twin.uniform(0, 1.0)]  # full jitter, base 0.5, factor 2
@@ -166,7 +150,7 @@ class TestRemoteEmbedding:
     def test_client_error_is_not_retried(self, api_server):
         api_server.reset([(403, {"detail": "no"})])
         with pytest.raises(RemoteServiceError) as err:
-            RemoteEmbedder(self._cfg(api_server)).embed("x")
+            RemoteEmbedder(api_server.url, "embed-small").embed("x")
         assert err.value.status == 403
         assert not err.value.retryable
         assert len(api_server.requests) == 1
@@ -174,61 +158,53 @@ class TestRemoteEmbedding:
     def test_missing_data_field_is_schema_error(self, api_server):
         api_server.reset([(200, {"vectors": []})])
         with pytest.raises(RemoteSchemaError, match="data"):
-            RemoteEmbedder(self._cfg(api_server)).embed("x")
+            RemoteEmbedder(api_server.url, "embed-small").embed("x")
 
     def test_missing_embedding_path_named(self, api_server):
         api_server.reset([(200, {"data": [{"vector": [1.0]}]})])
         with pytest.raises(RemoteSchemaError, match=r"data\[0\].embedding"):
-            RemoteEmbedder(self._cfg(api_server)).embed("x")
+            RemoteEmbedder(api_server.url, "embed-small").embed("x")
 
     def test_zero_vector_rejected(self, api_server):
         api_server.reset([(200, {"data": [{"embedding": [0.0, 0.0]}]})])
         with pytest.raises(ZeroVectorError):
-            RemoteEmbedder(self._cfg(api_server)).embed("x")
+            RemoteEmbedder(api_server.url, "embed-small").embed("x")
 
 
 class TestEmbedBatch:
     def test_empty_batch(self):
-        assert build_embedder(EmbedderConfig(kind="hashing", dim=8)).embed_many([]).shape == (0, 8)
+        assert HashingEmbedder(8).embed_many([]).shape == (0, 8)
 
     def test_empty_remote_batch_sends_no_request(self, api_server):
         api_server.reset([(200, {"data": []})])
-        cfg = EmbedderConfig(kind="remote", endpoint=api_server.url, model_name="m", dim=8)
-        assert build_embedder(cfg).embed_many([]).shape == (0, 8)
+        assert RemoteEmbedder(api_server.url, "m", dim=8).embed_many([]).shape == (0, 8)
         assert api_server.requests == []
 
     def test_hashing_batch_equals_map(self):
-        cfg = EmbedderConfig(kind="hashing", dim=16)
-        batch = build_embedder(cfg).embed_many(["a", "b"])
+        batch = HashingEmbedder(16).embed_many(["a", "b"])
         assert np.array_equal(batch[0], embed_hashing("a", 16))
         assert np.array_equal(batch[1], embed_hashing("b", 16))
 
     def test_remote_batch_single_request_matches_per_item(self, api_server):
-        cfg = EmbedderConfig(kind="remote", endpoint=api_server.url, model_name="m")
+        embedder = RemoteEmbedder(api_server.url, "m")
         vectors = {"t1": [1.0, 0.0], "t2": [0.0, 5.0], "t3": [2.0, 2.0]}
 
         # per-item oracle: three single-text calls
         singles = []
         for text, vec in vectors.items():
             api_server.reset([(200, {"data": [{"embedding": vec}]})])
-            singles.append(RemoteEmbedder(cfg).embed(text))
+            singles.append(embedder.embed(text))
 
         # one batched request
         api_server.reset([(200, {"data": [{"embedding": v} for v in vectors.values()]})])
-        batched = build_embedder(cfg).embed_many(list(vectors))
+        batched = embedder.embed_many(list(vectors))
         assert len(api_server.requests) == 1
         assert api_server.requests[0][2]["input"] == list(vectors)
         for got, expected in zip(batched, singles):
             assert np.array_equal(got, expected)
 
     def test_batch_error_names_element_index(self, api_server):
-        cfg = EmbedderConfig(kind="remote", endpoint=api_server.url, model_name="m")
         api_server.reset([(200, {"data": [{"embedding": [1.0, 0.0]}, {"bad": 1}]})])
         with pytest.raises(RemoteSchemaError, match=r"data\[1\]"):
-            build_embedder(cfg).embed_many(["a", "b"])
+            RemoteEmbedder(api_server.url, "m").embed_many(["a", "b"])
 
-
-def test_build_embedder_dispatch(api_server):
-    assert isinstance(build_embedder(EmbedderConfig(kind="hashing")), HashingEmbedder)
-    remote_cfg = EmbedderConfig(kind="remote", endpoint=api_server.url, model_name="m")
-    assert isinstance(build_embedder(remote_cfg), RemoteEmbedder)

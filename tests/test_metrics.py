@@ -252,6 +252,13 @@ class TestDeLong:
         assert result.variance_of_difference == 0.0
         assert result.auc_a == result.auc_b
 
+    def test_zero_variance_with_different_aucs_is_undefined(self):
+        labels = [1, 1, 0, 0]
+        perfect, tied = cohort(labels, [0.9, 0.8, 0.2, 0.1]), cohort(labels, [0.5] * 4)
+        with pytest.raises(UndefinedMetricError, match=r"AUCs 1\.0 and 0\.5 differ"):
+            delong_test(perfect, tied)
+        assert delong_test(tied, tied).p_value == 1.0
+
     def test_antisymmetry(self):
         rng = np.random.default_rng(2)
         a, b = self._paired(rng)
@@ -320,6 +327,5 @@ class TestEvaluateCohort:
         bundle = evaluate_cohort(c)
         assert bundle.auroc == auroc(c)
         assert bundle.pr_auc == pr_auc(c)
-        assert bundle.precision == bundle.confusion.precision
-        assert bundle.f1 == bundle.confusion.f1
+        assert bundle.confusion == confusion_metrics(c, 0.5)
         assert bundle.threshold == 0.5

@@ -3,10 +3,8 @@
 A module-level function or class under ``src/budgetrag/`` must be named
 somewhere in ``src/`` or ``perfbench/`` (its tests aside): as a name, an attribute, or a
 string (the benchmark's tracer patches names given as strings). Its own
-definition and the package's export table in ``__init__.py`` do not count
-as a use. Imports do not either, so a name that is only imported and
-never used still shows. Dunder functions (the PEP 562 module hooks) are
-called by the interpreter, and are left out.
+definition does not count as a use. Imports do not either, so a name
+that is only imported and never used still shows.
 """
 
 from __future__ import annotations
@@ -27,17 +25,16 @@ def _definitions() -> dict[str, str]:
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, _DEFINITIONS) and not node.name.startswith("__"):
+            if isinstance(node, _DEFINITIONS):
                 found[node.name] = path.stem
     return found
 
 
 def _uses() -> set[str]:
-    """Every name, attribute and string constant in src/ and perfbench/, but the package's __init__
-    and the benchmark's own tests."""
+    """Every name, attribute and string constant in src/ and perfbench/, but the benchmark's own tests."""
     names = set()
     for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]):
-        if path == PACKAGE / "__init__.py" or "tests" in path.relative_to(ROOT).parts:
+        if "tests" in path.relative_to(ROOT).parts:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
