@@ -25,23 +25,8 @@ from typing import NamedTuple, get_type_hints
 
 from .errors import BudgetRagError, ResponseParseError
 from .manifest import check_types, read_jsonl, write_jsonl
-from .remote import post_json
-from .retrieval import AssembledContext
-
-DEFAULT_COMPLICATION_KEYWORDS = (
-    "anastomotic leak",
-    "wound dehiscence",
-    "surgical site infection",
-    "postoperative hemorrhage",
-    "sepsis",
-    "reoperation",
-    "pulmonary embolism",
-    "deep vein thrombosis",
-    "intra-abdominal abscess",
-    "respiratory failure",
-    "acute kidney injury",
-    "unplanned readmission",
-)
+from .remote import DEFAULT_MAX_ATTEMPTS, post_json
+from .retrieval import DEFAULT_COMPLICATION_KEYWORDS, AssembledContext
 
 # Only the {context} placeholder is substituted (plain replace, so the
 # JSON braces below need no escaping).
@@ -63,7 +48,7 @@ class ClassifierConfig:
     endpoint: str | None = None
     model_name: str = "mock"
     temperature: float = 0.0
-    max_retries: int = 3
+    max_retries: int = DEFAULT_MAX_ATTEMPTS
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     keywords: tuple[str, ...] = DEFAULT_COMPLICATION_KEYWORDS
 
@@ -269,7 +254,7 @@ def write_outcomes(path, batch: BatchResult) -> None:
     write_jsonl(path, [*outcomes, *map(_failure_to_json, batch.failures)])
 
 
-def _outcome_from_json(obj: dict) -> ClassificationOutcome | FailedClassification:
+def _outcome_row(obj: dict) -> ClassificationOutcome | FailedClassification:
     if "failed" in obj:  # written only as "failed": true
         check_types(obj, _FAILURE_FIELDS)
         return FailedClassification(*[obj[key] for key in _FAILURE_FIELDS])
@@ -280,7 +265,7 @@ def _outcome_from_json(obj: dict) -> ClassificationOutcome | FailedClassificatio
 
 
 def read_outcomes(path) -> tuple[list[ClassificationOutcome], list[FailedClassification]]:
-    rows = read_jsonl(path, "outcomes file", _outcome_from_json)
+    rows = read_jsonl(path, "outcomes file", _outcome_row)
     return (
         [r for r in rows if isinstance(r, ClassificationOutcome)],
         [r for r in rows if isinstance(r, FailedClassification)],

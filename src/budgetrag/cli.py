@@ -14,8 +14,9 @@ writing their manifest, so a failed command leaves no output behind.
 Every command is a fresh process that pays for each import at start-up,
 so numpy (``embedding``, ``vindex``, ``metrics``) is imported only inside
 build-index, retrieve --mode rag, evaluate and delong, ``costmodel`` only
-inside project, ``report`` only inside report and evaluate --roc-out, and
-the HTTP stack only by a remote embedder or classifier.
+inside project, ``report`` (whose ``write_csv`` writes every CSV) only
+inside project, report and evaluate --roc-out, and the HTTP stack only by
+a remote embedder or classifier.
 
 Before anything is read or staged, ``main`` rejects a run in which a
 file it would write (an output, or the run manifest) is also an input,
@@ -50,7 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import classifier as clf
-from . import manifest, retrieval
+from . import manifest, remote, retrieval
 from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_text, concat_text, load_corpus, read_lines, window_notes,
                      word_count)
 from .errors import BudgetRagError, UndefinedMetricError, UsageError
@@ -143,7 +144,7 @@ def _labels_by_patient(corpus_path) -> dict[str, int]:
     return {row["patient_id"]: row["label"] for row in _read_processed(corpus_path)}
 
 
-# --- side files: list files, prompt template, price sheet, report inputs -
+# --- side files: list files, prompt template, report inputs -------------
 
 
 def _parse_file(path, parse):
@@ -183,7 +184,11 @@ def _embedder_from_args(args, index: VectorIndex | None = None) -> HashingEmbedd
     if args.embedder == "remote":
         embedder = RemoteEmbedder(args.endpoint, args.model, dim)
     else:
-        embedder = HashingEmbedder(dim)
+        try:
+            embedder = HashingEmbedder(dim)
+        except ValueError as exc:  # --dim is checked, so this dim is an index's, e.g. a remote embedder's
+            raise BudgetRagError(f"the hashing embedder cannot search an index of dim {dim} "
+                                 f"built by {index.embedder_fingerprint!r}: {exc}") from exc
     if index is not None and index.embedder_fingerprint and \
             embedder.fingerprint != index.embedder_fingerprint:
         raise BudgetRagError(
@@ -293,7 +298,7 @@ def cmd_retrieve(args) -> dict:
 def cmd_classify(args) -> dict:
     if args.classifier == "remote" and not (args.endpoint and args.model):
         raise UsageError("--classifier remote requires --endpoint and --model")
-    keywords = clf.DEFAULT_COMPLICATION_KEYWORDS
+    keywords = retrieval.DEFAULT_COMPLICATION_KEYWORDS
     if args.keywords:
         keywords = _parse_file(args.keywords, read_lines)
     template = clf.DEFAULT_PROMPT_TEMPLATE
@@ -360,7 +365,7 @@ def cmd_evaluate(args) -> dict:
     if args.roc_out:
         from . import report
 
-        report.write_roc_csv(args.roc_out, metrics.roc_points(cohort))
+        report.write_csv(args.roc_out, report.ROC_HEADER, metrics.roc_points(cohort))
     return {"config": {"threshold": args.threshold}}
 
 
@@ -379,22 +384,15 @@ def cmd_delong(args) -> dict:
 
 
 def cmd_project(args) -> dict:
-    from . import costmodel
+    from . import costmodel, report
 
-    prices = costmodel.PriceSheet()
-    if args.prices:
-        prices = _parse_file(args.prices, costmodel.PriceSheet.from_json)
-    overrides = {
-        "usd_per_million_tokens": args.price_per_million,
-        "seconds_per_patient_rag": args.seconds_rag,
-        "seconds_per_patient_long": args.seconds_long,
-    }
-    prices = dataclasses.replace(prices, **{k: v for k, v in overrides.items() if v is not None})
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(costmodel.PriceSheet)}
+    prices = costmodel.PriceSheet(**{name: value for name, value in given.items() if value is not None})
     cost_rows = costmodel.project_cost(args.per_patient_tokens, prices, args.counts)
     time_projection = costmodel.project_time(prices, args.counts)
     cost_path, time_path = _output_paths(args)
-    costmodel.write_cost_csv(cost_path, cost_rows)
-    costmodel.write_time_csv(time_path, time_projection.rows)
+    report.write_csv(cost_path, costmodel.COST_HEADER, cost_rows)
+    report.write_csv(time_path, costmodel.TIME_HEADER, time_projection.rows)
     return {
         "config": {
             "unit": costmodel.UNIT_LABEL,
@@ -478,7 +476,7 @@ def build_parser() -> _Parser:
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--temperature", type=_finite, default=0.0)
-    p.add_argument("--max-retries", type=_at_least(1), default=3,
+    p.add_argument("--max-retries", type=_at_least(1), default=remote.DEFAULT_MAX_ATTEMPTS,
                    help="attempts per remote request, the first included (1 means no retry)")
     p.add_argument("--parallelism", type=_at_least(1), default=1)
     p.add_input("--keywords", default=None, help="keyword list file for the mock (one phrase per line)")
@@ -500,11 +498,11 @@ def build_parser() -> _Parser:
     p = add("project", cmd_project, "linear cost and runtime projections")
     p.add_output("--out", required=True, suffixes=("_cost.csv", "_time.csv"),
                  help="output prefix for _cost.csv and _time.csv")
-    p.add_input("--prices", default=None, help="price sheet JSON")
-    p.add_argument("--price-per-million", type=_at_least(0.0, float), default=None)
+    # each figure's flag stores under its PriceSheet field; one not given keeps the field's default
+    p.add_argument("--price-per-million", dest="usd_per_million_tokens", type=_at_least(0.0, float), default=None)
     p.add_argument("--per-patient-tokens", type=_at_least(0.0, float), required=True)
-    p.add_argument("--seconds-rag", type=_at_least(0.0, float), default=None)
-    p.add_argument("--seconds-long", type=_at_least(0.0, float), default=None)
+    p.add_argument("--seconds-rag", dest="seconds_per_patient_rag", type=_at_least(0.0, float), default=None)
+    p.add_argument("--seconds-long", dest="seconds_per_patient_long", type=_at_least(0.0, float), default=None)
     p.add_argument("--counts", type=_counts, default="0,1000,10000,50000,100000",
                    help="comma-separated patient counts")
 

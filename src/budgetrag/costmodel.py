@@ -3,20 +3,20 @@
 Counts are whitespace words standing in for provider tokens; every
 output labels the unit "tokens (word-approximated)" so the
 approximation is visible. Projections are exactly linear and pass
-through the origin.
+through the origin. The project command writes their rows with ``report.write_csv``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .classifier import ClassificationOutcome
 from .errors import PatientSetMismatchError
 
 UNIT_LABEL = "tokens (word-approximated)"
+COST_HEADER = "patients,cost_usd"  # the columns of project_cost's rows
+TIME_HEADER = "patients,seconds_rag,seconds_long"  # the columns of project_time's rows
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,6 @@ class PriceSheet:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "PriceSheet":
-        """Read a JSON object of some or all fields; another value or an unknown key is a ``TypeError``."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if type(data) is not dict:
-            raise TypeError(f"a price sheet must be a JSON object, got {data!r:.40}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -121,17 +113,3 @@ def project_time(prices: PriceSheet, patient_counts: list[int]) -> TimeProjectio
     else:
         improvement = 0.0
     return TimeProjection(rows=rows, improvement_fraction=improvement)
-
-
-def write_cost_csv(path: str | Path, rows: list[tuple[int, float]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("patients,cost_usd\n")
-        for count, usd in rows:
-            fh.write(f"{count},{usd!r}\n")
-
-
-def write_time_csv(path: str | Path, rows: list[tuple[int, float, float]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("patients,seconds_rag,seconds_long\n")
-        for count, rag, long in rows:
-            fh.write(f"{count},{rag!r},{long!r}\n")

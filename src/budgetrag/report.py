@@ -1,7 +1,8 @@
 """Static report rendering: overlaid ROC curves as SVG plus a Markdown summary.
 
 The SVG is built by hand so that output is byte-deterministic; RAG
-curves are drawn blue, whole-text curves red.
+curves are drawn blue, whole-text curves red. ``write_csv`` writes every
+CSV the CLI writes (ROC points, cost and time tables); ``read_roc_csv`` reads ROC points.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ MARGIN_TOP, MARGIN_BOTTOM = 40, 60
 
 COLOR_RAG = "#1f77b4"
 COLOR_LONG = "#d62728"
+ROC_HEADER = "fpr,tpr"
 
 
 def _x(fpr: float) -> float:
@@ -115,19 +117,19 @@ def render_markdown(
     return "\n".join(lines) + "\n"
 
 
-def write_roc_csv(path: str | Path, points: list[tuple[float, float]]) -> None:
-    """One ``fpr,tpr`` line per point under a header; ``repr`` keeps each float exact."""
+def write_csv(path: str | Path, header: str, rows) -> None:
+    """``header``, then one line per row of comma-joined ``repr`` values: exact for a float, as ``str`` for an int."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fpr,tpr\n")
-        for fpr, tpr in points:
-            fh.write(f"{fpr!r},{tpr!r}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_roc_csv(path: str | Path) -> list[tuple[float, float]]:
-    """Read what :func:`write_roc_csv` wrote; a missing header or a rate outside [0, 1] is a ``ValueError``."""
+    """Read ROC points written with ``ROC_HEADER``; a missing header or a rate outside [0, 1] is a ``ValueError``."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if lines[:1] != ["fpr,tpr"]:
-        raise ValueError(f"first line must be the header 'fpr,tpr', got {lines[:1]}")
+    if lines[:1] != [ROC_HEADER]:
+        raise ValueError(f"first line must be the header {ROC_HEADER!r}, got {lines[:1]}")
     points = []
     for line in filter(str.strip, lines[1:]):
         fpr, tpr = map(float, line.split(","))

@@ -29,15 +29,26 @@ MODE_LONG = "LONG"
 DEFAULT_BUDGET_WORDS = 4000
 DEFAULT_TOP_N_SCAN = 64
 
+# The complication vocabulary: the default query names it, the mock classifier flags it, synthetic corpora plant it.
+DEFAULT_COMPLICATION_KEYWORDS = (
+    "anastomotic leak",
+    "wound dehiscence",
+    "surgical site infection",
+    "postoperative hemorrhage",
+    "sepsis",
+    "reoperation",
+    "pulmonary embolism",
+    "deep vein thrombosis",
+    "intra-abdominal abscess",
+    "respiratory failure",
+    "acute kidney injury",
+    "unplanned readmission",
+)
+
 # Shipped default retrieval query; overridable via --query.
 # Logged with every run through the manifest.
-DEFAULT_QUERY_TEXT = (
-    "Evidence of post-operative complications such as anastomotic leak, "
-    "wound dehiscence, surgical site infection, postoperative hemorrhage, "
-    "sepsis, reoperation, pulmonary embolism, deep vein thrombosis, "
-    "intra-abdominal abscess, respiratory failure, acute kidney injury, "
-    "or unplanned readmission."
-)
+DEFAULT_QUERY_TEXT = ("Evidence of post-operative complications such as "
+                      f"{', '.join(DEFAULT_COMPLICATION_KEYWORDS[:-1])}, or {DEFAULT_COMPLICATION_KEYWORDS[-1]}.")
 
 
 @dataclass(frozen=True)
@@ -148,7 +159,7 @@ def write_contexts(path: str | Path, contexts: list[AssembledContext]) -> None:
     write_jsonl(path, (context_to_json(ctx) for ctx in contexts))
 
 
-def _context_from_json(obj: dict) -> AssembledContext:
+def _context_row(obj: dict) -> AssembledContext:
     check_types(obj, _CONTEXT_FIELDS)
     positions = obj["selected_positions"]
     if any(type(position) is not int for position in positions):
@@ -158,4 +169,4 @@ def _context_from_json(obj: dict) -> AssembledContext:
 
 
 def read_contexts(path: str | Path) -> list[AssembledContext]:
-    return read_jsonl(path, "contexts file", _context_from_json)
+    return read_jsonl(path, "contexts file", _context_row)

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .classifier import DEFAULT_COMPLICATION_KEYWORDS
 from .corpus import DEFAULT_NOTE_TYPES
 from .manifest import write_jsonl
+from .retrieval import DEFAULT_COMPLICATION_KEYWORDS
 
 # Benign filler; must stay free of every word used by the default
 # retrieval query and keyword phrases (tests/test_synthetic.py enforces the disjointness).

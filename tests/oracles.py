@@ -18,8 +18,8 @@ from datetime import timedelta
 import numpy as np
 from scipy import stats
 
-from budgetrag.classifier import DEFAULT_COMPLICATION_KEYWORDS
 from budgetrag.embedding import fnv1a64
+from budgetrag.retrieval import DEFAULT_COMPLICATION_KEYWORDS
 from budgetrag.synthetic import (_BASE_TIME, _NOTE_TYPES, FILLER_VOCAB, SyntheticCorpus, _planted_sentence,
                                  _sample_phrase_groups)
 

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from budgetrag.classifier import (
-    DEFAULT_COMPLICATION_KEYWORDS,
     ClassifierConfig,
     classify,
     classify_batch,
@@ -18,7 +17,7 @@ from budgetrag.classifier import (
     write_outcomes,
 )
 from budgetrag.errors import RemoteServiceError, ResponseParseError
-from budgetrag.retrieval import MODE_RAG, AssembledContext
+from budgetrag.retrieval import DEFAULT_COMPLICATION_KEYWORDS, MODE_RAG, AssembledContext
 
 
 MOCK = ClassifierConfig()  # the keyword mock with the default keywords

@@ -182,6 +182,18 @@ class TestFullPipeline:
         assert manifest["outputs"] == {"d.json": sha256_file(tmp_path / "d.json")}
 
 
+class TestProject:
+    def test_the_three_flags_set_every_recorded_figure(self, tmp_path):
+        run(0, "project", "--out", tmp_path / "p", "--per-patient-tokens", "2000", "--counts", "0,10",
+            "--price-per-million", "5", "--seconds-rag", "0.25", "--seconds-long", "0.5", "--deterministic")
+        config = json.loads((tmp_path / "p.manifest.json").read_text())["config"]
+        assert config == {"unit": "tokens (word-approximated)", "per_patient_tokens": 2000.0,
+                          "usd_per_million_tokens": 5.0, "seconds_per_patient_rag": 0.25,
+                          "seconds_per_patient_long": 0.5, "counts": [0, 10], "improvement_fraction": 0.5}
+        assert (tmp_path / "p_cost.csv").read_text() == "patients,cost_usd\n0,0.0\n10,0.1\n"
+        assert (tmp_path / "p_time.csv").read_text() == "patients,seconds_rag,seconds_long\n0,0.0,0.0\n10,2.5,5.0\n"
+
+
 class TestDeterminism:
     def test_pipeline_outputs_byte_identical(self, demo_dir, tmp_path):
         rerun = tmp_path / "rerun"
@@ -286,6 +298,21 @@ class TestExitCodes:
         assert err["error"] == "CorpusFormatError"
         assert err["message"].startswith(f"{bad}: outcomes file line 2: ")
 
+    def test_hashing_retrieve_over_a_dim_1_index_is_exit_2(self, demo_dir, tmp_path, capsys):
+        from budgetrag.vindex import VectorIndex
+
+        index = VectorIndex(dim=1, embedder_fingerprint="remote:one-wide")  # as a remote embedder can build
+        index.add_many("p0", [0], np.ones((1, 1), np.float32))
+        index.save(tmp_path / "i.brag")
+        assert main(["retrieve", "--corpus", str(demo_dir / "proc.jsonl"), "--index", str(tmp_path / "i.brag"),
+                     "--mode", "rag", "--out", str(tmp_path / "c.jsonl")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["category"] == "data"
+        assert "dim 1" in err["message"] and "'remote:one-wide'" in err["message"]
+        assert list(tmp_path.iterdir()) == [tmp_path / "i.brag"]
+
     def test_missing_file_is_exit_2(self, tmp_path):
         assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
@@ -379,6 +406,7 @@ class TestExitCodes:
         ("--mode", "rag", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/c.jsonl"]),
         ("--mode", "long", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
                             "--out", "{tmp}/c.jsonl"]),
+        ("--prices", "x", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),  # the flag is gone
     ])
     def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
         args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]
@@ -399,8 +427,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("name,content,argv", [
         ("template.txt", lambda demo: "Classify these notes.\n",
          ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl", "--prompt-template", "{bad}"]),
-        ("prices.json", lambda demo: '{"usd_per_million_tokens": "x"}',
-         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
         ("metrics.json", lambda demo: TestExitCodes._without(demo / "m_rag.json", "auroc"),
          ["report", "--metrics-rag", "{bad}", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
           "{demo}/roc_rag.csv", "--roc-long", "{demo}/roc_long.csv", "--out", "{tmp}/report"]),
@@ -418,16 +444,6 @@ class TestExitCodes:
          ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl", "--whitelist", "{bad}"]),
         ("types.txt", lambda demo: "\n",
          ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl", "--whitelist", "{bad}"]),
-        ("prices.json", lambda demo: '{"seconds_per_patient_rag": NaN}',
-         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
-        ("prices.json", lambda demo: '{"usd_per_million_tokens": true}',
-         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
-        ("prices.json", lambda demo: '{"usd_per_milion_tokens": 10.0}',
-         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
-        ("prices.json", lambda demo: "[]",
-         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
-        ("prices.json", lambda demo: '"x"',
-         ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1", "--prices", "{bad}"]),
         ("roc.csv", lambda demo: "0.0,0.0\n0.5,0.5\n1.0,1.0\n",
          ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
           "{demo}/roc_rag.csv", "--roc-long", "{bad}", "--out", "{tmp}/report"]),
@@ -437,10 +453,9 @@ class TestExitCodes:
         ("roc.csv", lambda demo: "fpr,tpr\n0.0,0.0\n0.5,2.5\n1.0,1.0\n",
          ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
           "{demo}/roc_rag.csv", "--roc-long", "{bad}", "--out", "{tmp}/report"]),
-    ], ids=["template-without-context", "price-not-a-number", "metrics-without-auroc",
-            "roc-line-without-comma", "delong-without-p-value", "keywords-not-utf8", "keywords-empty",
-            "whitelist-not-utf8", "whitelist-empty", "price-nan", "price-a-boolean", "price-unknown-key",
-            "prices-a-list", "prices-a-string", "roc-without-header", "roc-nan-rate", "roc-rate-above-one"])
+    ], ids=["template-without-context", "metrics-without-auroc", "roc-line-without-comma",
+            "delong-without-p-value", "keywords-not-utf8", "keywords-empty", "whitelist-not-utf8",
+            "whitelist-empty", "roc-without-header", "roc-nan-rate", "roc-rate-above-one"])
     def test_bad_side_file_is_one_json_data_error(self, demo_dir, tmp_path, capsys, name, content, argv):
         bad = tmp_path / name
         data = content(demo_dir)

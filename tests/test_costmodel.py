@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from budgetrag.classifier import ClassificationOutcome
-from budgetrag.costmodel import (
-    PriceSheet,
-    project_cost,
-    project_time,
-    summarize_usage,
-    write_cost_csv,
-    write_time_csv,
-)
+from budgetrag.costmodel import COST_HEADER, TIME_HEADER, PriceSheet, project_cost, project_time, summarize_usage
 from budgetrag.errors import PatientSetMismatchError
+from budgetrag.report import write_csv
 
 
 def outcome(pid, words, mode="RAG"):
@@ -99,25 +91,14 @@ class TestProjectTime:
 class TestCsvAndConfig:
     def test_cost_csv_format(self, tmp_path):
         path = tmp_path / "cost.csv"
-        write_cost_csv(path, [(0, 0.0), (1000, 2.5)])
+        write_csv(path, COST_HEADER, [(0, 0.0), (1000, 2.5)])
         assert path.read_text(encoding="utf-8") == "patients,cost_usd\n0,0.0\n1000,2.5\n"
 
     def test_time_csv_format(self, tmp_path):
         path = tmp_path / "time.csv"
-        write_time_csv(path, [(10, 9.0, 11.1)])
+        write_csv(path, TIME_HEADER, [(10, 9.0, 11.1)])
         assert path.read_text(encoding="utf-8").splitlines() == [
             "patients,seconds_rag,seconds_long", "10,9.0,11.1"]
-
-    def test_price_sheet_from_json(self, tmp_path):
-        path = tmp_path / "prices.json"
-        path.write_text(json.dumps({
-            "usd_per_million_tokens": 5.0,
-            "seconds_per_patient_rag": 0.2,
-            "seconds_per_patient_long": 0.4,
-        }), encoding="utf-8")
-        prices = PriceSheet.from_json(path)
-        assert prices.usd_per_million_tokens == 5.0
-        assert prices.seconds_per_patient_long == 0.4
 
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ using (numpy is about 0.16 s, the HTTP stack about 0.03 s) is start-up
 time paid on every run. ``costmodel`` and ``report`` serve only the
 project, report and evaluate --roc-out commands. ``import budgetrag``
 loads no submodule: each name is imported from the module that defines it.
+The corpus generator takes the complication vocabulary from ``retrieval``,
+so it loads neither the classifier nor the HTTP helper.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ def test_corpus_generator_loads_no_numpy_or_http():
     # the package root loads none of its submodules
     submodules = "sorted(m for m in sys.modules if m.startswith('budgetrag.'))"
     assert _probe(f"import budgetrag; code = {submodules}") == {"code": [], "loaded": []}
+
+
+def test_corpus_generator_loads_no_classifier_or_remote():
+    loaded = "[m for m in ('budgetrag.classifier', 'budgetrag.remote') if m in sys.modules]"
+    assert _probe(f"import budgetrag.synthetic; code = {loaded}") == {"code": [], "loaded": []}
 
 
 class TestPackageExports:

@@ -198,13 +198,13 @@ class TestRocPoints:
                 assert trapezoid_area(roc_points(c)) == pytest.approx(auroc(c), abs=1e-9)
 
     def test_roc_csv_round_trip(self, tmp_path):
-        from budgetrag.report import read_roc_csv, write_roc_csv
+        from budgetrag.report import ROC_HEADER, read_roc_csv, write_csv
 
         # ties within and across classes; thirds and sevenths have no short decimal form
         c = cohort([1, 0, 1, 0, 0, 1, 0, 0, 0, 0], [0.9, 0.9, 0.7, 0.7, 0.7, 0.4, 0.4, 0.2, 0.1, 0.1])
         points = roc_points(c)
         assert len(points) == 6
-        write_roc_csv(tmp_path / "roc.csv", points)
+        write_csv(tmp_path / "roc.csv", ROC_HEADER, points)
         assert read_roc_csv(tmp_path / "roc.csv") == points
 
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budgetrag.classifier import DEFAULT_COMPLICATION_KEYWORDS, mock_response
+from budgetrag.classifier import mock_response
 from budgetrag import synthetic
-from budgetrag.retrieval import DEFAULT_QUERY_TEXT
+from budgetrag.retrieval import DEFAULT_COMPLICATION_KEYWORDS, DEFAULT_QUERY_TEXT
 from budgetrag.synthetic import FILLER_VOCAB, _planted_sentence, generate_corpus, main, write_corpus
 
 from .oracles import synthetic_corpus_reference
