@@ -12,11 +12,11 @@ staged names, and ``write_manifest`` moves the outputs into place after
 writing their manifest, so a failed command leaves no output behind.
 
 Every command is a fresh process that pays for each import at start-up,
-so numpy (``embedding``, ``vindex``, ``metrics``) is imported only inside
-build-index, retrieve --mode rag, evaluate and delong, ``costmodel`` only
-inside project, ``report`` (whose ``write_csv`` writes every CSV) only
-inside project, report and evaluate --roc-out, and the HTTP stack only by
-a remote embedder or classifier.
+so numpy (``embedding``, ``vindex``) is imported only inside build-index
+and retrieve --mode rag, ``metrics`` (standard library only) only inside
+evaluate and delong, ``costmodel`` only inside project, ``report`` (whose
+``write_csv`` writes every CSV) only inside project, report and evaluate
+--roc-out, and the HTTP stack only by a remote embedder or classifier.
 
 Before anything is read or staged, ``main`` rejects a run in which a
 file it would write (an output, or the run manifest) is also an input,

@@ -1,27 +1,39 @@
-"""Evaluation metrics and the paired AUC test.
+"""Evaluation metrics and the paired AUC test, on the standard library.
 
 AUROC uses the Mann-Whitney form with midranks, so a tied
 positive/negative pair counts 1/2. PR AUC is average precision (mean of
 precision at the ranks of the positives under descending-score order),
 not the trapezoid over PR points. Cohorts are canonically ordered by
-patient id, and every rank comes from one stable descending ranking
-(``_ranked``), so ties keep patient-id order, mirroring the index's
-deterministic tie rule. The average precision terms are added one by
-one in that rank order (``np.cumsum``): ``np.sum`` adds pairwise and
-builtin ``sum`` compensates on Python >= 3.12, and either would change
-the last bits of the result.
+patient id. PR AUC and the ROC points come from one stable descending
+ranking (``_ranked``), so ties keep patient-id order, mirroring the
+index's deterministic tie rule; AUROC and the DeLong placements do not
+depend on the order of ties.
+
+Every count is an int, so nearly every result is one int/int true
+division, which Python rounds correctly: precision, recall, the ROC
+points and AUROC, whose numerator is the sum of the positives' doubled
+placements (twice the Mann-Whitney U). Average precision is the one
+float sum. Its terms are added one by one in rank order, in an explicit
+loop: builtin ``sum`` compensates on Python >= 3.12 and a pairwise sum
+adds in another order, and either would change the last bits of the
+result.
 
 The paired test follows the standard DeLong construction: placement
 values V10/V01 per observation, their sample covariances (unbiased
-1/(m-1), 1/(n-1)), and a normal test on the AUC difference.
+1/(m-1), 1/(n-1)), and a normal test on the AUC difference. The
+placements are kept doubled, as the ints K10 = 2n*V10 and
+K01 = 2m*(1 - V01), so the variance of the AUC difference is a ratio of
+integer sums. It is computed exactly and rounded once, so it is the
+float nearest the true value and cannot come out negative.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
+from itertools import groupby
 
 from .errors import InsufficientDataError, PairingError, UndefinedMetricError
 
@@ -41,7 +53,7 @@ class ScoredCohort:
             raise ValueError("patient_ids length does not match labels")
         if any(l not in (0, 1) for l in self.labels):
             raise ValueError("labels must be 0 or 1")
-        if not np.isfinite(np.asarray(self.scores, dtype=np.float64)).all():
+        if not all(map(math.isfinite, self.scores)):
             raise ValueError("scores must be finite")
 
     def __len__(self) -> int:
@@ -84,17 +96,28 @@ class DeLongResult:
     p_value: float
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based midranks; tied values share the average of their ranks."""
-    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)  # a tie group spans sorted positions [end - count, end)
-    return (0.5 * (2 * ends - counts - 1) + 1.0)[group]
+def _placements(cohort: ScoredCohort) -> list[int]:
+    """Doubled DeLong placements, one int per patient in cohort order.
+
+    Each patient gets twice the patients of the other class scored below
+    it plus those tied with it, counted by binary search over that
+    class's sorted scores: K10 = 2n*V10 for a positive and
+    K01 = 2m*(1 - V01) for a negative.
+    """
+    by_label = ([], [])
+    for label, score in zip(cohort.labels, cohort.scores):
+        by_label[label].append(score)
+    for scores in by_label:
+        scores.sort()
+    other = by_label[::-1]  # indexed by label: the other class's sorted scores
+    return [bisect_left(other[label], score) + bisect_right(other[label], score)
+            for label, score in zip(cohort.labels, cohort.scores)]
 
 
-def _split(cohort: ScoredCohort) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(cohort.labels)
-    scores = np.asarray(cohort.scores, dtype=np.float64)
-    return scores[labels == 1], scores[labels == 0]
+def _auc(cohort: ScoredCohort, placements: list[int]) -> float:
+    """The Mann-Whitney AUC: the positives' doubled placements over 2*m*n, one correctly rounded division."""
+    doubled_wins = sum(k for k, label in zip(placements, cohort.labels) if label)
+    return doubled_wins / (2 * cohort.positives * cohort.negatives)
 
 
 def auroc(cohort: ScoredCohort) -> float:
@@ -106,16 +129,15 @@ def auroc(cohort: ScoredCohort) -> float:
     m, n = cohort.positives, cohort.negatives
     if m < 1 or n < 1:
         raise UndefinedMetricError(f"AUROC undefined: {m} positives, {n} negatives")
-    return _placements(cohort)[0]
+    return _auc(cohort, _placements(cohort))
 
 
 def confusion_metrics(cohort: ScoredCohort, threshold: float = 0.5) -> ConfusionMetrics:
     """Threshold the scores (predict 1 iff score >= threshold)."""
-    positive = np.asarray(cohort.labels) == 1
-    predicted = np.asarray(cohort.scores, dtype=np.float64) >= threshold
-    tp = int(np.count_nonzero(positive & predicted))
-    fp = int(np.count_nonzero(predicted)) - tp
-    fn = int(np.count_nonzero(positive)) - tp
+    predicted = [label for label, score in zip(cohort.labels, cohort.scores) if score >= threshold]
+    tp = sum(predicted)
+    fp = len(predicted) - tp
+    fn = cohort.positives - tp
     tn = len(cohort) - tp - fp - fn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -129,11 +151,9 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _ranked(cohort: ScoredCohort) -> tuple[np.ndarray, np.ndarray]:
-    """Positive flags and scores in descending-score order; ties keep cohort (patient id) order."""
-    scores = np.asarray(cohort.scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    return np.asarray(cohort.labels)[order] == 1, scores[order]
+def _ranked(cohort: ScoredCohort) -> list[int]:
+    """Patient indices in descending-score order; ties keep cohort (patient id) order."""
+    return sorted(range(len(cohort)), key=cohort.scores.__getitem__, reverse=True)
 
 
 def pr_auc(cohort: ScoredCohort) -> float:
@@ -143,9 +163,13 @@ def pr_auc(cohort: ScoredCohort) -> float:
         raise UndefinedMetricError(
             f"PR AUC undefined: {m} positives, {cohort.negatives} negatives"
         )
-    positive, _ = _ranked(cohort)
-    precisions = np.arange(1, m + 1) / (np.flatnonzero(positive) + 1)
-    return float(np.cumsum(precisions)[-1] / m)  # added in rank order; see the module docstring
+    labels = cohort.labels
+    hits, total = 0, 0.0
+    for rank, i in enumerate(_ranked(cohort), start=1):
+        if labels[i]:
+            hits += 1
+            total += hits / rank  # added in rank order; see the module docstring
+    return total / m
 
 
 def roc_points(cohort: ScoredCohort) -> list[tuple[float, float]]:
@@ -153,15 +177,19 @@ def roc_points(cohort: ScoredCohort) -> list[tuple[float, float]]:
 
     The trapezoidal area over these points equals the Mann-Whitney AUC.
     """
-    pos, neg = _split(cohort)
-    m, n = len(pos), len(neg)
+    m, n = cohort.positives, cohort.negatives
     if m < 1 or n < 1:
         raise UndefinedMetricError(f"ROC undefined: {m} positives, {n} negatives")
-    positive, scores = _ranked(cohort)
-    group_end = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))  # last index of each tie group
-    tp = np.cumsum(positive)[group_end]
-    fp = group_end + 1 - tp
-    return [(0.0, 0.0), *zip((fp / n).tolist(), (tp / m).tolist())]
+    labels, points = cohort.labels, [(0.0, 0.0)]
+    tp = fp = 0
+    for _, group in groupby(_ranked(cohort), key=cohort.scores.__getitem__):
+        for i in group:
+            if labels[i]:
+                tp += 1
+            else:
+                fp += 1
+        points.append((fp / n, tp / m))
+    return points
 
 
 def normal_cdf(x: float) -> float:
@@ -172,19 +200,6 @@ def normal_cdf(x: float) -> float:
     """
     tail = 0.5 * math.erfc(abs(x) / math.sqrt(2.0))
     return tail if x < 0 else 1.0 - tail
-
-
-def _placements(cohort: ScoredCohort) -> tuple[float, np.ndarray, np.ndarray]:
-    """AUC and the DeLong placement vectors (V10 over positives, V01 over negatives)."""
-    pos, neg = _split(cohort)
-    m, n = len(pos), len(neg)
-    tz = _midranks(np.concatenate([pos, neg]))
-    tx = _midranks(pos)
-    ty = _midranks(neg)
-    v10 = (tz[:m] - tx) / n
-    v01 = 1.0 - (tz[m:] - ty) / m
-    auc = float((tz[:m].sum() - m * (m + 1) / 2.0) / (m * n))
-    return auc, v10, v01
 
 
 def _check_paired(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> None:
@@ -204,6 +219,12 @@ def _check_paired(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> None:
         raise PairingError("cohorts have different ground-truth labels")
 
 
+def _sample_variance(values: list[int]) -> Fraction:
+    """Unbiased sample variance of ints, exactly: (k*sum(v^2) - sum(v)^2) / (k*(k-1))."""
+    k = len(values)
+    return Fraction(k * sum(v * v for v in values) - sum(values) ** 2, k * (k - 1))
+
+
 def delong_test(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> DeLongResult:
     """Paired DeLong test for the difference of two correlated AUCs.
 
@@ -212,6 +233,11 @@ def delong_test(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> DeLongResult:
     zero variance with equal AUCs yields z = 0, p = 1; with different
     AUCs (a perfect arm against an arm of tied scores, say) z is
     undefined and ``UndefinedMetricError`` names both AUCs.
+
+    Each bracket is the sample variance of the paired placement
+    differences, so in doubled placements
+    var = Var(K10a - K10b)/(4n^2 m) + Var(K01a - K01b)/(4m^2 n), summed
+    exactly and rounded once.
     """
     _check_paired(cohort_a, cohort_b)
     m, n = cohort_a.positives, cohort_a.negatives
@@ -219,13 +245,13 @@ def delong_test(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> DeLongResult:
         raise InsufficientDataError(
             f"DeLong test needs >= 2 positives and >= 2 negatives, got {m} and {n}"
         )
-    auc_a, v10_a, v01_a = _placements(cohort_a)
-    auc_b, v10_b, v01_b = _placements(cohort_b)
-    s10 = np.cov(np.vstack([v10_a, v10_b]))
-    s01 = np.cov(np.vstack([v01_a, v01_b]))
-    var = float((s10[0, 0] + s10[1, 1] - 2.0 * s10[0, 1]) / m
-                + (s01[0, 0] + s01[1, 1] - 2.0 * s01[0, 1]) / n)
-    var = max(var, 0.0)
+    k_a, k_b = _placements(cohort_a), _placements(cohort_b)
+    auc_a, auc_b = _auc(cohort_a, k_a), _auc(cohort_b, k_b)
+    differences = ([], [])  # per label: K01 differences over negatives, K10 differences over positives
+    for label, ka, kb in zip(cohort_a.labels, k_a, k_b):
+        differences[label].append(ka - kb)
+    var = float(_sample_variance(differences[1]) / (4 * n * n * m)
+                + _sample_variance(differences[0]) / (4 * m * m * n))
     diff = auc_a - auc_b
     if var > 0.0:
         z = diff / math.sqrt(var)

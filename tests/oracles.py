@@ -2,11 +2,13 @@
 the hashing embedder and the synthetic corpus generator.
 
 These deliberately avoid the main code paths: direct O(m*n) pair loops,
-the trapezoid rule over ROC points, explicit covariance sums, scipy's normal tail, a vectorized paired
-bootstrap, a per-word loop for feature hashing, and per-word
-``random.choice`` / ``randint`` calls for filler text. They exist so the
-package's midrank-based, batched and table-driven implementations are
-verified against a different computational route.
+the trapezoid rule over ROC points, explicit covariance sums (also in
+exact rational arithmetic over placements from running counts), scipy's
+normal tail, a vectorized paired bootstrap, a per-word loop for feature
+hashing, and per-word ``random.choice`` / ``randint`` calls for filler
+text. They exist so the package's rank-based, batched and
+table-driven implementations are verified against a different
+computational route.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from datetime import timedelta
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -117,6 +120,38 @@ def delong_reference(labels, scores_a, scores_b):
         z = diff / var ** 0.5
         p = 2.0 * stats.norm.sf(abs(z))
     return auc_a, auc_b, var, z, p
+
+
+def _placements_exact(values, others) -> list[Fraction]:
+    """Share of ``others`` below each value, a tie counting 1/2, from a running count over the distinct scores."""
+    counts = Counter(others)
+    below, running = {}, 0
+    for score in sorted(counts.keys() | set(values)):
+        below[score] = running
+        running += counts[score]
+    return [Fraction(2 * below[v] + counts[v], 2 * len(others)) for v in values]
+
+
+def delong_variance_exact(labels, scores_a, scores_b) -> Fraction:
+    """The DeLong variance of the AUC difference as an exact rational; nothing is rounded.
+
+    The placements are exact fractions (V10 per positive, and 1 - V01
+    per negative, which has the same variance), and the covariances are
+    ``_cov``'s explicit sums carried out in rational arithmetic.
+    """
+    pos_idx = [i for i, l in enumerate(labels) if l == 1]
+    neg_idx = [i for i, l in enumerate(labels) if l == 0]
+    m, n = len(pos_idx), len(neg_idx)
+
+    def placements(scores):
+        xs = [scores[i] for i in pos_idx]
+        ys = [scores[j] for j in neg_idx]
+        return _placements_exact(xs, ys), _placements_exact(ys, xs)
+
+    v10_a, w01_a = placements(scores_a)
+    v10_b, w01_b = placements(scores_b)
+    return ((_cov(v10_a, v10_a) + _cov(v10_b, v10_b) - 2 * _cov(v10_a, v10_b)) / m
+            + (_cov(w01_a, w01_a) + _cov(w01_b, w01_b) - 2 * _cov(w01_a, w01_b)) / n)
 
 
 def _auc_rows(labels_rows: np.ndarray, scores_rows: np.ndarray) -> np.ndarray:

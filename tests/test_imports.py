@@ -2,7 +2,9 @@
 
 Every CLI command is a fresh process, so a module it imports without
 using (numpy is about 0.16 s, the HTTP stack about 0.03 s) is start-up
-time paid on every run. ``costmodel`` and ``report`` serve only the
+time paid on every run. The metrics are computed on the standard
+library, so evaluate and delong load no numpy; only build-index and
+retrieve --mode rag need it. ``costmodel`` and ``report`` serve only the
 project, report and evaluate --roc-out commands. ``import budgetrag``
 loads no submodule: each name is imported from the module that defines it.
 The corpus generator takes the complication vocabulary from ``retrieval``,
@@ -48,12 +50,17 @@ def test_offline_commands_load_no_numpy_http_or_thread_pool(tmp_path):
         ["ingest", "--corpus", "corpus.jsonl", "--out", "proc.jsonl", "--max-words", "64"],
         ["retrieve", "--corpus", "proc.jsonl", "--mode", "long", "--out", "ctx.jsonl"],
         ["classify", "--contexts", "ctx.jsonl", "--out", "out.jsonl"],
+        ["evaluate", "--outcomes", "out.jsonl", "--corpus", "proc.jsonl", "--out", "m.json"],
+        ["delong", "--outcomes-a", "out.jsonl", "--outcomes-b", "out.jsonl", "--corpus", "proc.jsonl",
+         "--out", "delong.json"],
     ]
     for argv in commands:
-        argv = [str(tmp_path / a) if a.endswith(".jsonl") else a for a in argv]
+        argv = [str(tmp_path / a) if a.endswith((".jsonl", ".json")) else a for a in argv]
         result = _probe(f"from budgetrag.cli import main; code = main({argv!r})")
         assert result == {"code": 0, "loaded": []}, argv[0]
     assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 6
+    assert json.loads((tmp_path / "m.json").read_text())["patients"] == 6
+    assert json.loads((tmp_path / "delong.json").read_text())["p_value"] == 1.0
 
 
 def test_corpus_generator_loads_no_numpy_or_http():

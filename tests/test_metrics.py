@@ -23,8 +23,8 @@ from budgetrag.metrics import (
     roc_points,
 )
 
-from .oracles import (auc_pair_enumeration, average_precision_bruteforce, delong_reference, roc_points_bruteforce,
-                      trapezoid_area)
+from .oracles import (auc_pair_enumeration, average_precision_bruteforce, delong_reference, delong_variance_exact,
+                      roc_points_bruteforce, trapezoid_area)
 
 
 def cohort(labels, scores, ids=None):
@@ -56,18 +56,21 @@ class TestBitExact:
 
     def test_metrics_equal_oracles_exactly(self):
         rng = np.random.default_rng(31)
+        cohorts = []
         for tie_prone in (False, True):
-            for size in [2, 3, 500, *rng.integers(2, 501, size=12)]:
-                c = random_cohort(rng, int(size), tie_prone)
-                labels, scores = c.labels, c.scores
-                assert auroc(c) == auc_pair_enumeration(labels, scores)
-                assert pr_auc(c) == average_precision_bruteforce(labels, scores)
-                assert roc_points(c) == roc_points_bruteforce(labels, scores)
-                for threshold in (0.0, 0.3, 0.5, 1.0):
-                    got = confusion_metrics(c, threshold)
-                    pairs = list(zip(labels, (s >= threshold for s in scores)))
-                    assert (got.tp, got.fp, got.tn, got.fn) == tuple(
-                        pairs.count(p) for p in ((1, True), (0, True), (0, False), (1, False)))
+            sizes = [2, 3, 500, *rng.integers(2, 501, size=12)]
+            cohorts += [random_cohort(rng, int(size), tie_prone) for size in sizes]
+        cohorts.append(random_cohort(rng, 2000))
+        for c in cohorts:
+            labels, scores = c.labels, c.scores
+            assert auroc(c) == auc_pair_enumeration(labels, scores)
+            assert pr_auc(c) == average_precision_bruteforce(labels, scores)
+            assert roc_points(c) == roc_points_bruteforce(labels, scores)
+            for threshold in (0.0, 0.3, 0.5, 1.0):
+                got = confusion_metrics(c, threshold)
+                pairs = list(zip(labels, (s >= threshold for s in scores)))
+                assert (got.tp, got.fp, got.tn, got.fn) == tuple(
+                    pairs.count(p) for p in ((1, True), (0, True), (0, False), (1, False)))
 
 
 class TestAuroc:
@@ -266,7 +269,7 @@ class TestDeLong:
         rev = delong_test(b, a)
         assert rev.z_statistic == pytest.approx(-fwd.z_statistic, abs=1e-12)
         assert rev.p_value == pytest.approx(fwd.p_value, abs=1e-12)
-        assert rev.variance_of_difference == pytest.approx(fwd.variance_of_difference, abs=1e-15)
+        assert rev.variance_of_difference == fwd.variance_of_difference
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(3)
@@ -278,6 +281,17 @@ class TestDeLong:
             assert result.auc_b == pytest.approx(auc_b, abs=1e-12)
             assert result.variance_of_difference == pytest.approx(var, abs=1e-12)
             assert result.p_value == pytest.approx(p, abs=1e-10)
+
+    def test_variance_is_the_exact_value_rounded_once(self):
+        rng = np.random.default_rng(9)
+        for size in (4, 5, 9, 40, 200, 1000, 3200):
+            for tie_prone in (False, True):
+                a, b = self._paired(rng, size=size)
+                if tie_prone:  # scores on a 0.1 grid: ties within and across classes
+                    a, b = (cohort(c.labels, [round(math.tanh(s), 1) for s in c.scores], c.patient_ids)
+                            for c in (a, b))
+                exact = delong_variance_exact(a.labels, a.scores, b.scores)
+                assert delong_test(a, b).variance_of_difference == float(exact)
 
     def test_variance_nonnegative_and_p_in_range(self):
         rng = np.random.default_rng(4)
