@@ -16,19 +16,28 @@ so numpy (``embedding``, ``vindex``) is imported only inside build-index
 and retrieve --mode rag, ``metrics`` (standard library only) only inside
 evaluate and delong, ``costmodel`` only inside project, ``report`` (whose
 ``write_csv`` writes every CSV) only inside project, report and evaluate
---roc-out, and the HTTP stack only by a remote embedder or classifier.
+--roc-out, the HTTP stack only by a remote embedder or classifier, and
+the process pool only by build-index with workers to fork.
 
 Before anything is read or staged, ``main`` rejects a run in which a
 file it would write (an output, or the run manifest) is also an input,
 an input's sidecar manifest, or another file it writes: that run would
 destroy the file.
 
-build-index embeds the chunks of all patients, in patient order, in
-batches of ``EMBED_BATCH``: one numpy pass per batch for the hashing
-embedder, and one request of at most ``EMBED_BATCH`` inputs per batch
-for a remote one. The rows, and so the index bytes, do not depend on
-how the chunks are batched. retrieve --mode rag embeds ``--query`` once
-per run and ranks every patient's chunks against that one vector.
+build-index cuts the processed rows into contiguous shares of patients,
+one per usable CPU (``os.sched_getaffinity``) and at most one per
+patient. It embeds the first share itself. The other shares go to
+workers that it forks before numpy is imported; they hold their rows
+from the fork, exit if it dies, and each returns its chunks'
+(patient_id, position) keys and one float32 matrix. The rows are added to the index in patient
+order. A share is embedded in batches of ``EMBED_BATCH`` chunks across
+its patients, one numpy pass per batch for the hashing embedder. The
+remote embedder, a host with one usable CPU and a platform without fork
+keep one share, in this process, so a remote embedder sends one request
+of at most ``EMBED_BATCH`` inputs per batch. The rows, and so the index
+bytes, depend neither on the batches nor on the shares. retrieve --mode
+rag embeds ``--query`` once per run and ranks every patient's chunks
+against that one vector.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -40,6 +49,7 @@ tampered input file, or inputs on which a result is undefined);
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import itertools
@@ -47,6 +57,8 @@ import json
 import math
 import os
 import sys
+import threading
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -238,21 +250,93 @@ def cmd_ingest(args) -> dict:
     }}
 
 
-def cmd_build_index(args) -> dict:
-    from .vindex import VectorIndex
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say (no
+    ``os.sched_getaffinity``, which every platform without fork lacks)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    embedder = _embedder_from_args(args)
-    chunks = (chunk for row in _read_processed(args.corpus) for chunk in _chunks(row))
-    index = None  # remote embedders reveal their dimension with the first vector
+
+# The rows a forked build-index worker embeds: the pool's initializer fills this list in each
+# worker, from the memory the worker inherited, so that no row is pickled. It stays empty here.
+_inherited_rows: list[dict] = []
+
+
+def _start_worker(rows: list[dict]) -> None:
+    """Initialize a forked worker: keep the inherited rows, and end the worker once its parent is
+    gone. A parent that is killed sends no shutdown, and its worker would wait on the pool's pipes
+    for ever."""
+    _inherited_rows.extend(rows)
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),), daemon=True).start()
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.1)
+    os._exit(1)
+
+
+def _fork_pool(workers: int, rows: list[dict]):
+    """A pool of ``workers`` processes forked from this one, each holding ``rows``.
+
+    The fork context starts every worker at the first submit. Submit before numpy is imported, so
+    that no BLAS thread exists at fork time. build-index calls no BLAS routine, and a BLAS thread
+    spins for a while after import on the CPU that another share needs, so numpy is loaded with
+    one OpenBLAS thread unless OPENBLAS_NUM_THREADS is already set.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(rows,))
+
+
+def _embedded_batches(embedder, rows: list[dict]):
+    """Chunk the rows and embed their chunks in batches of ``EMBED_BATCH``, across patients; yield
+    each batch's (patient_id, position) keys and float32 matrix, row for row."""
+    chunks = (chunk for row in rows for chunk in _chunks(row))
     while batch := list(itertools.islice(chunks, EMBED_BATCH)):
-        vectors = embedder.embed_many([c.text for c in batch])
-        if index is None:
-            index = VectorIndex(dim=vectors.shape[1], embedder_fingerprint=embedder.fingerprint)
-        start = 0
-        for patient_id, run in itertools.groupby(batch, key=lambda c: c.patient_id):
-            positions = [c.position for c in run]
-            index.add_many(patient_id, positions, vectors[start:start + len(positions)])
-            start += len(positions)
+        yield [(c.patient_id, c.position) for c in batch], embedder.embed_many([c.text for c in batch])
+
+
+def _embed_share(args, start: int, stop: int):
+    """In a forked worker, embed rows[start:stop] of the inherited rows: return the keys of all
+    their chunks, and one float32 matrix, row for row."""
+    import numpy as np
+
+    rows = _inherited_rows[start:stop]
+    if len(rows) != stop - start:
+        raise RuntimeError(f"worker inherited {len(_inherited_rows)} rows, its share is rows {start}..{stop}")
+    embedder = _embedder_from_args(args)
+    batches = list(_embedded_batches(embedder, rows))
+    keys = [key for batch_keys, _ in batches for key in batch_keys]
+    return keys, np.concatenate([matrix for _, matrix in batches] + [embedder.embed_many([])])
+
+
+def cmd_build_index(args) -> dict:
+    rows = _read_processed(args.corpus)
+    # Contiguous shares of patients, one per usable CPU: this process embeds the first, forked
+    # workers the others. A remote embedder keeps one share, so that each of its requests holds
+    # EMBED_BATCH chunks across patients.
+    shares = max(1, min(_usable_cpus(), len(rows))) if args.embedder == "hashing" else 1
+    cuts = [len(rows) * i // shares for i in range(shares + 1)]
+    with (_fork_pool(shares - 1, rows) if shares > 1 else contextlib.nullcontext()) as pool:
+        futures = [pool.submit(_embed_share, args, start, stop) for start, stop in zip(cuts[1:-1], cuts[2:])]
+        del rows[cuts[1]:]  # the workers hold these since the first submit forked them
+        embedder = _embedder_from_args(args)  # imports numpy, so after the fork
+        from .vindex import VectorIndex
+
+        index = None  # a remote embedder reveals its dimension with its first vectors
+        for keys, matrix in itertools.chain(_embedded_batches(embedder, rows),
+                                            (future.result() for future in futures)):
+            if index is None:
+                index = VectorIndex(dim=matrix.shape[1], embedder_fingerprint=embedder.fingerprint)
+            start = 0
+            for patient_id, run in itertools.groupby(keys, key=lambda ref: ref[0]):
+                positions = [position for _, position in run]
+                index.add_many(patient_id, positions, matrix[start:start + len(positions)])
+                start += len(positions)
     if index is None:
         index = VectorIndex(dim=embedder.dim, embedder_fingerprint=embedder.fingerprint)
     index.save(args.out)
@@ -587,7 +671,8 @@ def main(argv=None) -> int:
         return _EXIT_CODES[category]
     finally:  # what a failed command wrote; moved away already after a success
         for path in staged.values():
-            Path(path).unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # nothing was staged there
+                Path(path).unlink()
     return 0
 
 

@@ -12,7 +12,9 @@ Two embedders are supported; the CLI constructs the one its
   once. Each bucket sum, and each row's sum of squares, is an integer
   below 2**52 for a text of fewer than 2**26 words, so float64 holds it
   exactly whatever the order of summation: a text's vector is
-  bit-identical alone or in any batch.
+  bit-identical alone or in any batch. build-index relies on this when
+  it splits the patients into shares, embedded in separate processes:
+  its index bytes do not depend on the number of shares.
 * ``RemoteEmbedder(endpoint, model_name)`` -- an embeddings-API
   endpoint speaking the usual shape: request
   ``{"model": str, "input": [str]}``, response

@@ -196,7 +196,9 @@ def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
     Built from the one-sided upper tail so that
-    ``normal_cdf(-x) == 1 - normal_cdf(x)`` holds exactly.
+    ``normal_cdf(-x) == 1 - normal_cdf(x)`` holds exactly. For x < 0 it
+    returns that tail, ``erfc(|x|/sqrt(2))/2``, itself: no ``1 - ...``
+    cancels, so it keeps its relative precision far into the tail.
     """
     tail = 0.5 * math.erfc(abs(x) / math.sqrt(2.0))
     return tail if x < 0 else 1.0 - tail
@@ -229,7 +231,7 @@ def delong_test(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> DeLongResult:
     """Paired DeLong test for the difference of two correlated AUCs.
 
     var = (S10_aa + S10_bb - 2*S10_ab)/m + (S01_aa + S01_bb - 2*S01_ab)/n,
-    z = (AUC_a - AUC_b)/sqrt(var), p = 2*(1 - Phi(|z|)). A degenerate
+    z = (AUC_a - AUC_b)/sqrt(var), p = 2*Phi(-|z|). A degenerate
     zero variance with equal AUCs yields z = 0, p = 1; with different
     AUCs (a perfect arm against an arm of tied scores, say) z is
     undefined and ``UndefinedMetricError`` names both AUCs.
@@ -255,7 +257,7 @@ def delong_test(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> DeLongResult:
     diff = auc_a - auc_b
     if var > 0.0:
         z = diff / math.sqrt(var)
-        p = 2.0 * (1.0 - normal_cdf(abs(z)))
+        p = 2.0 * normal_cdf(-abs(z))  # the tail itself: 1 - normal_cdf(|z|) is 0.0 from |z| ~ 8.3 on
     elif diff == 0.0:
         z, p = 0.0, 1.0
     else:

@@ -49,6 +49,7 @@ unchanged.
 from __future__ import annotations
 
 import functools
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,6 +135,23 @@ def _crc32c_block_tables() -> tuple[np.ndarray, tuple[list[int], ...]]:
     return table, lanes
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
+
+
+def _positions(values) -> list[int]:
+    """Chunk positions as ints, each checked before numpy converts it: an int (not a bool) in [0, 2**32)."""
+    positions = []
+    for value in values:
+        if not _is_int(value):
+            raise TypeError(f"positions must be ints, got {value!r}")
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise ValueError(f"positions must fit in a u32, got {value}")
+        positions.append(int(value))
+    return positions
+
+
 def _length_prefixed(text: str) -> bytes:
     raw = text.encode("utf-8")
     return _U32.pack(len(raw)) + raw
@@ -181,13 +199,15 @@ class VectorIndex:
 
         Every row is checked as ``add`` checks one (dimension, finite,
         unit norm, (patient_id, position) new) before anything is
-        stored, so a rejected batch leaves the index unchanged.
+        stored, so a rejected batch leaves the index unchanged. A
+        position must be an int (a bool is not one) in [0, 2**32):
+        another type is a ``TypeError``, another value a ``ValueError``.
         """
+        pos = _positions(positions)
         try:
             mat = np.asarray(matrix, dtype=np.float32)
         except ValueError as exc:  # a list of vectors of unequal length
             raise DimensionMismatchError(f"expected dim {self.dim}: {exc}") from exc
-        pos = np.asarray(positions, dtype=np.int64).tolist()
         if mat.ndim != 2 or mat.shape[1] != self.dim:
             actual = mat.shape[1] if mat.ndim == 2 else mat.shape
             raise DimensionMismatchError(f"expected dim {self.dim}, got {actual}")
@@ -195,8 +215,6 @@ class VectorIndex:
             raise ValueError(f"{len(pos)} positions for {len(mat)} vectors")
         if not pos:
             return
-        if min(pos) < 0 or max(pos) > 0xFFFFFFFF:
-            raise ValueError(f"positions must fit in a u32, got {min(pos)}..{max(pos)}")
         norms = np.linalg.norm(mat.astype(np.float64), axis=1)
         bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # NaN compares false: non-finite rows are bad too
         if bad.any():
@@ -227,8 +245,11 @@ class VectorIndex:
         """Exact top-k by cosine similarity.
 
         Ties are broken by ascending position, then patient id. With
-        fewer than k matching entries, all of them are returned.
+        fewer than k matching entries, all of them are returned. ``k``
+        must be an int (a bool is not one) and at least 0.
         """
+        if not _is_int(k):
+            raise TypeError(f"k must be an int, got {k!r}")
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         q = np.asarray(query, dtype=np.float64)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +530,15 @@ class TestFailedRunsLeaveNoOutput:
         assert list(tmp_path.iterdir()) == [tmp_path / "roc"]
         assert list((tmp_path / "roc").iterdir()) == []
 
+    def test_output_under_a_file_is_one_json_data_error(self, demo_dir, tmp_path, capsys):
+        (tmp_path / "a-file").write_text("", encoding="utf-8")
+        assert main(["retrieve", "--corpus", str(demo_dir / "proc.jsonl"), "--mode", "long",
+                     "--out", str(tmp_path / "a-file" / "ctx.jsonl")]) == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert json.loads(err_lines[0])["error"] == "NotADirectoryError"
+        assert list(tmp_path.iterdir()) == [tmp_path / "a-file"]
+
     def test_a_failed_rerun_keeps_the_earlier_outputs(self, demo_dir, tmp_path):
         argv = ["evaluate", "--outcomes", str(demo_dir / "out_rag.jsonl"), "--corpus", str(demo_dir / "proc.jsonl"),
                 "--out", str(tmp_path / "m.json")]
@@ -674,6 +685,157 @@ class TestBuildIndexBatching:
         assert (err["error"], err["category"]) == ("RemoteSchemaError", "remote")
         assert len(api_server.requests) == 2
         assert list(corpus.parent.iterdir()) == [corpus]
+
+
+# In a fresh interpreter (a fork of the test process would copy its threads' state): run
+# build-index once per CPU count in config["cpus"], each with cli._usable_cpus returning that
+# count, and print per run its exit code, error lines, whether numpy was loaded at each fork, and
+# whether a child process is left. With config["fail_parent_share"], the parent's own share
+# raises OSError while the workers embed theirs.
+_SHARES_SCRIPT = """
+import contextlib, io, json, os, sys
+config = json.loads(sys.argv[1])
+sys.path.insert(0, config["src"])
+from budgetrag import cli
+
+forks, fork = [], os.fork
+def counting_fork():
+    forks.append("numpy" in sys.modules)
+    return fork()
+os.fork = counting_fork
+
+parent, embedded_batches = os.getpid(), cli._embedded_batches
+def failing_batches(embedder, rows):
+    if os.getpid() == parent:
+        raise OSError(5, "parent share failed")
+    return embedded_batches(embedder, rows)
+if config["fail_parent_share"]:
+    cli._embedded_batches = failing_batches
+
+runs = []
+for cpus in config["cpus"]:
+    cli._usable_cpus = lambda: cpus
+    forks.clear()
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(config["argv"] + ["--out", f"{config['out']}.{cpus}"])
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        children = True
+    except ChildProcessError:
+        children = False
+    runs.append({"code": code, "errors": err.getvalue().splitlines(), "forks": list(forks),
+                 "children": children})
+print(json.dumps(runs))
+"""
+
+
+def _build_with_cpus(argv, out, cpus, fail_parent_share=False):
+    config = {"src": str(Path(__file__).resolve().parents[1] / "src"), "argv": [str(a) for a in argv],
+              "out": str(out), "cpus": cpus, "fail_parent_share": fail_parent_share}
+    done = subprocess.run([sys.executable, "-c", _SHARES_SCRIPT, json.dumps(config)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="build-index forks workers only where fork exists")
+class TestBuildIndexShares:
+    """build-index embeds contiguous shares of patients, one per usable CPU, the first in this
+    process and the others in workers forked before numpy is imported. The index bytes do not
+    depend on the number of shares, and no worker outlives the command."""
+
+    @staticmethod
+    def _processed(tmp_path, patients, notes, blocks, block_words, max_words):
+        raw = tmp_path / "corpus.jsonl"
+        write_corpus(raw, generate_corpus(patients, notes_per_patient=notes, blocks_per_note=blocks,
+                                          block_words=block_words, seed=5))
+        run(0, "ingest", "--corpus", raw, "--out", tmp_path / "proc.jsonl", "--max-words", max_words)
+        return tmp_path / "proc.jsonl"
+
+    @pytest.mark.parametrize("patients,notes,blocks,block_words,max_words,dim,cpus", [
+        (6, 5, 8, 512, 512, 256, 2),  # the long-records shape: 40 chunks of 512 words per patient
+        (96, 1, 4, 32, 64, 64, 3),  # the many-short-records shape: 2 chunks per patient
+        (0, 1, 1, 8, 8, 16, 4),
+        (1, 2, 5, 64, 64, 32, 4),
+        (3, 2, 5, 64, 16, 32, 8),  # fewer patients than CPUs: 3 shares
+    ], ids=["long-records", "many-short-records", "0-patients", "1-patient", "fewer-patients-than-cpus"])
+    def test_worker_run_writes_the_in_process_bytes(self, tmp_path, patients, notes, blocks, block_words,
+                                                    max_words, dim, cpus):
+        if patients:
+            corpus = self._processed(tmp_path, patients, notes, blocks, block_words, max_words)
+        else:
+            corpus = tmp_path / "proc.jsonl"
+            corpus.write_text("", encoding="utf-8")
+        out = tmp_path / "index.brag"
+        argv = ["build-index", "--corpus", corpus, "--dim", dim, "--deterministic"]
+        workers, alone = _build_with_cpus(argv, out, [cpus, 1])
+        assert workers == {"code": 0, "errors": [], "children": False,
+                           "forks": [False] * (min(cpus, patients) - 1)}  # numpy loaded after every fork
+        assert alone == {"code": 0, "errors": [], "children": False, "forks": []}
+        from budgetrag.vindex import VectorIndex
+
+        assert Path(f"{out}.{cpus}").read_bytes() == Path(f"{out}.1").read_bytes()
+        index = VectorIndex.load(f"{out}.1")
+        rows = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+        assert [ref for ref, _ in index.entries] == [(row["patient_id"], i) for row in rows
+                                                     for i in range(-(-row["word_count"] // max_words))]
+
+    def test_no_worker_outlives_a_run_or_leaves_a_staged_file(self, tmp_path):
+        corpus = self._processed(tmp_path, 8, 2, 5, 64, 64)
+        argv = ["build-index", "--corpus", corpus, "--dim", "32"]
+        ok, = _build_with_cpus(argv, tmp_path / "index.brag", [3])
+        assert ok == {"code": 0, "errors": [], "children": False, "forks": [False, False]}
+        unwritable, = _build_with_cpus(argv, tmp_path / "proc.jsonl" / "index.brag", [3])  # a file as its directory
+        failed, = _build_with_cpus(argv, tmp_path / "index.brag", [3], fail_parent_share=True)
+        for run_ in (unwritable, failed):
+            assert (run_["code"], run_["children"], run_["forks"]) == (2, False, [False, False])
+            error, = run_["errors"]
+            assert json.loads(error)["category"] == "data"
+        assert "parent share failed" in failed["errors"][0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus.jsonl", "index.brag.3", "index.brag.3.manifest.json", "proc.jsonl", "proc.jsonl.manifest.json"]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads process states from /proc")
+    def test_a_killed_parent_leaves_no_worker(self, tmp_path):
+        def alive(pid):
+            status = Path(f"/proc/{pid}/status")
+            return status.exists() and "(zombie)" not in status.read_text()
+
+        corpus = self._processed(tmp_path, 4, 1, 4, 32, 64)
+        pid_file = tmp_path / "worker.pid"
+        # the worker records its pid and stalls; the parent then waits for its result
+        script = f"""
+import os, sys, time
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
+from budgetrag import cli
+cli._usable_cpus = lambda: 2
+parent, embedded_batches = os.getpid(), cli._embedded_batches
+def stalled_batches(embedder, rows):
+    if os.getpid() != parent:
+        with open({str(pid_file)!r} + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace({str(pid_file)!r} + ".tmp", {str(pid_file)!r})
+        time.sleep(60)
+    return embedded_batches(embedder, rows)
+cli._embedded_batches = stalled_batches
+cli.main(["build-index", "--corpus", {str(corpus)!r}, "--out", {str(tmp_path / "index.brag")!r}])
+"""
+        parent = subprocess.Popen([sys.executable, "-c", script])
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists() and parent.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert pid_file.exists(), "the worker never started its share"
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+        worker = int(pid_file.read_text())
+        deadline = time.monotonic() + 10
+        while alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if alive(worker):
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail(f"worker {worker} outlived its killed parent")
 
 
 class TestSyntheticCli:

@@ -8,12 +8,16 @@ retrieve --mode rag need it. ``costmodel`` and ``report`` serve only the
 project, report and evaluate --roc-out commands. ``import budgetrag``
 loads no submodule: each name is imported from the module that defines it.
 The corpus generator takes the complication vocabulary from ``retrieval``,
-so it loads neither the classifier nor the HTTP helper.
+so it loads neither the classifier nor the HTTP helper. build-index starts
+a process pool only to fork workers for the hashing embedder on more than
+one usable CPU: a run on one CPU, or with the remote embedder, loads
+neither ``concurrent.futures.process`` nor ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import types
@@ -37,8 +41,8 @@ print(json.dumps({{"code": code, "loaded": [m for m in sys.argv[2:] if m in sys.
 """
 
 
-def _probe(statement: str) -> dict:
-    done = subprocess.run([sys.executable, "-c", _PROBE.format(statement=statement), str(SRC), *UNUSED_OFFLINE],
+def _probe(statement: str, modules=UNUSED_OFFLINE) -> dict:
+    done = subprocess.run([sys.executable, "-c", _PROBE.format(statement=statement), str(SRC), *modules],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -61,6 +65,26 @@ def test_offline_commands_load_no_numpy_http_or_thread_pool(tmp_path):
     assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 6
     assert json.loads((tmp_path / "m.json").read_text())["patients"] == 6
     assert json.loads((tmp_path / "delong.json").read_text())["p_value"] == 1.0
+
+
+def test_build_index_on_one_cpu_or_remote_loads_no_process_pool(tmp_path, api_server):
+    write_corpus(tmp_path / "corpus.jsonl", generate_corpus(4, seed=0, notes_per_patient=1, blocks_per_note=4,
+                                                            block_words=32))
+    proc = str(tmp_path / "proc.jsonl")
+    ingest = ["ingest", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", proc, "--max-words", "64"]
+    assert _probe(f"from budgetrag.cli import main; code = main({ingest!r})") == {"code": 0, "loaded": []}
+    # 4 patients of 128 words: 8 chunks; the remote service gives chunk g the direction (1, g)
+    assert [json.loads(line)["word_count"] for line in open(proc, encoding="utf-8")] == [128] * 4
+    api_server.reset([(200, {"data": [{"embedding": [1.0, float(g)]} for g in range(8)]})])
+    remote = ["build-index", "--corpus", proc, "--out", str(tmp_path / "remote.brag"),
+              "--embedder", "remote", "--endpoint", api_server.url, "--model", "m"]
+    one_cpu = ["build-index", "--corpus", proc, "--out", str(tmp_path / "one-cpu.brag")]
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})" if hasattr(os, "sched_setaffinity") else "pass"
+    pool = ("concurrent.futures.process", "multiprocessing")
+    for statement in (f"from budgetrag.cli import main; code = main({remote!r})",
+                      f"import os; {pin}; from budgetrag.cli import main; code = main({one_cpu!r})"):
+        assert _probe(statement, pool) == {"code": 0, "loaded": []}, statement
+    assert len(api_server.requests) == 1
 
 
 def test_corpus_generator_loads_no_numpy_or_http():

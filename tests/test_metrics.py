@@ -293,6 +293,25 @@ class TestDeLong:
                 exact = delong_variance_exact(a.labels, a.scores, b.scores)
                 assert delong_test(a, b).variance_of_difference == float(exact)
 
+    @pytest.mark.parametrize("z", [5.0, 8.0, 9.0, 12.0])
+    def test_p_value_tail_matches_high_precision_oracle(self, z):
+        # 2 * (1 - normal_cdf(z)) cancels: 1.33e-15 at z = 8, and 0.0 from z ~ 8.3 on
+        mpmath.mp.dps = 50
+        expected = float(mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)))
+        assert 2.0 * normal_cdf(-z) == pytest.approx(expected, rel=1e-13)
+
+    def test_far_tail_p_value_is_not_zero(self):
+        # 500 patients, one arm nearly perfect and the other noisy: |z| lies past 8.3
+        rng = np.random.default_rng(12)
+        a, b = self._paired(rng, size=500, noise=0.05)
+        b = cohort(b.labels, (np.array(b.scores) + rng.standard_normal(500)).tolist(), b.patient_ids)
+        result = delong_test(a, b)
+        assert abs(result.z_statistic) > 8.5
+        mpmath.mp.dps = 50
+        expected = float(mpmath.erfc(abs(mpmath.mpf(result.z_statistic)) / mpmath.sqrt(2)))
+        assert result.p_value > 0.0
+        assert result.p_value == pytest.approx(expected, rel=1e-12)
+
     def test_variance_nonnegative_and_p_in_range(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

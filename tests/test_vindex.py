@@ -141,6 +141,23 @@ class TestAddMany:
         assert len(index) == 2
         assert [(ref, vec.tobytes()) for ref, vec in index.entries] == before
 
+    @pytest.mark.parametrize("position,error", [
+        (1.5, TypeError), ("3", TypeError), (True, TypeError), (np.bool_(True), TypeError),
+        (2**32, ValueError), (2**64, ValueError), (-1, ValueError),
+    ], ids=["float", "string", "bool", "numpy-bool", "2**32", "2**64", "negative"])
+    def test_position_that_is_not_a_u32_int_is_rejected(self, position, error):
+        index = self._index()
+        with pytest.raises(error, match="positions must"):
+            index.add_many("p2", [0, position], np.stack([unit([1, 0, 0]), unit([0, 0, 1])]))
+        with pytest.raises(error, match="positions must"):
+            index.add("p2", position, unit([1, 0, 0]))
+        assert len(index) == 2
+
+    def test_numpy_integer_positions_are_stored_as_ints(self):
+        index = self._index()
+        index.add_many("p2", np.array([0, 2**32 - 1], dtype=np.int64), np.stack([unit([1, 0, 0]), unit([0, 0, 1])]))
+        assert [ref for ref, _ in index.entries][2:] == [("p2", 0), ("p2", 2**32 - 1)]
+
     def test_loaded_index_grows(self):
         loaded = VectorIndex.from_bytes(self._index().to_bytes())
         loaded.add_many("p1", [2], unit([0, 0, 1])[None, :])
@@ -154,6 +171,20 @@ class TestSearch:
         index = VectorIndex(dim=2)
         index.add("p1", 0, unit([1, 0]))
         assert index.search(unit([1, 0]), k=0) == []
+
+    @pytest.mark.parametrize("k", [1.5, True, np.bool_(True), "1"], ids=["float", "bool", "numpy-bool", "string"])
+    def test_k_that_is_not_an_int_is_rejected(self, k):
+        index = VectorIndex(dim=2)
+        index.add("p1", 0, unit([1, 0]))
+        with pytest.raises(TypeError, match="k must be an int"):
+            index.search(unit([1, 0]), k=k)
+
+    def test_k_numpy_int_and_negative(self):
+        index = VectorIndex(dim=2)
+        index.add("p1", 0, unit([1, 0]))
+        assert len(index.search(unit([1, 0]), k=np.int64(1))) == 1
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            index.search(unit([1, 0]), k=-1)
 
     def test_exact_match_scores_one(self):
         index = VectorIndex(dim=3)
