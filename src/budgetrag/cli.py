@@ -12,12 +12,13 @@ staged names, and ``write_manifest`` moves the outputs into place after
 writing their manifest, so a failed command leaves no output behind.
 
 Every command is a fresh process that pays for each import at start-up,
-so numpy (``embedding``, ``vindex``) is imported only inside build-index
-and retrieve --mode rag, ``metrics`` (standard library only) only inside
-evaluate and delong, ``costmodel`` only inside project, ``report`` (whose
-``write_csv`` writes every CSV) only inside project, report and evaluate
---roc-out, the HTTP stack only by a remote embedder or classifier, and
-the process pool only by build-index with workers to fork.
+so numpy (``embedding``, ``vindex``; by default with one OpenBLAS
+thread) is imported only inside build-index and retrieve --mode rag,
+``metrics`` (standard library only) only inside evaluate and delong,
+``costmodel`` only inside project, ``report`` (whose ``write_csv`` writes
+every CSV) only inside project, report and evaluate --roc-out, the HTTP
+stack only by a remote embedder or classifier, and the process pool only
+by build-index with workers to fork.
 
 Before anything is read or staged, ``main`` rejects a run in which a
 file it would write (an output, or the run manifest) is also an input,
@@ -29,15 +30,16 @@ one per usable CPU (``os.sched_getaffinity``) and at most one per
 patient. It embeds the first share itself. The other shares go to
 workers that it forks before numpy is imported; they hold their rows
 from the fork, exit if it dies, and each returns its chunks'
-(patient_id, position) keys and one float32 matrix. The rows are added to the index in patient
-order. A share is embedded in batches of ``EMBED_BATCH`` chunks across
-its patients, one numpy pass per batch for the hashing embedder. The
-remote embedder, a host with one usable CPU and a platform without fork
-keep one share, in this process, so a remote embedder sends one request
-of at most ``EMBED_BATCH`` inputs per batch. The rows, and so the index
-bytes, depend neither on the batches nor on the shares. retrieve --mode
-rag embeds ``--query`` once per run and ranks every patient's chunks
-against that one vector.
+(patient_id, position) keys and one float32 matrix. Each batch of the
+first share, then each worker's share, goes into the index with one
+``add_many`` call, in patient order. A share is embedded in batches of
+``EMBED_BATCH`` chunks across its patients, one numpy pass per batch for
+the hashing embedder. The remote embedder, a host with one usable CPU
+and a platform without fork keep one share, in this process, so a remote
+embedder sends one request of at most ``EMBED_BATCH`` inputs per batch.
+The rows, and so the index bytes, depend neither on the batches nor on
+the shares. retrieve --mode rag embeds ``--query`` once per run and
+ranks every patient's chunks against that one vector.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -174,22 +176,35 @@ def _prompt_template(path) -> str:
     return template
 
 
+def _figure(data: dict, key: str, low=0, high=1, kinds=(int, float)):
+    """``data[key]``, which must be a finite JSON number of one of ``kinds`` (a bool is none) in [low, high]."""
+    value = data[key]
+    if type(value) not in kinds or not low <= value <= high or abs(value) > sys.float_info.max:  # nan fails too
+        raise ValueError(f"{key!r} must be a finite {' or '.join(k.__name__ for k in kinds)} in [{low}, {high}], "
+                         f"got {value!r:.40}")
+    return value
+
+
 def _metrics_row(path) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {"patients": data["patients"],
-            **{key: float(data[key]) for key in ("auroc", "precision", "recall", "f1", "pr_auc")}}
+    return {"patients": _figure(data, "patients", high=math.inf, kinds=(int,)),
+            **{key: _figure(data, key) for key in ("auroc", "precision", "recall", "f1", "pr_auc")}}
 
 
 def _delong_summary(path) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {key: float(data[key]) for key in ("auc_a", "auc_b", "variance_of_difference", "z_statistic", "p_value")}
+    return {key: _figure(data, key, low, high) for key, low, high in (
+        ("auc_a", 0, 1), ("auc_b", 0, 1), ("variance_of_difference", 0, math.inf),
+        ("z_statistic", -math.inf, math.inf), ("p_value", 0, 1))}
 
 
 def _embedder_from_args(args, index: VectorIndex | None = None) -> HashingEmbedder | RemoteEmbedder:
-    from .embedding import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder
+    from .embedding import DEFAULT_DIM, MAX_DIM, HashingEmbedder, RemoteEmbedder
 
     if args.embedder == "remote" and not args.endpoint:
         raise UsageError("--embedder remote requires --endpoint")
+    if args.dim is not None and args.dim > MAX_DIM:  # not an argparse bound: parsing must not load numpy
+        raise UsageError(f"argument --dim: must be <= {MAX_DIM}, got {args.dim}")
     dim = args.dim
     if dim is None:
         dim = index.dim if index is not None else DEFAULT_DIM
@@ -279,15 +294,11 @@ def _fork_pool(workers: int, rows: list[dict]):
     """A pool of ``workers`` processes forked from this one, each holding ``rows``.
 
     The fork context starts every worker at the first submit. Submit before numpy is imported, so
-    that no BLAS thread exists at fork time. build-index calls no BLAS routine, and a BLAS thread
-    spins for a while after import on the CPU that another share needs, so numpy is loaded with
-    one OpenBLAS thread unless OPENBLAS_NUM_THREADS is already set.
+    that no BLAS thread exists at fork time.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_worker, initargs=(rows,))
 
@@ -332,11 +343,7 @@ def cmd_build_index(args) -> dict:
                                             (future.result() for future in futures)):
             if index is None:
                 index = VectorIndex(dim=matrix.shape[1], embedder_fingerprint=embedder.fingerprint)
-            start = 0
-            for patient_id, run in itertools.groupby(keys, key=lambda ref: ref[0]):
-                positions = [position for _, position in run]
-                index.add_many(patient_id, positions, matrix[start:start + len(positions)])
-                start += len(positions)
+            index.add_many(keys, matrix)
     if index is None:
         index = VectorIndex(dim=embedder.dim, embedder_fingerprint=embedder.fingerprint)
     index.save(args.out)
@@ -651,6 +658,9 @@ def _check_no_overwrite(args) -> None:
 
 
 def main(argv=None) -> int:
+    # build-index calls no BLAS routine and retrieve one patient's matrix-vector product at a time, but an
+    # OpenBLAS thread spins after import on a CPU that a build-index worker, or another process, needs.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     staged = {}
     try:
         args = build_parser().parse_args(argv)

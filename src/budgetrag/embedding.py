@@ -34,6 +34,7 @@ from .errors import RemoteSchemaError, ZeroVectorError
 from .remote import post_json
 
 DEFAULT_DIM = 256
+MAX_DIM = 65_536  # a hashing batch of 64 texts sums into a 64 x MAX_DIM float64 matrix: 32 MiB
 
 # FNV-1a 64-bit parameters.
 _FNV_OFFSET = 14695981039346656037
@@ -66,8 +67,8 @@ def embed_hashing(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
 
 def _hash_rows(texts: list[str], dim: int) -> np.ndarray:
     """``embed_hashing`` of each text, as the rows of one float32 matrix."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in [2, {MAX_DIM}], got {dim}")
     lengths, word_hashes = [], []
     for text in texts:  # one text's words at a time: the batch keeps only their hashes
         words = text.lower().split()
@@ -116,8 +117,8 @@ class HashingEmbedder:
     """Deterministic offline embedder (the default pipeline choice)."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
-        if dim < 2:
-            raise ValueError(f"dim must be >= 2, got {dim}")
+        if not 2 <= dim <= MAX_DIM:
+            raise ValueError(f"dim must be in [2, {MAX_DIM}], got {dim}")
         self.dim = dim
 
     @property

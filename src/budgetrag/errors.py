@@ -46,7 +46,7 @@ class IndexFormatError(BudgetRagError):
     Covers wrong magic bytes, trailing bytes past the recorded length,
     and a checksum-valid structure that is inconsistent (impossible
     header values, an entry overrunning the body, unparsed bytes,
-    duplicate entries).
+    duplicate entries, rows that are not finite unit vectors).
     """
 
 

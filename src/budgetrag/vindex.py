@@ -7,9 +7,11 @@ ascending chunk position, then patient id.
 In memory the index is one float32 matrix of rows, an int64 array of
 chunk positions and the list of patient ids, row for row, plus a map
 from each patient id to its row numbers for filtered search and
-duplicate checks. The matrix and position array grow by doubling, so
-``add_many`` appends a patient's rows in amortized constant time per
-row; rows past ``len(index)`` are spare capacity.
+duplicate checks. Rows enter only through ``add_many``, which checks
+a batch of (patient_id, position) keys, across patients, and their rows
+before it stores any; ``add`` and ``from_bytes`` call it too. The matrix
+and position array grow by doubling, so rows are appended in amortized
+constant time per row; rows past ``len(index)`` are spare capacity.
 
 The index persists to a little-endian binary file (format version 2):
 
@@ -26,8 +28,10 @@ checks, in order: the magic (``IndexFormatError``), the version
 (``IndexTruncatedError``), the header checksum (``IndexChecksumError``),
 the file length against the recorded one (shorter:
 ``IndexTruncatedError``; longer: ``IndexFormatError`` for trailing
-bytes), the body checksum (``IndexChecksumError``), and only then parses
-the body, where any inconsistency is an ``IndexFormatError``. Version 1
+bytes), the body checksum (``IndexChecksumError``), then parses the
+body, where any inconsistency is an ``IndexFormatError``, and last
+checks its rows with ``add_many``: a repeated key or a row that is not a
+finite unit vector is an ``IndexFormatError`` as well. Version 1
 files (no length, no header checksum) are rejected with a hint to
 rebuild them with ``build-index``. ``to_bytes`` copies the vector
 bytes straight from a byte view of the matrix; ``from_bytes`` joins the
@@ -137,19 +141,7 @@ def _crc32c_block_tables() -> tuple[np.ndarray, tuple[list[int], ...]]:
 
 def _is_int(value) -> bool:
     """A Python or numpy integer, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
-
-
-def _positions(values) -> list[int]:
-    """Chunk positions as ints, each checked before numpy converts it: an int (not a bool) in [0, 2**32)."""
-    positions = []
-    for value in values:
-        if not _is_int(value):
-            raise TypeError(f"positions must be ints, got {value!r}")
-        if not 0 <= value <= 0xFFFFFFFF:
-            raise ValueError(f"positions must fit in a u32, got {value}")
-        positions.append(int(value))
-    return positions
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_)))
 
 
 def _length_prefixed(text: str) -> bytes:
@@ -189,21 +181,24 @@ class VectorIndex:
 
     def add(self, patient_id: str, position: int, vector: np.ndarray) -> None:
         """Append one chunk embedding; (patient_id, position) must be new."""
-        vec = np.asarray(vector, dtype=np.float32)
-        if vec.ndim != 1:
-            raise DimensionMismatchError(f"expected dim {self.dim}, got {vec.shape}")
-        self.add_many(patient_id, [position], vec[None, :])
+        self.add_many([(patient_id, position)], [vector])
 
-    def add_many(self, patient_id: str, positions, matrix: np.ndarray) -> None:
-        """Append a patient's chunk embeddings, row i at ``positions[i]``.
+    def add_many(self, keys, matrix: np.ndarray) -> None:
+        """Append chunk embeddings: row i of ``matrix`` under ``keys[i]``, a (patient_id, position) pair.
 
-        Every row is checked as ``add`` checks one (dimension, finite,
-        unit norm, (patient_id, position) new) before anything is
-        stored, so a rejected batch leaves the index unchanged. A
-        position must be an int (a bool is not one) in [0, 2**32):
-        another type is a ``TypeError``, another value a ``ValueError``.
+        The keys may span patients. Every key and row is checked (dimension,
+        finite, unit norm, key new to the batch and to the index) before
+        anything is stored, so a rejected batch leaves the index unchanged.
+        A position must be an int (a bool is not one) in [0, 2**32),
+        checked before numpy converts it: another type is a ``TypeError``,
+        another value a ``ValueError``.
         """
-        pos = _positions(positions)
+        pids, pos = [pid for pid, _ in keys], [position for _, position in keys]
+        for position in pos:
+            if not _is_int(position):
+                raise TypeError(f"positions must be ints, got {position!r}")
+            if not 0 <= position <= 0xFFFFFFFF:
+                raise ValueError(f"positions must fit in a u32, got {position}")
         try:
             mat = np.asarray(matrix, dtype=np.float32)
         except ValueError as exc:  # a list of vectors of unequal length
@@ -212,34 +207,32 @@ class VectorIndex:
             actual = mat.shape[1] if mat.ndim == 2 else mat.shape
             raise DimensionMismatchError(f"expected dim {self.dim}, got {actual}")
         if len(pos) != len(mat):
-            raise ValueError(f"{len(pos)} positions for {len(mat)} vectors")
-        if not pos:
-            return
-        norms = np.linalg.norm(mat.astype(np.float64), axis=1)
+            raise ValueError(f"{len(pos)} keys for {len(mat)} vectors")
+        norms = np.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64))  # no float64 copy of the matrix
         bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # NaN compares false: non-finite rows are bad too
         if bad.any():
             i = int(np.argmax(bad))
             if not np.isfinite(mat[i]).all():
-                raise InvalidVectorError(f"vector for ({patient_id!r}, {pos[i]}) has non-finite values")
-            raise InvalidVectorError(
-                f"vector for ({patient_id!r}, {pos[i]}) is not unit-normalized (norm={norms[i]:.6g})"
-            )
-        rows = self._rows.get(patient_id, [])
-        taken = self._positions[rows].tolist() + pos
-        if len(set(taken)) < len(taken):
-            values, counts = np.unique(taken, return_counts=True)
-            raise DuplicateChunkError(f"duplicate chunk_ref ({patient_id!r}, {values[counts > 1][0]})")
+                raise InvalidVectorError(f"vector for {(pids[i], pos[i])!r} has non-finite values")
+            raise InvalidVectorError(f"vector for {(pids[i], pos[i])!r} is not unit-normalized (norm={norms[i]:.6g})")
+        taken = {(pid, p) for pid in self._rows.keys() & set(pids)  # each patient once
+                 for p in self._positions[self._rows[pid]].tolist()}
+        for key in zip(pids, pos):
+            if key in taken:
+                raise DuplicateChunkError(f"duplicate chunk_ref {key!r}")
+            taken.add(key)
 
         start, stop = len(self), len(self) + len(pos)
         if stop > len(self._positions):
-            # grow by doubling; this also replaces the read-only arrays of a loaded index
+            # grow by doubling
             spare = max(stop, 2 * start) - start
             self._matrix = np.concatenate([self._matrix[:start], np.empty((spare, self.dim), np.float32)])
             self._positions = np.concatenate([self._positions[:start], np.empty(spare, np.int64)])
         self._matrix[start:stop] = mat
         self._positions[start:stop] = pos
-        self._patient_ids.extend([patient_id] * len(pos))
-        self._rows[patient_id] = rows + list(range(start, stop))
+        self._patient_ids.extend(pids)
+        for row, pid in enumerate(pids, start):
+            self._rows.setdefault(pid, []).append(row)
 
     def search(self, query: np.ndarray, k: int, filter_patient: str | None = None) -> list[SearchHit]:
         """Exact top-k by cosine similarity.
@@ -256,14 +249,10 @@ class VectorIndex:
         if q.ndim != 1 or q.shape[0] != self.dim:
             actual = q.shape[0] if q.ndim == 1 else q.shape
             raise DimensionMismatchError(f"query dim {actual} does not match index dim {self.dim}")
-        if k == 0 or not self._patient_ids:
-            return []
         if filter_patient is None:
             rows, pids = slice(0, len(self)), self._patient_ids
         else:
-            rows = self._rows.get(filter_patient)
-            if rows is None:
-                return []
+            rows = self._rows.get(filter_patient, [])
             pids = [filter_patient] * len(rows)
         scores = self._matrix[rows].astype(np.float64) @ q
         positions = self._positions[rows]
@@ -324,16 +313,10 @@ class VectorIndex:
 
         cursor = _Cursor(blob, HEADER_SIZE, length - 4)
         row = 4 * dim
-        pids, positions, vectors, keys = [], [], [], set()
+        keys, vectors = [], []
         for i in range(count):
-            pid = cursor.text(f"entry {i} id")
-            pos = cursor.u32(f"entry {i} position")
+            keys.append((cursor.text(f"entry {i} id"), cursor.u32(f"entry {i} position")))
             start = cursor.skip(row, f"entry {i} vector")
-            if (pid, pos) in keys:
-                raise IndexFormatError(f"duplicate chunk_ref {(pid, pos)!r} in file")
-            keys.add((pid, pos))
-            pids.append(pid)
-            positions.append(pos)
             vectors.append(cursor.view[start:start + row])
         fingerprint = cursor.text("fingerprint")
         if cursor.offset != cursor.end:
@@ -341,11 +324,10 @@ class VectorIndex:
                 f"inconsistent structure: {cursor.end - cursor.offset} unparsed bytes before the checksum"
             )
         index = cls(dim=dim, embedder_fingerprint=fingerprint)
-        index._matrix = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(count, dim)
-        index._positions = np.array(positions, dtype=np.int64)
-        index._patient_ids = pids
-        for i, pid in enumerate(pids):
-            index._rows.setdefault(pid, []).append(i)
+        try:
+            index.add_many(keys, np.frombuffer(b"".join(vectors), dtype="<f4").reshape(count, dim))
+        except (DuplicateChunkError, InvalidVectorError) as exc:
+            raise IndexFormatError(f"{exc} in file") from exc
         return index
 
     @classmethod

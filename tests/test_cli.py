@@ -226,6 +226,11 @@ class TestDeterminism:
         assert digests == PINNED_CHAIN_SHA256
 
 
+def _with_field(source, key, value):
+    """A side-file factory for the demo chain's JSON file ``source`` with ``key`` set to ``value``."""
+    return lambda demo: json.dumps({**json.loads((demo / source).read_text()), key: value})  # nan as NaN
+
+
 class TestExitCodes:
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["retrieve", "--mode", "sideways"]) == 1
@@ -304,7 +309,7 @@ class TestExitCodes:
         from budgetrag.vindex import VectorIndex
 
         index = VectorIndex(dim=1, embedder_fingerprint="remote:one-wide")  # as a remote embedder can build
-        index.add_many("p0", [0], np.ones((1, 1), np.float32))
+        index.add_many([("p0", 0)], np.ones((1, 1), np.float32))
         index.save(tmp_path / "i.brag")
         assert main(["retrieve", "--corpus", str(demo_dir / "proc.jsonl"), "--index", str(tmp_path / "i.brag"),
                      "--mode", "rag", "--out", str(tmp_path / "c.jsonl")]) == 2
@@ -409,6 +414,9 @@ class TestExitCodes:
         ("--mode", "long", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
                             "--out", "{tmp}/c.jsonl"]),
         ("--prices", "x", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),  # the flag is gone
+        ("--dim", "65537", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
+        ("--dim", "1000000000", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
+                                 "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
     ])
     def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
         args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]
@@ -425,6 +433,12 @@ class TestExitCodes:
         data = json.loads(path.read_text())
         del data[key]
         return json.dumps(data)
+
+    _REPORT_DELONG = ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json",
+                      "--roc-rag", "{demo}/roc_rag.csv", "--roc-long", "{demo}/roc_long.csv", "--delong", "{bad}",
+                      "--out", "{tmp}/report"]
+    _REPORT_METRICS = ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{bad}", "--roc-rag",
+                       "{demo}/roc_rag.csv", "--roc-long", "{demo}/roc_long.csv", "--out", "{tmp}/report"]
 
     @pytest.mark.parametrize("name,content,argv", [
         ("template.txt", lambda demo: "Classify these notes.\n",
@@ -455,9 +469,21 @@ class TestExitCodes:
         ("roc.csv", lambda demo: "fpr,tpr\n0.0,0.0\n0.5,2.5\n1.0,1.0\n",
          ["report", "--metrics-rag", "{demo}/m_rag.json", "--metrics-long", "{demo}/m_long.json", "--roc-rag",
           "{demo}/roc_rag.csv", "--roc-long", "{bad}", "--out", "{tmp}/report"]),
+        ("metrics.json", _with_field("m_long.json", "auroc", "0.9"), _REPORT_METRICS),
+        ("metrics.json", _with_field("m_long.json", "precision", True), _REPORT_METRICS),
+        ("metrics.json", _with_field("m_long.json", "recall", math.nan), _REPORT_METRICS),
+        ("metrics.json", _with_field("m_long.json", "f1", 1.5), _REPORT_METRICS),
+        ("metrics.json", _with_field("m_long.json", "patients", -1), _REPORT_METRICS),
+        ("metrics.json", _with_field("m_long.json", "patients", 2.5), _REPORT_METRICS),
+        ("delong.json", _with_field("delong.json", "variance_of_difference", -1), _REPORT_DELONG),
+        ("delong.json", _with_field("delong.json", "z_statistic", math.inf), _REPORT_DELONG),
+        ("delong.json", _with_field("delong.json", "p_value", 7), _REPORT_DELONG),
     ], ids=["template-without-context", "metrics-without-auroc", "roc-line-without-comma",
             "delong-without-p-value", "keywords-not-utf8", "keywords-empty", "whitelist-not-utf8",
-            "whitelist-empty", "roc-without-header", "roc-nan-rate", "roc-rate-above-one"])
+            "whitelist-empty", "roc-without-header", "roc-nan-rate", "roc-rate-above-one",
+            "metrics-auroc-string", "metrics-precision-bool", "metrics-recall-nan", "metrics-f1-above-one",
+            "metrics-patients-negative", "metrics-patients-not-int", "delong-negative-variance",
+            "delong-infinite-z", "delong-p-above-one"])
     def test_bad_side_file_is_one_json_data_error(self, demo_dir, tmp_path, capsys, name, content, argv):
         bad = tmp_path / name
         data = content(demo_dir)
@@ -836,6 +862,40 @@ cli.main(["build-index", "--corpus", {str(corpus)!r}, "--out", {str(tmp_path / "
         if alive(worker):
             os.kill(worker, signal.SIGKILL)
             pytest.fail(f"worker {worker} outlived its killed parent")
+
+
+# In a fresh interpreter: run build-index with cli._usable_cpus returning config["cpus"], and print
+# its exit code and the number of rows of each VectorIndex.add_many call.
+_ADD_MANY_SCRIPT = """
+import json, os, sys
+config = json.loads(sys.argv[1])
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # numpy is loaded before the fork here, to wrap add_many
+sys.path.insert(0, config["src"])
+from budgetrag import cli
+from budgetrag.vindex import VectorIndex
+
+rows, add_many = [], VectorIndex.add_many
+def counting_add_many(self, keys, matrix):
+    rows.append(len(matrix))
+    return add_many(self, keys, matrix)
+VectorIndex.add_many = counting_add_many
+cli._usable_cpus = lambda: config["cpus"]
+print(json.dumps({"code": cli.main(config["argv"]), "rows": rows}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="build-index forks workers only where fork exists")
+@pytest.mark.parametrize("cpus,rows", [(1, [64, 64, 64]), (2, [64, 32, 96]), (3, [64, 64, 64])])
+def test_build_index_adds_each_batch_and_each_worker_share_with_one_call(tmp_path, cpus, rows):
+    # 96 patients of 2 chunks: the parent's share of 96 / cpus patients is added one batch of
+    # EMBED_BATCH chunks at a time, each worker's share with one call
+    corpus = TestBuildIndexShares._processed(tmp_path, 96, 1, 4, 32, 64)
+    argv = ["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "index.brag"), "--dim", "64"]
+    config = {"src": str(SRC), "argv": argv, "cpus": cpus}
+    done = subprocess.run([sys.executable, "-c", _ADD_MANY_SCRIPT, json.dumps(config)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"code": 0, "rows": rows}
 
 
 class TestSyntheticCli:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budgetrag.embedding import HashingEmbedder, RemoteEmbedder, embed_hashing, fnv1a64
+from budgetrag.embedding import MAX_DIM, HashingEmbedder, RemoteEmbedder, embed_hashing, fnv1a64
 from budgetrag.errors import RemoteSchemaError, RemoteServiceError, ZeroVectorError
 
 from .oracles import hashing_embedding_reference
@@ -52,6 +52,12 @@ class TestHashingEmbedder:
     def test_dim_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             embed_hashing("x", 1)
+
+    def test_dim_above_max_dim_is_rejected(self):
+        for make in (HashingEmbedder, lambda dim: embed_hashing("x", dim)):
+            with pytest.raises(ValueError, match=rf"dim must be in \[2, {MAX_DIM}\], got {MAX_DIM + 1}"):
+                make(MAX_DIM + 1)
+        assert HashingEmbedder(MAX_DIM).embed("x").shape == (MAX_DIM,)
 
     @given(words=st.lists(st.sampled_from("alpha beta gamma delta".split()), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)

@@ -106,40 +106,69 @@ class TestAdd:
 class TestAddMany:
     def _index(self) -> VectorIndex:
         index = VectorIndex(dim=3)
-        index.add_many("p1", [0, 1], np.stack([unit([1, 0, 0]), unit([0, 1, 0])]))
+        index.add_many([("p1", 0), ("p1", 1)], np.stack([unit([1, 0, 0]), unit([0, 1, 0])]))
         return index
 
     def test_equals_one_add_per_row(self):
         rng = np.random.default_rng(11)
         rows = random_unit_rows(rng, 7, 5)
+        keys = list(zip("aaabbbb", [3, 0, 1, 0, 1, 2, 5]))
         bulk, single = VectorIndex(dim=5), VectorIndex(dim=5)
-        bulk.add_many("a", [3, 0, 1], rows[:3])
-        bulk.add_many("b", [0, 1, 2, 5], rows[3:])
-        for pid, pos, row in zip("aaabbbb", [3, 0, 1, 0, 1, 2, 5], rows):
+        bulk.add_many(keys[:3], rows[:3])
+        bulk.add_many(keys[3:], rows[3:])
+        for (pid, pos), row in zip(keys, rows):
             single.add(pid, pos, row)
         assert bulk.to_bytes() == single.to_bytes()
         query = random_unit_rows(rng, 1, 5)[0]
         assert bulk.search(query, k=7) == single.search(query, k=7)
         assert bulk.search(query, k=7, filter_patient="a") == single.search(query, k=7, filter_patient="a")
 
-    @pytest.mark.parametrize("pid,positions,vectors,error,match", [
-        ("p2", [0], [unit([1, 0])], DimensionMismatchError, "expected dim 3, got 2"),
-        ("p2", [0, 1], [unit([1, 0, 0]), unit([1, 0])], DimensionMismatchError, "expected dim 3"),
-        ("p2", [0, 1], [unit([1, 0, 0]), [np.nan, 1.0, 0.0]], InvalidVectorError, r"\('p2', 1\).*non-finite"),
-        ("p2", [0, 1], [unit([1, 0, 0]), [2.0, 0.0, 0.0]], InvalidVectorError, r"\('p2', 1\).*unit"),
-        ("p2", [4, 4], [unit([1, 0, 0]), unit([0, 0, 1])], DuplicateChunkError, r"\('p2', 4\)"),
-        ("p1", [2, 1], [unit([1, 0, 0]), unit([0, 0, 1])], DuplicateChunkError, r"\('p1', 1\)"),
-        ("p2", [0, 1], [unit([1, 0, 0])], ValueError, "2 positions for 1 vectors"),
-        ("p2", [-1], [unit([1, 0, 0])], ValueError, "u32"),
+    def test_batch_across_patients_equals_one_add_per_row(self):
+        rng = np.random.default_rng(12)
+        rows = random_unit_rows(rng, 9, 4)
+        # patients interleaved within a batch, and "a" and "c" continued by the next one
+        keys = [("b", 0), ("a", 3), ("b", 1), ("c", 0), ("a", 0), ("a", 1), ("c", 2), ("b", 7), ("d", 0)]
+        bulk, single = VectorIndex(dim=4), VectorIndex(dim=4)
+        bulk.add_many(keys[:5], rows[:5])
+        bulk.add_many(keys[5:], rows[5:])
+        for (pid, pos), row in zip(keys, rows):
+            single.add(pid, pos, row)
+        assert [ref for ref, _ in bulk.entries] == keys
+        assert bulk.to_bytes() == single.to_bytes()
+        query = random_unit_rows(rng, 1, 4)[0]
+        assert bulk.search(query, k=9) == single.search(query, k=9)
+        for pid in "abcd":
+            assert bulk.search(query, k=9, filter_patient=pid) == single.search(query, k=9, filter_patient=pid)
+
+    def test_one_batch_may_hold_position_0_of_two_patients(self):
+        index = self._index()
+        index.add_many([("p2", 0), ("p3", 0)], np.stack([unit([1, 0, 0]), unit([0, 0, 1])]))
+        assert [ref for ref, _ in index.entries] == [("p1", 0), ("p1", 1), ("p2", 0), ("p3", 0)]
+
+    @pytest.mark.parametrize("keys,vectors,error,match", [
+        ([("p2", 0)], [unit([1, 0])], DimensionMismatchError, "expected dim 3, got 2"),
+        ([("p2", 0), ("p2", 1)], [unit([1, 0, 0]), unit([1, 0])], DimensionMismatchError, "expected dim 3"),
+        ([("p2", 0), ("p2", 1)], [unit([1, 0, 0]), [np.nan, 1.0, 0.0]], InvalidVectorError,
+         r"\('p2', 1\).*non-finite"),
+        ([("p2", 0), ("p2", 1)], [unit([1, 0, 0]), [2.0, 0.0, 0.0]], InvalidVectorError, r"\('p2', 1\).*unit"),
+        ([("p2", 4), ("p2", 4)], [unit([1, 0, 0]), unit([0, 0, 1])], DuplicateChunkError, r"\('p2', 4\)"),
+        ([("p1", 2), ("p1", 1)], [unit([1, 0, 0]), unit([0, 0, 1])], DuplicateChunkError, r"\('p1', 1\)"),
+        ([("p2", 0), ("p2", 1)], [unit([1, 0, 0])], ValueError, "2 keys for 1 vectors"),
+        ([("p2", -1)], [unit([1, 0, 0])], ValueError, "u32"),
+        ([("p2", 0), ("p3", 0), ("p2", 0)], [unit([1, 0, 0]), unit([0, 1, 0]), unit([0, 0, 1])],
+         DuplicateChunkError, r"\('p2', 0\)"),
+        ([("p3", 0), ("p1", 1)], [unit([1, 0, 0]), unit([0, 0, 1])], DuplicateChunkError, r"\('p1', 1\)"),
     ], ids=["wrong-dim", "ragged-rows", "non-finite", "non-unit", "duplicate-in-batch", "duplicate-of-existing",
-            "count-mismatch", "negative-position"])
-    def test_rejected_batch_leaves_index_unchanged(self, pid, positions, vectors, error, match):
+            "count-mismatch", "negative-position", "duplicate-across-patients-in-batch",
+            "duplicate-of-existing-across-patients"])
+    def test_rejected_batch_leaves_index_unchanged(self, keys, vectors, error, match):
         index = self._index()
         before = [(ref, vec.tobytes()) for ref, vec in index.entries]
         with pytest.raises(error, match=match):
-            index.add_many(pid, positions, vectors)
+            index.add_many(keys, vectors)
         assert len(index) == 2
         assert [(ref, vec.tobytes()) for ref, vec in index.entries] == before
+        assert index.search(unit([1, 0, 0]), k=1, filter_patient="p3") == []
 
     @pytest.mark.parametrize("position,error", [
         (1.5, TypeError), ("3", TypeError), (True, TypeError), (np.bool_(True), TypeError),
@@ -148,19 +177,21 @@ class TestAddMany:
     def test_position_that_is_not_a_u32_int_is_rejected(self, position, error):
         index = self._index()
         with pytest.raises(error, match="positions must"):
-            index.add_many("p2", [0, position], np.stack([unit([1, 0, 0]), unit([0, 0, 1])]))
+            index.add_many([("p2", 0), ("p2", position)], np.stack([unit([1, 0, 0]), unit([0, 0, 1])]))
         with pytest.raises(error, match="positions must"):
             index.add("p2", position, unit([1, 0, 0]))
         assert len(index) == 2
 
     def test_numpy_integer_positions_are_stored_as_ints(self):
         index = self._index()
-        index.add_many("p2", np.array([0, 2**32 - 1], dtype=np.int64), np.stack([unit([1, 0, 0]), unit([0, 0, 1])]))
+        positions = np.array([0, 2**32 - 1], dtype=np.int64)
+        index.add_many([("p2", positions[0]), ("p2", positions[1])], np.stack([unit([1, 0, 0]), unit([0, 0, 1])]))
         assert [ref for ref, _ in index.entries][2:] == [("p2", 0), ("p2", 2**32 - 1)]
+        assert all(type(pos) is int for (_, pos), _ in index.entries)
 
     def test_loaded_index_grows(self):
         loaded = VectorIndex.from_bytes(self._index().to_bytes())
-        loaded.add_many("p1", [2], unit([0, 0, 1])[None, :])
+        loaded.add_many([("p1", 2)], unit([0, 0, 1])[None, :])
         loaded.add("p2", 0, unit([1, 1, 0]))
         assert [ref for ref, _ in loaded.entries] == [("p1", 0), ("p1", 1), ("p1", 2), ("p2", 0)]
         assert loaded.search(unit([0, 0, 1]), k=1, filter_patient="p1")[0].position == 2
@@ -369,6 +400,25 @@ class TestPersistence:
         blob[offset:offset + 2] = b"\xff\xfe"  # same length, so only the body checksum changes
         blob[-4:] = struct.pack("<I", crc32c(bytes(blob[HEADER_SIZE:-4])))
         with pytest.raises(IndexFormatError, match=f"^{what} is not UTF-8"):
+            VectorIndex.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("fault,match", [
+        ("repeated-key", r"^duplicate chunk_ref \('p', 0\) in file$"),
+        ("nan-row", r"^vector for \('p', 1\) has non-finite values in file$"),
+        ("norm-3-row", r"^vector for \('p', 1\) is not unit-normalized \(norm=3\) in file$"),
+    ], ids=["repeated-key", "nan-row", "norm-3-row"])
+    def test_entry_rejected_by_add_many_with_valid_checksum_is_format_error(self, fault, match):
+        index = VectorIndex(dim=3, embedder_fingerprint="fp")
+        index.add("p", 0, unit([1, 0, 0]))
+        index.add("p", 1, unit([0, 1, 0]))
+        blob = bytearray(index.to_bytes())
+        position = HEADER_SIZE + (4 + 1 + 4 + 12) + 4 + 1  # the second entry's: after the first entry, its id
+        if fault == "repeated-key":
+            struct.pack_into("<I", blob, position, 0)
+        else:
+            struct.pack_into("<3f", blob, position + 4, *([np.nan, 0, 0] if fault == "nan-row" else [0, 3, 0]))
+        blob[-4:] = struct.pack("<I", crc32c(bytes(blob[HEADER_SIZE:-4])))
+        with pytest.raises(IndexFormatError, match=match):
             VectorIndex.from_bytes(bytes(blob))
 
     def test_impossible_header_with_valid_checksum_is_format_error(self):
