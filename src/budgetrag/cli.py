@@ -368,7 +368,7 @@ def cmd_retrieve(args) -> dict:
         index = VectorIndex.load(args.index)
         embedder = _embedder_from_args(args, index)
         embedder_fp = embedder.fingerprint
-        cfg = retrieval.RetrievalConfig(budget_words=args.budget_words, top_n_scan=args.top_n_scan)
+        cfg = retrieval.RetrievalConfig(budget_words=args.budget_words)
         query = embedder.embed(args.query)
         contexts = [retrieval.assemble_rag_from_chunks(row["patient_id"], _chunks(row), index, query, cfg)
                     for row in rows]
@@ -379,7 +379,6 @@ def cmd_retrieve(args) -> dict:
         "config": {
             "mode": args.mode,
             "budget_words": args.budget_words if rag else None,
-            "top_n_scan": args.top_n_scan if rag else None,
             "query": args.query if rag else None,
         },
         "embedder": embedder_fp,
@@ -556,7 +555,6 @@ def build_parser() -> _Parser:
     p.add_input("--index", default=None, help="index file (required for rag)")
     p.add_output("--out", required=True, help="contexts JSONL")
     p.add_argument("--budget-words", type=_at_least(1), default=retrieval.DEFAULT_BUDGET_WORDS)
-    p.add_argument("--top-n-scan", type=_at_least(1), default=retrieval.DEFAULT_TOP_N_SCAN)
     p.add_argument("--query", default=retrieval.DEFAULT_QUERY_TEXT)
     _add_embedder_flags(p)
 

@@ -3,10 +3,12 @@
 Every pipeline command writes exactly one manifest next to its primary
 output (``<out>.manifest.json``). The manifest snapshots the effective
 configuration and the SHA-256 fingerprints of all inputs and outputs,
-each keyed by its path relative to the manifest's directory. Downstream
-commands re-hash their inputs and compare each against every sidecar
-manifest of their inputs that records it (so a ROC CSV is checked
-against its metrics file's manifest); a mismatch stops the run.
+each keyed by its path relative to the manifest's directory, so it binds
+both. Downstream commands re-hash their inputs and compare each against
+every sidecar manifest of their inputs that records it, as an output or
+as an input (so a ROC CSV is checked against its metrics file's
+manifest, and a processed corpus against the manifest of the index built
+from it); a mismatch stops the run.
 JSON-lines files, the raw corpus included, are read and written by
 :func:`read_jsonl` and :func:`write_jsonl` alone. Outputs are
 written under a staged name (:func:`staged_name`) and moved into place
@@ -110,11 +112,14 @@ def staged_name(path: str | Path) -> str:
     return str(path.with_name(f".{path.name}.{os.getpid()}.partial"))
 
 
-def _recorded_outputs(sidecar: Path) -> dict[Path, str]:
-    """The output fingerprints a sidecar manifest records, keyed by resolved path."""
+def _recorded(sidecar: Path) -> tuple[str, dict[Path, str], dict[Path, str]]:
+    """The command a sidecar manifest names, and the input and output fingerprints it records,
+    each keyed by resolved path."""
     try:
-        recorded = json.loads(sidecar.read_text(encoding="utf-8")).get("outputs", {})
-        return {(sidecar.parent / key).resolve(): digest for key, digest in recorded.items()}
+        run = json.loads(sidecar.read_text(encoding="utf-8"))
+        inputs, outputs = ({(sidecar.parent / key).resolve(): digest for key, digest in run.get(field, {}).items()}
+                           for field in ("inputs", "outputs"))
+        return run.get("command", "the command that wrote it"), inputs, outputs
     except (AttributeError, ValueError) as exc:  # not JSON, or not an object of objects
         raise BudgetRagError(f"{sidecar}: not a run manifest: {type(exc).__name__}: {exc}") from exc
 
@@ -122,24 +127,31 @@ def _recorded_outputs(sidecar: Path) -> dict[Path, str]:
 def validate_inputs(paths: list[str]) -> dict[str, str]:
     """Hash each input file and check it against every input's sidecar manifest that records it.
 
-    A sidecar records all outputs of the run that wrote its file, so a
-    secondary output read by the same command (a ROC CSV next to its
-    metrics file) is checked as well; files are matched by resolved
-    path. Returns path -> fingerprint. Files that no sidecar records
-    (e.g. the raw corpus) are accepted as-is.
+    A sidecar binds both the inputs and the outputs of the run that wrote
+    its file. So a secondary output read by the same command (a ROC CSV
+    next to its metrics file) is checked as well, and so is a file that
+    another input was built from (the processed corpus an index was built
+    from); files are matched by resolved path. Returns path ->
+    fingerprint. Files that no sidecar records (e.g. the raw corpus) are
+    accepted as-is.
     """
     fingerprints = {path: sha256_file(path) for path in paths}
     by_resolved = {Path(path).resolve(): path for path in paths}
-    for sidecar in map(manifest_path, paths):
+    for other in paths:
+        sidecar = manifest_path(other)
         if not sidecar.exists():
             continue
-        for resolved, expected in _recorded_outputs(sidecar).items():
+        command, inputs, outputs = _recorded(sidecar)
+        for resolved, expected in [*outputs.items(), *inputs.items()]:
             path = by_resolved.get(resolved)
-            if path is not None and fingerprints[path] != expected:
-                raise FingerprintMismatchError(
-                    f"{path} does not match its fingerprint in {sidecar} (recorded {expected}, "
-                    f"actual {fingerprints[path]}); the file was modified after it was produced"
-                )
+            if path is None or fingerprints[path] == expected:
+                continue
+            recorded = f"recorded {expected} in {sidecar}, actual {fingerprints[path]}"
+            if resolved in outputs:
+                raise FingerprintMismatchError(f"{path} does not match its fingerprint ({recorded}); the file "
+                                               f"was modified after it was produced")
+            raise FingerprintMismatchError(f"{path} differs from the file {other} was built from ({recorded}); "
+                                           f"re-run {command} to rebuild {other} from it")
     return fingerprints
 
 

@@ -4,10 +4,10 @@ RAG mode ranks the patient's chunks against the vector of a
 complication-seeking query, which the caller embeds once for all
 patients, and packs ranked chunks into a hard word budget; accepted
 chunks are re-sorted into their original narrative order. LONG mode
-takes the whole windowed text. Budget filling is greedy in rank order
-with skip: a chunk that does not fit the remaining budget is skipped
-and scanning continues, up to ``top_n_scan`` ranked candidates. Chunks
-are never truncated.
+takes the whole windowed text. The ranking covers every indexed chunk
+of the patient, and budget filling is greedy in rank order with skip: a
+chunk that does not fit the remaining budget is skipped and scanning
+continues down the ranking. Chunks are never truncated.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ MODE_RAG = "RAG"
 MODE_LONG = "LONG"
 
 DEFAULT_BUDGET_WORDS = 4000
-DEFAULT_TOP_N_SCAN = 64
 
 # The complication vocabulary: the default query names it, the mock classifier flags it, synthetic corpora plant it.
 DEFAULT_COMPLICATION_KEYWORDS = (
@@ -54,13 +53,10 @@ DEFAULT_QUERY_TEXT = ("Evidence of post-operative complications such as "
 @dataclass(frozen=True)
 class RetrievalConfig:
     budget_words: int = DEFAULT_BUDGET_WORDS
-    top_n_scan: int = DEFAULT_TOP_N_SCAN
 
     def __post_init__(self):
         if self.budget_words < 1:
             raise ValueError(f"budget_words must be >= 1, got {self.budget_words}")
-        if self.top_n_scan < 1:
-            raise ValueError(f"top_n_scan must be >= 1, got {self.top_n_scan}")
 
 
 @dataclass(frozen=True)
@@ -86,14 +82,14 @@ def assemble_rag_from_chunks(
     """Assemble a budgeted context from pre-computed chunks, ranked against the unit vector ``query``.
 
     The chunks must be the same ones whose embeddings were added to the
-    index (positions are matched against index entries for this
-    patient).
+    index: every index entry of this patient is ranked, and each must
+    match a chunk by position.
     """
     total_words = sum(c.word_count for c in chunks)
     if not chunks:
         return AssembledContext(patient_id=patient_id, mode=MODE_RAG, text="", word_count=0)
 
-    hits = index.search(query, k=cfg.top_n_scan, filter_patient=patient_id)
+    hits = index.search(query, k=len(index), filter_patient=patient_id)
     if not hits:
         raise MissingPatientError(f"patient {patient_id!r} has chunks but none are indexed")
 
@@ -109,8 +105,6 @@ def assemble_rag_from_chunks(
         if chunk.word_count <= remaining:
             accepted.append(chunk)
             remaining -= chunk.word_count
-            if remaining == 0:
-                break
     accepted.sort(key=lambda c: c.position)
     return AssembledContext(
         patient_id=patient_id,

@@ -173,12 +173,6 @@ class VectorIndex:
     def __len__(self) -> int:
         return len(self._patient_ids)
 
-    @property
-    def entries(self) -> list[tuple[tuple[str, int], np.ndarray]]:
-        n = len(self)
-        return [((pid, pos), vec)
-                for pid, pos, vec in zip(self._patient_ids, self._positions[:n].tolist(), self._matrix[:n])]
-
     def add(self, patient_id: str, position: int, vector: np.ndarray) -> None:
         """Append one chunk embedding; (patient_id, position) must be new."""
         self.add_many([(patient_id, position)], [vector])

@@ -1,5 +1,5 @@
 """Independent reference implementations used to cross-check metrics,
-the hashing embedder and the synthetic corpus generator.
+the hashing embedder, the vector index and the synthetic corpus generator.
 
 These deliberately avoid the main code paths: direct O(m*n) pair loops,
 the trapezoid rule over ROC points, explicit covariance sums (also in
@@ -25,6 +25,13 @@ from budgetrag.embedding import fnv1a64
 from budgetrag.retrieval import DEFAULT_COMPLICATION_KEYWORDS
 from budgetrag.synthetic import (_BASE_TIME, _NOTE_TYPES, FILLER_VOCAB, SyntheticCorpus, _planted_sentence,
                                  _sample_phrase_groups)
+
+
+def index_rows(index) -> list[tuple[tuple[str, int], np.ndarray]]:
+    """Each ((patient_id, position), vector) row of a ``VectorIndex`` in insertion order, read
+    straight from its private arrays, not through its search or serialization."""
+    n = len(index)
+    return list(zip(zip(index._patient_ids, index._positions[:n].tolist()), index._matrix[:n]))
 
 
 def psi(x: float, y: float) -> float:

@@ -206,8 +206,7 @@ def test_criterion_05_budget_invariant():
             index.add("p1", i, vectors[i].astype(np.float32))
         query = rng.standard_normal(dim)
         query /= np.linalg.norm(query)
-        cfg = RetrievalConfig(budget_words=int(rng.integers(1, 3001)),
-                              top_n_scan=int(rng.integers(1, 41)))
+        cfg = RetrievalConfig(budget_words=int(rng.integers(1, 3001)))
         ctx = assemble_rag_from_chunks("p1", chunks, index, query.astype(np.float32), cfg)
         assert ctx.word_count <= cfg.budget_words
         positions = list(ctx.selected_positions)
@@ -356,7 +355,6 @@ def test_criterion_09_persistence_round_trip(tmp_path):
         assert path.read_bytes() == blob
         loaded = VectorIndex.load(path)
         assert loaded.to_bytes() == blob  # byte-exact round trip
-        assert [r for r, _ in loaded.entries] == [r for r, _ in index.entries]
 
     reference = VectorIndex(dim=4, embedder_fingerprint="fp")
     vec = np.zeros(4, dtype=np.float32)

@@ -18,6 +18,8 @@ from budgetrag.cli import main
 from budgetrag.retrieval import DEFAULT_QUERY_TEXT
 from budgetrag.synthetic import generate_corpus, write_corpus
 
+from .oracles import index_rows
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # SHA-256 of every file the demo_dir chain leaves: the input corpus, 15 outputs and
@@ -25,9 +27,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PINNED_CHAIN_SHA256 = {
     "corpus.jsonl": "da771358db123964b579301558224117bfa82a087887a2ed197168a387315217",
     "ctx_long.jsonl": "09d7d51da0e61b08ac01e29e73332c0ab338eb2b7f63c6187e26a2437b76a37f",
-    "ctx_long.jsonl.manifest.json": "81997e83be34407435dec5a75760c67d6ae235d66749c49086ab0b71b3255759",
+    "ctx_long.jsonl.manifest.json": "a0d043ba8256e1a9fc164a57f96c6773cfc1f566a737b6294e2e6a0730ab3e3e",
     "ctx_rag.jsonl": "30b031b62876c775c08a6cdd370a4fbcfa4ed46f1abe13384cbd19cb14be8e2e",
-    "ctx_rag.jsonl.manifest.json": "7f3f95b9d77e7170b58ddf4de4195de1f796e9d414ad40914507c5ce98eec288",
+    "ctx_rag.jsonl.manifest.json": "76701d3138a882575dce04da33cf9702b2290331bb93397d17835ce3b94ca9cc",
     "delong.json": "3e35b7ad36a1d86efe90af6949a3f5e644880034f1d053e3dbd1568a3fa95b77",
     "delong.json.manifest.json": "b4b2f829db801d70e50967fefe47c01a6c05e47f67e0bafb1c40238c72a5d262",
     "index.brag": "983e64f03f7b8ac9682ce513cf3c88f87c9566bc158045c3e58940c3340af6cf",
@@ -353,6 +355,21 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "FingerprintMismatchError"
 
+    def test_index_of_an_older_corpus_is_exit_2(self, demo_dir, tmp_path, capsys):
+        # the index was built from 64-word chunks; proc.jsonl is then re-ingested with 32-word chunks
+        for name in ("corpus.jsonl", "index.brag", "index.brag.manifest.json"):
+            (tmp_path / name).write_bytes((demo_dir / name).read_bytes())
+        run(0, "ingest", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "proc.jsonl",
+            "--max-words", "32", "--deterministic")
+        before = sorted(tmp_path.iterdir())
+        run(2, "retrieve", "--corpus", tmp_path / "proc.jsonl", "--index", tmp_path / "index.brag",
+            "--mode", "rag", "--out", tmp_path / "c.jsonl")
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "FingerprintMismatchError"
+        assert err["message"].startswith(f"{tmp_path / 'proc.jsonl'} differs from the file "
+                                         f"{tmp_path / 'index.brag'} was built from")
+        assert "re-run build-index" in err["message"]
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_tampered_secondary_output_is_exit_2(self, demo_dir, tmp_path, capsys):
         for name in ("m_rag.json", "m_rag.json.manifest.json", "roc_rag.csv"):
@@ -391,6 +408,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag,value,argv", [
         ("--budget-words", "0", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
                                  "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
+        # removed, not out of range: the word budget is retrieval's only knob
         ("--top-n-scan", "0", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
                                "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
         ("--window-days", "0", ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"]),
@@ -497,8 +515,9 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("sidecar", ['{"outputs": ', '["not", "a", "manifest"]', '{"outputs": 7}',
-                                         b'{"outputs": {"\xff": 1}}'],
-                             ids=["truncated", "not-an-object", "outputs-not-an-object", "not-utf8"])
+                                         b'{"outputs": {"\xff": 1}}', '{"inputs": ["proc.jsonl"]}'],
+                             ids=["truncated", "not-an-object", "outputs-not-an-object", "not-utf8",
+                                  "inputs-not-an-object"])
     def test_corrupt_sidecar_manifest_is_one_json_data_error(self, demo_dir, tmp_path, capsys, sidecar):
         contexts = tmp_path / "c.jsonl"
         contexts.write_bytes((demo_dir / "ctx_rag.jsonl").read_bytes())
@@ -695,9 +714,9 @@ class TestBuildIndexBatching:
         assert [len(batch) for batch in inputs] == [64, 64, 22]
         texts = [f"w{p}x{i}" for p in range(self.PATIENTS) for i in range(self.CHUNKS)]
         assert [text for batch in inputs for text in batch] == texts
-        entries = VectorIndex.load(corpus.parent / "i.brag").entries
-        assert [ref for ref, _ in entries] == [(f"p{p}", i) for p in range(self.PATIENTS) for i in range(self.CHUNKS)]
-        for g, (_, vec) in enumerate(entries):
+        rows = index_rows(VectorIndex.load(corpus.parent / "i.brag"))
+        assert [ref for ref, _ in rows] == [(f"p{p}", i) for p in range(self.PATIENTS) for i in range(self.CHUNKS)]
+        for g, (_, vec) in enumerate(rows):
             direction = np.array([1.0, g])
             assert np.array_equal(vec, (direction / np.linalg.norm(direction)).astype(np.float32))
 
@@ -803,7 +822,7 @@ class TestBuildIndexShares:
         assert Path(f"{out}.{cpus}").read_bytes() == Path(f"{out}.1").read_bytes()
         index = VectorIndex.load(f"{out}.1")
         rows = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
-        assert [ref for ref, _ in index.entries] == [(row["patient_id"], i) for row in rows
+        assert [ref for ref, _ in index_rows(index)] == [(row["patient_id"], i) for row in rows
                                                      for i in range(-(-row["word_count"] // max_words))]
 
     def test_no_worker_outlives_a_run_or_leaves_a_staged_file(self, tmp_path):

@@ -120,13 +120,20 @@ class TestAssembleRag:
         with pytest.raises(BudgetRagError, match="no matching chunk"):
             assemble_rag_from_chunks("p1", chunks, index, QUERY_E0, RetrievalConfig())
 
-    def test_top_n_scan_caps_candidates(self):
-        chunks = [make_chunk("p1", i, 5) for i in range(10)]
-        index = scripted_index("p1", {i: 0.9 - i * 0.05 for i in range(10)})
-        cfg = RetrievalConfig(budget_words=1000, top_n_scan=3)
-        ctx = assemble_rag_from_chunks("p1", chunks, index, QUERY_E0, cfg)
-        assert len(ctx.candidate_scores) == 3
-        assert ctx.selected_positions == (0, 1, 2)
+    def test_leftover_budget_is_filled_from_any_rank(self):
+        # 69 chunks of 512 words rank first; the 10-word chunk ranked 70th fills what they leave
+        chunks = [make_chunk("p1", i, 512) for i in range(69)] + [make_chunk("p1", 69, 10)]
+        index = scripted_index("p1", {i: 0.9 - i * 0.01 for i in range(70)})
+        ctx = assemble_rag_from_chunks("p1", chunks, index, QUERY_E0, RetrievalConfig(budget_words=522))
+        assert ctx.selected_positions == (0, 69)
+        assert len(ctx.candidate_scores) == 70
+
+    def test_low_ranked_index_position_without_chunk_is_error(self):
+        # the unmatched entry at position 65 ranks 66th, below the best 64
+        chunks = [make_chunk("p1", i, 5) for i in range(65)]
+        index = scripted_index("p1", {i: 0.9 - i * 0.01 for i in range(66)})
+        with pytest.raises(BudgetRagError, match=r"\('p1', 65\) has no matching chunk"):
+            assemble_rag_from_chunks("p1", chunks, index, QUERY_E0, RetrievalConfig())
 
     def test_record_level_entry_point(self):
         # a record chunked as ingest and build-index chunk it, ranked against a query embedded once
@@ -204,7 +211,7 @@ class TestBudgetProperty:
         rng = np.random.default_rng(seed)
         chunks = [make_chunk("p1", i, int(rng.integers(1, 80))) for i in range(n_chunks)]
         index = scripted_index("p1", {i: float(rng.uniform(-1, 1)) for i in range(n_chunks)})
-        cfg = RetrievalConfig(budget_words=budget, top_n_scan=int(rng.integers(1, 40)))
+        cfg = RetrievalConfig(budget_words=budget)
         ctx = assemble_rag_from_chunks("p1", chunks, index, QUERY_E0, cfg)
         assert ctx.word_count <= budget
         assert list(ctx.selected_positions) == sorted(set(ctx.selected_positions))

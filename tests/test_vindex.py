@@ -19,6 +19,8 @@ from budgetrag.errors import (
 )
 from budgetrag.vindex import CRC_BLOCK, HEADER_SIZE, MAGIC, SearchHit, VectorIndex, crc32c
 
+from .oracles import index_rows
+
 # SHA-256 of pinned_index().to_bytes(), recorded before the index held its
 # rows in one matrix: the in-memory layout must not change format v2 bytes.
 PINNED_V2_SHA256 = "c10afa31014783885b3c1d6eb1a995c515b1aa3b0724ba47fa7413b1c5377b4f"
@@ -66,7 +68,7 @@ def crc32c_bitwise(data: bytes, crc: int = 0) -> int:
 def brute_force_search(index: VectorIndex, query: np.ndarray, k: int, filter_patient=None):
     """Independent oracle: per-entry dot products, tuple sort."""
     scored = []
-    for (pid, pos), vec in index.entries:
+    for (pid, pos), vec in index_rows(index):
         if filter_patient is not None and pid != filter_patient:
             continue
         score = float(np.dot(vec.astype(np.float64), np.asarray(query, dtype=np.float64)))
@@ -133,7 +135,7 @@ class TestAddMany:
         bulk.add_many(keys[5:], rows[5:])
         for (pid, pos), row in zip(keys, rows):
             single.add(pid, pos, row)
-        assert [ref for ref, _ in bulk.entries] == keys
+        assert [ref for ref, _ in index_rows(bulk)] == keys
         assert bulk.to_bytes() == single.to_bytes()
         query = random_unit_rows(rng, 1, 4)[0]
         assert bulk.search(query, k=9) == single.search(query, k=9)
@@ -143,7 +145,7 @@ class TestAddMany:
     def test_one_batch_may_hold_position_0_of_two_patients(self):
         index = self._index()
         index.add_many([("p2", 0), ("p3", 0)], np.stack([unit([1, 0, 0]), unit([0, 0, 1])]))
-        assert [ref for ref, _ in index.entries] == [("p1", 0), ("p1", 1), ("p2", 0), ("p3", 0)]
+        assert [ref for ref, _ in index_rows(index)] == [("p1", 0), ("p1", 1), ("p2", 0), ("p3", 0)]
 
     @pytest.mark.parametrize("keys,vectors,error,match", [
         ([("p2", 0)], [unit([1, 0])], DimensionMismatchError, "expected dim 3, got 2"),
@@ -163,11 +165,11 @@ class TestAddMany:
             "duplicate-of-existing-across-patients"])
     def test_rejected_batch_leaves_index_unchanged(self, keys, vectors, error, match):
         index = self._index()
-        before = [(ref, vec.tobytes()) for ref, vec in index.entries]
+        before = index.to_bytes()
         with pytest.raises(error, match=match):
             index.add_many(keys, vectors)
         assert len(index) == 2
-        assert [(ref, vec.tobytes()) for ref, vec in index.entries] == before
+        assert index.to_bytes() == before
         assert index.search(unit([1, 0, 0]), k=1, filter_patient="p3") == []
 
     @pytest.mark.parametrize("position,error", [
@@ -186,14 +188,14 @@ class TestAddMany:
         index = self._index()
         positions = np.array([0, 2**32 - 1], dtype=np.int64)
         index.add_many([("p2", positions[0]), ("p2", positions[1])], np.stack([unit([1, 0, 0]), unit([0, 0, 1])]))
-        assert [ref for ref, _ in index.entries][2:] == [("p2", 0), ("p2", 2**32 - 1)]
-        assert all(type(pos) is int for (_, pos), _ in index.entries)
+        assert [ref for ref, _ in index_rows(index)][2:] == [("p2", 0), ("p2", 2**32 - 1)]
+        assert all(type(pos) is int for (_, pos), _ in index_rows(index))
 
     def test_loaded_index_grows(self):
         loaded = VectorIndex.from_bytes(self._index().to_bytes())
         loaded.add_many([("p1", 2)], unit([0, 0, 1])[None, :])
         loaded.add("p2", 0, unit([1, 1, 0]))
-        assert [ref for ref, _ in loaded.entries] == [("p1", 0), ("p1", 1), ("p1", 2), ("p2", 0)]
+        assert [ref for ref, _ in index_rows(loaded)] == [("p1", 0), ("p1", 1), ("p1", 2), ("p2", 0)]
         assert loaded.search(unit([0, 0, 1]), k=1, filter_patient="p1")[0].position == 2
 
 
@@ -318,8 +320,8 @@ class TestPersistence:
         loaded = VectorIndex.load(path)
         assert loaded.dim == index.dim
         assert loaded.embedder_fingerprint == index.embedder_fingerprint
-        assert [ref for ref, _ in loaded.entries] == [ref for ref, _ in index.entries]
-        for (_, vec_a), (_, vec_b) in zip(loaded.entries, index.entries):
+        assert [ref for ref, _ in index_rows(loaded)] == [ref for ref, _ in index_rows(index)]
+        for (_, vec_a), (_, vec_b) in zip(index_rows(loaded), index_rows(index)):
             assert vec_a.tobytes() == vec_b.tobytes()
         # canonical serialization is a fixed point
         assert loaded.to_bytes() == index.to_bytes()
