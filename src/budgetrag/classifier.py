@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from typing import NamedTuple, get_type_hints
 
 from .errors import BudgetRagError, ResponseParseError
@@ -42,8 +41,7 @@ DEFAULT_PROMPT_TEMPLATE = (
 )
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
+class _ClassifierConfigFields(NamedTuple):
     kind: str = "mock"  # "mock" | "remote"
     endpoint: str | None = None
     model_name: str = "mock"
@@ -52,7 +50,13 @@ class ClassifierConfig:
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     keywords: tuple[str, ...] = DEFAULT_COMPLICATION_KEYWORDS
 
-    def __post_init__(self):
+
+class ClassifierConfig(_ClassifierConfigFields):
+    # Validated in __new__, like retrieval.RetrievalConfig: _replace and _make skip the check, so no code calls them.
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("mock", "remote"):
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         if self.kind == "remote" and not (self.endpoint and self.model_name):
@@ -63,10 +67,10 @@ class ClassifierConfig:
             raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
         if not math.isfinite(self.temperature):  # it is sent in a JSON body, which has no nan or inf
             raise ValueError(f"temperature must be finite, got {self.temperature}")
+        return self
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
+class ClassificationOutcome(NamedTuple):
     patient_id: str
     mode: str
     label: int
@@ -78,18 +82,16 @@ class ClassificationOutcome:
     severity_defaulted: bool = False
 
 
-@dataclass(frozen=True)
-class FailedClassification:
+class FailedClassification(NamedTuple):
     patient_id: str
     mode: str
     error: str
     message: str
 
 
-@dataclass
-class BatchResult:
-    outcomes: list[ClassificationOutcome] = field(default_factory=list)
-    failures: list[FailedClassification] = field(default_factory=list)
+class BatchResult(NamedTuple):
+    outcomes: list[ClassificationOutcome]
+    failures: list[FailedClassification]
 
 
 class ParsedResponse(NamedTuple):
@@ -161,6 +163,10 @@ def _remote_response(prompt: str, cfg: ClassifierConfig) -> str:
         raise ResponseParseError(f"response is missing choices[0].message.content: {exc}") from exc
     if not isinstance(content, str):
         raise ResponseParseError("choices[0].message.content is not a string")
+    try:
+        content.encode("utf-8")  # JSON's \u escapes can decode to a lone surrogate, which no outcomes file can hold
+    except UnicodeEncodeError as exc:
+        raise ResponseParseError("choices[0].message.content is not valid Unicode: a lone surrogate escape") from exc
     return content
 
 
@@ -220,13 +226,8 @@ def classify_batch(contexts: list[AssembledContext], cfg: ClassifierConfig, para
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(one, contexts))
 
-    batch = BatchResult()
-    for res in results:
-        if isinstance(res, ClassificationOutcome):
-            batch.outcomes.append(res)
-        else:
-            batch.failures.append(res)
-    return batch
+    return BatchResult([r for r in results if isinstance(r, ClassificationOutcome)],
+                       [r for r in results if isinstance(r, FailedClassification)])
 
 
 # --- outcomes persistence ----------------------------------------------

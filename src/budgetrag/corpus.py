@@ -17,11 +17,9 @@ which keeps counting reproducible across tokenizers and languages.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CorpusFormatError
 from .manifest import check_types, check_unique, read_jsonl
@@ -50,8 +48,7 @@ DEFAULT_MAX_CHUNK_WORDS = 512
 NOTE_SEPARATOR = "\n\n"
 
 
-@dataclass(frozen=True)
-class ClinicalNote:
+class ClinicalNote(NamedTuple):
     """One timestamped clinical note."""
 
     note_type: str
@@ -59,8 +56,7 @@ class ClinicalNote:
     text: str
 
 
-@dataclass(frozen=True)
-class PatientRecord:
+class PatientRecord(NamedTuple):
     """A labeled patient with chronologically ordered notes."""
 
     patient_id: str
@@ -69,8 +65,7 @@ class PatientRecord:
     anchor_date: datetime | None = None
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """A contiguous span of at most ``max_words`` whitespace words.
 
     ``position`` is the zero-based ordinal of the chunk within the
@@ -181,7 +176,7 @@ def window_notes(record: PatientRecord, window_days: int) -> PatientRecord:
     except OverflowError:  # window wider than the representable range
         start = datetime.min.replace(tzinfo=timezone.utc)
     kept = tuple(n for n in record.notes if start <= n.timestamp <= anchor)
-    return dataclasses.replace(record, notes=kept)
+    return record._replace(notes=kept)
 
 
 def concat_text(record: PatientRecord) -> str:

@@ -9,7 +9,7 @@ through the origin. The project command writes their rows with ``report.write_cs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classifier import ClassificationOutcome
 from .errors import PatientSetMismatchError
@@ -19,23 +19,27 @@ COST_HEADER = "patients,cost_usd"  # the columns of project_cost's rows
 TIME_HEADER = "patients,seconds_rag,seconds_long"  # the columns of project_time's rows
 
 
-@dataclass(frozen=True)
-class PriceSheet:
+class _PriceSheetFields(NamedTuple):
     usd_per_million_tokens: float = 2.50
     seconds_per_patient_rag: float = 0.90
     seconds_per_patient_long: float = 1.11
 
-    def __post_init__(self):
-        for name in ("usd_per_million_tokens", "seconds_per_patient_rag", "seconds_per_patient_long"):
-            value = getattr(self, name)
+
+class PriceSheet(_PriceSheetFields):
+    # Validated in __new__, like retrieval.RetrievalConfig: _replace and _make skip the check, so no code calls them.
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"{name} must be a number, got {value!r}")
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        return self
 
 
-@dataclass(frozen=True)
-class UsageSummary:
+class UsageSummary(NamedTuple):
     patients: int
     total_words_long: int
     total_words_rag: int
@@ -96,8 +100,7 @@ def project_cost(
     ]
 
 
-@dataclass(frozen=True)
-class TimeProjection:
+class TimeProjection(NamedTuple):
     rows: list[tuple[int, float, float]]  # (count, seconds_rag, seconds_long)
     improvement_fraction: float  # 1 - rag/long
 

@@ -26,6 +26,7 @@ from pathlib import Path
 from .errors import BudgetRagError, CorpusFormatError, FingerprintMismatchError
 
 EPOCH = "1970-01-01T00:00:00Z"
+_ENCODER = json.JSONEncoder(ensure_ascii=False)  # json.dumps(row, ensure_ascii=False) would build one per row
 
 
 def utc_now(deterministic: bool = False) -> str:
@@ -46,7 +47,7 @@ def write_jsonl(path: str | Path, rows) -> None:
     """Write one JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(_ENCODER.encode(row) + "\n")
 
 
 def read_jsonl(path: str | Path, what: str, parse) -> list:
@@ -59,30 +60,33 @@ def read_jsonl(path: str | Path, what: str, parse) -> list:
     :class:`CorpusFormatError` naming the path as given, ``what`` and the
     line number.
     """
+
+    def fault(line_no: int, message: str) -> CorpusFormatError:  # formatted only for a line that fails
+        return CorpusFormatError(f"{path}: {what} line {line_no}: {message}")
+
     items = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            where = f"{path}: {what} line {line_no}"
             try:
                 obj = json.loads(line.decode("utf-8"))
                 if b"\\u" in line:  # only an escape can decode to a lone surrogate
-                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                    _ENCODER.encode(obj).encode("utf-8")
             except UnicodeDecodeError as exc:
-                raise CorpusFormatError(f"{where}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+                raise fault(line_no, f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
             except UnicodeEncodeError as exc:
-                raise CorpusFormatError(f"{where}: not valid Unicode: a lone surrogate escape") from exc
+                raise fault(line_no, "not valid Unicode: a lone surrogate escape") from exc
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
+                raise fault(line_no, f"invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
-                raise CorpusFormatError(f"{where}: expected a JSON object")
+                raise fault(line_no, "expected a JSON object")
             try:
                 items.append(parse(obj))
             except KeyError as exc:
-                raise CorpusFormatError(f"{where}: missing field {exc}") from exc
+                raise fault(line_no, f"missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{where}: {exc}") from exc
+                raise fault(line_no, str(exc)) from exc
     return items
 
 

@@ -31,22 +31,26 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from .errors import InsufficientDataError, PairingError, UndefinedMetricError
 
 
-@dataclass(frozen=True)
-class ScoredCohort:
-    """Parallel label/score lists, one entry per patient."""
-
+class _ScoredCohortFields(NamedTuple):
     labels: tuple[int, ...]
     scores: tuple[float, ...]
     patient_ids: tuple[str, ...] | None = None
 
-    def __post_init__(self):
+
+class ScoredCohort(_ScoredCohortFields):
+    """Parallel label/score lists, one entry per patient; its length is the patient count."""
+
+    # Validated in __new__, like retrieval.RetrievalConfig: _replace and _make skip the check, so no code calls them.
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.labels) != len(self.scores):
             raise ValueError(f"{len(self.labels)} labels vs {len(self.scores)} scores")
         if self.patient_ids is not None and len(self.patient_ids) != len(self.labels):
@@ -55,6 +59,7 @@ class ScoredCohort:
             raise ValueError("labels must be 0 or 1")
         if not all(map(math.isfinite, self.scores)):
             raise ValueError("scores must be finite")
+        return self
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -68,8 +73,7 @@ class ScoredCohort:
         return len(self.labels) - self.positives
 
 
-@dataclass(frozen=True)
-class ConfusionMetrics:
+class ConfusionMetrics(NamedTuple):
     tp: int
     fp: int
     tn: int
@@ -79,16 +83,14 @@ class ConfusionMetrics:
     f1: float
 
 
-@dataclass(frozen=True)
-class MetricBundle:
+class MetricBundle(NamedTuple):
     auroc: float
     pr_auc: float
     confusion: ConfusionMetrics
     threshold: float
 
 
-@dataclass(frozen=True)
-class DeLongResult:
+class DeLongResult(NamedTuple):
     auc_a: float
     auc_b: float
     variance_of_difference: float
@@ -223,6 +225,8 @@ def _check_paired(cohort_a: ScoredCohort, cohort_b: ScoredCohort) -> None:
 
 def _sample_variance(values: list[int]) -> Fraction:
     """Unbiased sample variance of ints, exactly: (k*sum(v^2) - sum(v)^2) / (k*(k-1))."""
+    from fractions import Fraction  # it loads decimal too, which no other command needs
+
     k = len(values)
     return Fraction(k * sum(v * v for v in values) - sum(values) ** 2, k * (k - 1))
 

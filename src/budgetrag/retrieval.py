@@ -12,9 +12,8 @@ continues down the ranking. Chunks are never truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Chunk
 from .errors import BudgetRagError, MissingPatientError
@@ -50,17 +49,23 @@ DEFAULT_QUERY_TEXT = ("Evidence of post-operative complications such as "
                       f"{', '.join(DEFAULT_COMPLICATION_KEYWORDS[:-1])}, or {DEFAULT_COMPLICATION_KEYWORDS[-1]}.")
 
 
-@dataclass(frozen=True)
-class RetrievalConfig:
+class _RetrievalConfigFields(NamedTuple):
     budget_words: int = DEFAULT_BUDGET_WORDS
 
-    def __post_init__(self):
+
+class RetrievalConfig(_RetrievalConfigFields):
+    # A validating record: a NamedTuple of the fields, and a subclass whose __new__ checks them.
+    # _replace and _make build through tuple.__new__ and skip the check, so no code calls them on it.
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.budget_words < 1:
             raise ValueError(f"budget_words must be >= 1, got {self.budget_words}")
+        return self
 
 
-@dataclass(frozen=True)
-class AssembledContext:
+class AssembledContext(NamedTuple):
     """The text handed to the classifier for one patient."""
 
     patient_id: str
@@ -158,8 +163,8 @@ def _context_row(obj: dict) -> AssembledContext:
     positions = obj["selected_positions"]
     if any(type(position) is not int for position in positions):
         raise TypeError(f"'selected_positions' must be a list of int, got {positions!r:.40}")
-    fields = {key: obj[key] for key in _CONTEXT_FIELDS}
-    return AssembledContext(**(fields | {"selected_positions": tuple(positions)}))
+    return AssembledContext(obj["patient_id"], obj["mode"], obj["text"], obj["word_count"], tuple(positions),
+                            total_words=obj["total_words"])
 
 
 def read_contexts(path: str | Path) -> list[AssembledContext]:

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import argparse
 import random
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import DEFAULT_NOTE_TYPES
 from .manifest import write_jsonl
@@ -63,10 +63,9 @@ _BASE_TIME = datetime(2024, 3, 10, 8, 0, 0, tzinfo=timezone.utc)
 _NOTE_TYPES = sorted(DEFAULT_NOTE_TYPES)
 
 
-@dataclass
-class SyntheticCorpus:
-    records: list[dict] = field(default_factory=list)
-    planted: dict[str, list[str]] = field(default_factory=dict)  # patient_id -> sentences
+class SyntheticCorpus(NamedTuple):
+    records: list[dict]
+    planted: dict[str, list[str]]  # patient_id -> sentences
 
 
 def _padded(values) -> tuple[int, tuple]:
@@ -185,7 +184,7 @@ def generate_corpus(
     labels = [1] * n_positive + [0] * (n_patients - n_positive)
     rng.shuffle(labels)
 
-    corpus = SyntheticCorpus()
+    corpus = SyntheticCorpus([], {})
     total_blocks = notes_per_patient * blocks_per_note
     for i in range(n_patients):
         patient_id = f"p{i:04d}"

@@ -55,8 +55,8 @@ from __future__ import annotations
 import functools
 import numbers
 import struct
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,8 +149,7 @@ def _length_prefixed(text: str) -> bytes:
     return _U32.pack(len(raw)) + raw
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     patient_id: str
     position: int
     score: float

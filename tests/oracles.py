@@ -232,7 +232,7 @@ def synthetic_corpus_reference(n_patients: int = 60, *, positive_fraction: float
     n_positive = round(n_patients * positive_fraction)
     labels = [1] * n_positive + [0] * (n_patients - n_positive)
     rng.shuffle(labels)
-    corpus = SyntheticCorpus()
+    corpus = SyntheticCorpus([], {})
     total_blocks = notes_per_patient * blocks_per_note
     for i, label in enumerate(labels):
         patient_id = f"p{i:04d}"

@@ -114,6 +114,10 @@ class TestFullPipeline:
         delong = json.loads((demo_dir / "delong.json").read_text())
         assert delong["p_value"] > 0.05
 
+    def test_delong_json_keys_in_result_order(self, demo_dir):
+        delong = json.loads((demo_dir / "delong.json").read_text())
+        assert list(delong) == ["patients", "auc_a", "auc_b", "variance_of_difference", "z_statistic", "p_value"]
+
     def test_rag_contexts_respect_budget(self, demo_dir):
         for line in (demo_dir / "ctx_rag.jsonl").read_text().splitlines():
             ctx = json.loads(line)
@@ -595,7 +599,8 @@ class TestFailedRunsLeaveNoOutput:
 
 
 class TestTextThatIsNotUnicode:
-    """Text that no UTF-8 file can hold ends the command with one JSON error line and no file behind."""
+    """Text that no UTF-8 file can hold ends the command with one JSON error line and no file behind;
+    in a remote chat reply, it fails only that patient."""
 
     def _error(self, capsys) -> dict:
         err_lines = capsys.readouterr().err.strip().splitlines()
@@ -611,6 +616,21 @@ class TestTextThatIsNotUnicode:
         assert err["error"] == "CorpusFormatError"
         assert err["message"].startswith(f"{corpus}: raw corpus line 2: not valid Unicode")
         assert list(tmp_path.iterdir()) == [corpus]
+
+    def test_lone_surrogate_escape_in_a_chat_reply_is_that_patients_failure(self, demo_dir, tmp_path, api_server):
+        lines = (demo_dir / "ctx_rag.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+        (tmp_path / "ctx.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # a verdict followed by a \ud800 escape, as raw bytes: json.dumps would escape the backslash
+        bad = b'{"choices": [{"message": {"content": "{\\"complication\\": 1, \\"severity\\": 2} \\ud800"}}]}'
+        good = {"choices": [{"message": {"content": '{"complication": 0, "severity": 1}'}}]}
+        api_server.reset([(200, bad), (200, good)])
+        run(0, "classify", "--contexts", tmp_path / "ctx.jsonl", "--out", tmp_path / "out.jsonl",
+            "--classifier", "remote", "--endpoint", api_server.url, "--model", "m")
+        rows = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()]
+        ids = [json.loads(line)["patient_id"] for line in lines]
+        assert [(row["patient_id"], "failed" in row) for row in rows] == [(ids[1], False), (ids[0], True)]
+        assert (rows[1]["error"], rows[1]["message"]) == (
+            "ResponseParseError", "choices[0].message.content is not valid Unicode: a lone surrogate escape")
 
     def test_query_that_is_not_utf8_is_a_usage_error(self, demo_dir, tmp_path, capsys):
         # Python hands an argv byte that is not UTF-8 to the program as a lone surrogate

@@ -21,6 +21,7 @@ from budgetrag.corpus import (
     window_notes,
 )
 from budgetrag.errors import CorpusFormatError
+from budgetrag.manifest import check_types, read_jsonl
 
 UTC = timezone.utc
 
@@ -235,3 +236,27 @@ def test_deterministic_load_and_concat(tmp_path):
     first = concat_text(load_corpus(path)[0])
     second = concat_text(load_corpus(path)[0])
     assert first == second == "alpha beta\n\ngamma"
+
+
+def _odd(obj):
+    if obj["x"] % 2 == 0:
+        raise ValueError(f"'x' must be odd, got {obj['x']}")
+
+
+@pytest.mark.parametrize("line,parse,message,cause", [
+    (b"\xff{}", dict, "not UTF-8: invalid start byte at byte 0", UnicodeDecodeError),
+    (b'{"x": "\\ud800"}', dict, "not valid Unicode: a lone surrogate escape", UnicodeEncodeError),
+    (b'{"x": }', dict, "invalid JSON: Expecting value", json.JSONDecodeError),
+    (b"[1, 2]", dict, "expected a JSON object", None),
+    (b"{}", lambda obj: obj["x"], "missing field 'x'", KeyError),
+    (b'{"x": "4"}', lambda obj: check_types(obj, {"x": int}), "'x' must be int, got '4'", TypeError),
+    (b'{"x": 4}', _odd, "'x' must be odd, got 4", ValueError),
+], ids=["not-utf8", "lone-surrogate", "invalid-json", "not-an-object", "missing-field", "wrong-type",
+        "parse-value-error"])
+def test_read_jsonl_names_path_what_and_line_of_each_fault(tmp_path, line, parse, message, cause):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"x": 1}\n\n' + line + b"\n")  # the blank line is skipped, but counted
+    with pytest.raises(CorpusFormatError) as err:
+        read_jsonl(path, "test rows", parse)
+    assert str(err.value) == f"{path}: test rows line 3: {message}"
+    assert type(err.value.__cause__) is cause if cause else err.value.__cause__ is None

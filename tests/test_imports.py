@@ -4,8 +4,12 @@ Every CLI command is a fresh process, so a module it imports without
 using (numpy is about 0.16 s, the HTTP stack about 0.03 s) is start-up
 time paid on every run. The metrics are computed on the standard
 library, so evaluate and delong load no numpy; only build-index and
-retrieve --mode rag need it. ``costmodel`` and ``report`` serve only the
-project, report and evaluate --roc-out commands. ``import budgetrag``
+retrieve --mode rag need it. Only delong's exact variance needs
+``fractions`` (which loads ``decimal``), so evaluate loads neither.
+``costmodel`` and ``report`` serve only the project, report and
+evaluate --roc-out commands. The records are named tuples, so neither
+an offline command nor the corpus generator loads ``dataclasses`` or
+the ``inspect`` it imports (about 14 ms together). ``import budgetrag``
 loads no submodule: each name is imported from the module that defines it.
 The corpus generator takes the complication vocabulary from ``retrieval``,
 so it loads neither the classifier nor the HTTP helper. build-index starts
@@ -30,7 +34,7 @@ from budgetrag.synthetic import generate_corpus, write_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNUSED_OFFLINE = ("numpy", "http.client", "urllib.request", "ssl", "email.utils", "concurrent.futures",
-                  "budgetrag.costmodel", "budgetrag.report")
+                  "budgetrag.costmodel", "budgetrag.report", "dataclasses", "inspect")
 
 # In a fresh interpreter: run the statement, then print which of UNUSED_OFFLINE got loaded.
 _PROBE = """
@@ -60,7 +64,8 @@ def test_offline_commands_load_no_numpy_http_or_thread_pool(tmp_path):
     ]
     for argv in commands:
         argv = [str(tmp_path / a) if a.endswith((".jsonl", ".json")) else a for a in argv]
-        result = _probe(f"from budgetrag.cli import main; code = main({argv!r})")
+        unused = UNUSED_OFFLINE + ("fractions", "decimal") if argv[0] == "evaluate" else UNUSED_OFFLINE
+        result = _probe(f"from budgetrag.cli import main; code = main({argv!r})", unused)
         assert result == {"code": 0, "loaded": []}, argv[0]
     assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 6
     assert json.loads((tmp_path / "m.json").read_text())["patients"] == 6

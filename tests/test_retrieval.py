@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -261,5 +260,5 @@ class TestContextExport:
         path = tmp_path / "ctx.jsonl"
         write_contexts(path, [rag, long])
         # the file keeps every field but the ranking behind a RAG selection
-        assert read_contexts(path) == [dataclasses.replace(rag, candidate_scores=()), long]
+        assert read_contexts(path) == [rag._replace(candidate_scores=()), long]
         assert [context_stats(c) for c in read_contexts(path)] == [(50, 50 / 90), (2, 1.0)]
