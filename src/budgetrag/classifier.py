@@ -193,7 +193,7 @@ def classify(ctx: AssembledContext, cfg: ClassifierConfig) -> ClassificationOutc
         severity=parsed.severity,
         score=rank_score(parsed.label, parsed.severity),
         raw_response=raw,
-        prompt_words=len(prompt.split()),
+        prompt_words=sum(len(line.split()) for line in prompt.splitlines()),  # each line break is whitespace
         latency_ms=latency_ms,
         severity_defaulted=parsed.severity_defaulted,
     )

@@ -30,19 +30,17 @@ destroy the file.
 
 build-index cuts the processed rows into contiguous shares of patients,
 one per usable CPU (``os.sched_getaffinity``) and at most one per
-patient. It embeds the first share itself. The other shares go to
-workers that it forks before numpy is imported; they hold their rows
-from the fork, exit if it dies, and each returns its chunks'
-(patient_id, position) keys and one float32 matrix. Each batch of the
-first share, then each worker's share, goes into the index with one
-``add_many`` call, in patient order. A share is embedded in batches of
-``EMBED_BATCH`` chunks across its patients, one numpy pass per batch for
-the hashing embedder. The remote embedder, a host with one usable CPU
-and a platform without fork keep one share, in this process, so a remote
-embedder sends one request of at most ``EMBED_BATCH`` inputs per batch.
-The rows, and so the index bytes, depend neither on the batches nor on
-the shares. retrieve --mode rag embeds ``--query`` once per run and
-ranks every patient's chunks against that one vector.
+patient, and embeds each with ``_embed_share``: the first in this
+process, the others in workers that it forks before numpy is imported;
+they hold the rows from the fork and exit if it dies. The index takes
+the first share's width, since a remote service chooses its vectors'
+width, and each share enters it with one ``add_many`` call, in patient
+order. The remote embedder, a host with one usable CPU and a platform
+without fork keep one share, in this process, so each remote request
+holds at most ``EMBED_BATCH`` chunks. The rows, and so the index bytes,
+depend neither on the batches nor on the shares. retrieve --mode rag
+embeds ``--query`` once per run and ranks every patient's chunks against
+that one vector.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -70,7 +68,7 @@ from . import classifier as clf
 from . import manifest, remote, retrieval
 from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_text, concat_text, load_corpus, read_lines, window_notes,
                      word_count)
-from .errors import BudgetRagError, UndefinedMetricError, UsageError
+from .errors import BudgetRagError, DimensionMismatchError, UndefinedMetricError, UsageError
 
 if TYPE_CHECKING:
     from .embedding import HashingEmbedder, RemoteEmbedder
@@ -100,11 +98,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(low, kind=int):
-    """argparse type for a finite number flag with a lower bound; nan, inf or a smaller value is a usage error."""
+    """argparse type for a number flag with a lower bound; a smaller value, or a float nan or inf, is a usage error."""
 
     def parse(text: str):
         value = kind(text)
-        if not math.isfinite(value):
+        if kind is float and not math.isfinite(value):  # an int is finite, and isfinite overflows on a long one
             raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
@@ -251,13 +249,13 @@ def cmd_ingest(args) -> dict:
     whitelist = _parse_file(args.whitelist, read_lines) if args.whitelist else None
     rows = []
     for record in load_corpus(args.corpus, whitelist):
-        text = concat_text(window_notes(record, args.window_days))
+        windowed = window_notes(record, args.window_days)
         rows.append({
             "patient_id": record.patient_id,
             "label": record.label,
             "max_words": args.max_words,
-            "word_count": word_count(text),
-            "text": text,
+            "word_count": sum(word_count(note.text) for note in windowed.notes),  # NOTE_SEPARATOR is whitespace
+            "text": concat_text(windowed),
         })
     manifest.write_jsonl(args.out, rows)
     return {"config": {
@@ -273,27 +271,23 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# The rows a forked build-index worker embeds: the pool's initializer fills this list in each
-# worker, from the memory the worker inherited, so that no row is pickled. It stays empty here.
-_inherited_rows: list[dict] = []
+# The rows of the build-index run in progress, filled before the fork: the workers inherit them, unpickled.
+_build_rows: list[dict] = []
 
 
-def _start_worker(rows: list[dict]) -> None:
-    """Initialize a forked worker: keep the inherited rows, and end the worker once its parent is
-    gone. A parent that is killed sends no shutdown, and its worker would wait on the pool's pipes
-    for ever."""
-    _inherited_rows.extend(rows)
-    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),), daemon=True).start()
+def _start_worker() -> None:
+    """Initialize a forked worker: end it once its parent is gone. A parent that is killed sends no
+    shutdown, and its worker would wait on the pool's pipes for ever."""
+    def exit_when_orphaned(parent=os.getppid()):
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=exit_when_orphaned, daemon=True).start()
 
 
-def _exit_when_orphaned(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(0.1)
-    os._exit(1)
-
-
-def _fork_pool(workers: int, rows: list[dict]):
-    """A pool of ``workers`` processes forked from this one, each holding ``rows``.
+def _fork_pool(workers: int):
+    """A pool of ``workers`` processes forked from this one.
 
     The fork context starts every worker at the first submit. Submit before numpy is imported, so
     that no BLAS thread exists at fork time.
@@ -301,57 +295,59 @@ def _fork_pool(workers: int, rows: list[dict]):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(rows,))
-
-
-def _embedded_batches(embedder, rows: list[dict]):
-    """Chunk the rows and embed their chunks in batches of ``EMBED_BATCH``, across patients; yield
-    each batch's (patient_id, position) keys and float32 matrix, row for row."""
-    chunks = (chunk for row in rows for chunk in _chunks(row))
-    while batch := list(itertools.islice(chunks, EMBED_BATCH)):
-        yield [(c.patient_id, c.position) for c in batch], embedder.embed_many([c.text for c in batch])
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker)
 
 
 def _embed_share(args, start: int, stop: int):
-    """In a forked worker, embed rows[start:stop] of the inherited rows: return the keys of all
-    their chunks, and one float32 matrix, row for row."""
+    """Embed the chunks of ``_build_rows[start:stop]`` in batches of ``EMBED_BATCH`` across patients; return
+    the embedder's fingerprint, the chunks' (patient_id, position) keys and one float32 matrix, row for row.
+    A share with no chunks gets the embedder's empty matrix, whose width is ``--dim`` or the default."""
     import numpy as np
 
-    rows = _inherited_rows[start:stop]
+    rows = _build_rows[start:stop]
     if len(rows) != stop - start:
-        raise RuntimeError(f"worker inherited {len(_inherited_rows)} rows, its share is rows {start}..{stop}")
+        raise RuntimeError(f"{len(_build_rows)} rows are held, the share is rows {start}..{stop}")
     embedder = _embedder_from_args(args)
-    batches = list(_embedded_batches(embedder, rows))
-    keys = [key for batch_keys, _ in batches for key in batch_keys]
-    return keys, np.concatenate([matrix for _, matrix in batches] + [embedder.embed_many([])])
+    chunks = (chunk for row in rows for chunk in _chunks(row))
+    keys, matrix = [], np.empty((0, 0), np.float32)
+    while batch := list(itertools.islice(chunks, EMBED_BATCH)):
+        vectors = embedder.embed_many([c.text for c in batch])
+        if keys and vectors.shape[1] != matrix.shape[1]:  # a remote service chooses the width per response
+            raise DimensionMismatchError(f"vectors of width {matrix.shape[1]}, then {vectors.shape[1]}")
+        # grown in place (a realloc): batches joined at the end would hold the share twice. Nothing views it.
+        matrix.resize((len(keys) + len(batch), vectors.shape[1]), refcheck=False)
+        matrix[len(keys):] = vectors
+        keys += [(c.patient_id, c.position) for c in batch]
+    return embedder.fingerprint, keys, matrix if keys else embedder.embed_many([])
 
 
 def cmd_build_index(args) -> dict:
-    rows = _read_processed(args.corpus)
+    _build_rows[:] = _read_processed(args.corpus)
     # Contiguous shares of patients, one per usable CPU: this process embeds the first, forked
     # workers the others. A remote embedder keeps one share, so that each of its requests holds
     # EMBED_BATCH chunks across patients.
-    shares = max(1, min(_usable_cpus(), len(rows))) if args.embedder == "hashing" else 1
-    cuts = [len(rows) * i // shares for i in range(shares + 1)]
-    with (_fork_pool(shares - 1, rows) if shares > 1 else contextlib.nullcontext()) as pool:
-        futures = [pool.submit(_embed_share, args, start, stop) for start, stop in zip(cuts[1:-1], cuts[2:])]
-        del rows[cuts[1]:]  # the workers hold these since the first submit forked them
-        embedder = _embedder_from_args(args)  # imports numpy, so after the fork
-        from .vindex import VectorIndex
+    shares = max(1, min(_usable_cpus(), len(_build_rows))) if args.embedder == "hashing" else 1
+    cuts = [len(_build_rows) * i // shares for i in range(shares + 1)]
+    with (_fork_pool(shares - 1) if shares > 1 else contextlib.nullcontext()) as pool:
+        try:
+            futures = [pool.submit(_embed_share, args, start, stop) for start, stop in zip(cuts[1:-1], cuts[2:])]
+            del _build_rows[cuts[1]:]  # the workers hold these since the first submit forked them
+            embedded = [_embed_share(args, 0, cuts[1])]  # imports numpy, so after the fork
+        finally:
+            _build_rows.clear()
+        # Every share is taken before any is added: a big block freed first (the first share's matrix, or the
+        # index's old storage) raises glibc's mmap threshold, and a share that arrived later stays in the heap.
+        embedded += [future.result() for future in futures]
+        del futures  # each holds its share
+    from .vindex import VectorIndex
 
-        index = None  # a remote embedder reveals its dimension with its first vectors
-        for keys, matrix in itertools.chain(_embedded_batches(embedder, rows),
-                                            (future.result() for future in futures)):
-            if index is None:
-                index = VectorIndex(dim=matrix.shape[1], embedder_fingerprint=embedder.fingerprint)
-            index.add_many(keys, matrix)
-    if index is None:
-        index = VectorIndex(dim=embedder.dim, embedder_fingerprint=embedder.fingerprint)
+    index = VectorIndex(dim=embedded[0][2].shape[1], embedder_fingerprint=embedded[0][0])
+    while embedded:
+        index.add_many(*embedded.pop(0)[1:])  # its keys and matrix, freed once added
     index.save(args.out)
     return {
         "config": {"embedder": args.embedder, "dim": index.dim, "model": args.model},
-        "embedder": embedder.fingerprint,
+        "embedder": index.embedder_fingerprint,
         "extra": {"entries": len(index)},
     }
 
@@ -480,11 +476,18 @@ def cmd_project(args) -> dict:
 
     given = {name: getattr(args, name) for name in costmodel.PriceSheet._fields}
     prices = costmodel.PriceSheet(**{name: value for name, value in given.items() if value is not None})
-    cost_rows = costmodel.project_cost(args.per_patient_tokens, prices, args.counts)
-    time_projection = costmodel.project_time(prices, args.counts)
+    try:
+        cost_rows = costmodel.project_cost(args.per_patient_tokens, prices, args.counts)
+        times = costmodel.project_time(prices, args.counts)
+        figures = [times.improvement_fraction, *(f for row in cost_rows + times.rows for f in row[1:])]
+    except OverflowError:  # a count too large for a float
+        figures = [math.inf]
+    if not all(map(math.isfinite, figures)):
+        raise UsageError("--counts, --per-patient-tokens, --price-per-million, --seconds-rag and --seconds-long "
+                         "give a projected figure that is not finite")
     cost_path, time_path = _output_paths(args)
     report.write_csv(cost_path, costmodel.COST_HEADER, cost_rows)
-    report.write_csv(time_path, costmodel.TIME_HEADER, time_projection.rows)
+    report.write_csv(time_path, costmodel.TIME_HEADER, times.rows)
     return {
         "config": {
             "unit": costmodel.UNIT_LABEL,
@@ -493,7 +496,7 @@ def cmd_project(args) -> dict:
             "seconds_per_patient_rag": prices.seconds_per_patient_rag,
             "seconds_per_patient_long": prices.seconds_per_patient_long,
             "counts": args.counts,
-            "improvement_fraction": time_projection.improvement_fraction,
+            "improvement_fraction": times.improvement_fraction,
         },
     }
 

@@ -139,6 +139,16 @@ class TestMock:
         template_words = len(ClassifierConfig().prompt_template.replace("{context}", "").split())
         assert outcome.prompt_words == template_words + 3
 
+    @pytest.mark.parametrize("template", ["{context}", "x{context}y", "Notes:\n{context}\r\nAnswer.",
+                                          "a\u2028{context}\x85b"])
+    @pytest.mark.parametrize("edges", ["", "\x0b\x1c"])
+    def test_prompt_words_are_the_whitespace_split_of_the_prompt(self, template, edges):
+        # counted line by line: every line boundary str.splitlines knows, and a {context} touching a word
+        breaks = ["\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+        text = edges[:1] + "".join(f"w{i}{brk}" for i, brk in enumerate(breaks)) + "last" + edges[1:]
+        outcome = classify(ctx(text), ClassifierConfig(prompt_template=template))
+        assert outcome.prompt_words == len(template.replace("{context}", text).split())
+
     def test_custom_keywords(self):
         outcome = classify(ctx("flux capacitor failure"), ClassifierConfig(keywords=("flux capacitor",)))
         assert outcome.label == 1

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from budgetrag.cli import main
+from budgetrag.cli import build_parser, main
 from budgetrag.retrieval import DEFAULT_QUERY_TEXT
 from budgetrag.synthetic import generate_corpus, write_corpus
 
@@ -450,6 +450,51 @@ class TestExitCodes:
         assert flag in err["message"]
         assert not any(tmp_path.iterdir())
 
+    # every int flag, with the rest of a command line that runs; classify starts one thread per
+    # context up to --parallelism, so its contexts file has 3 lines
+    _INT_FLAG_ARGV = {
+        ("ingest", "--window-days"): ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"],
+        ("ingest", "--max-words"): ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"],
+        ("build-index", "--dim"): ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"],
+        ("retrieve", "--budget-words"): ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
+                                         "--mode", "rag", "--out", "{tmp}/c.jsonl"],
+        ("retrieve", "--dim"): ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
+                                "--mode", "rag", "--out", "{tmp}/c.jsonl"],
+        ("classify", "--max-retries"): ["classify", "--contexts", "{tmp}/ctx.jsonl", "--out", "{tmp}/o.jsonl"],
+        ("classify", "--parallelism"): ["classify", "--contexts", "{tmp}/ctx.jsonl", "--out", "{tmp}/o.jsonl"],
+        ("project", "--counts"): ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"],
+    }
+
+    @pytest.mark.parametrize("command,flag", list(_INT_FLAG_ARGV))
+    def test_an_int_flag_of_400_digits_is_no_traceback(self, demo_dir, tmp_path, command, flag):
+        sub, = (action for action in build_parser()._actions if action.dest == "command")
+        assert set(self._INT_FLAG_ARGV) == {(name, action.option_strings[0]) for name, parser in sub.choices.items()
+                                            for action in parser._actions
+                                            if getattr(action.type, "__name__", "") in ("int", "counts")}
+        lines = (demo_dir / "ctx_rag.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "ctx.jsonl").write_text("".join(lines[:3]), encoding="utf-8")
+        argv = [a.format(demo=demo_dir, tmp=tmp_path) for a in self._INT_FLAG_ARGV[command, flag]]
+        done = subprocess.run([sys.executable, "-m", "budgetrag.cli", *argv, flag, "1" + "0" * 400],
+                              capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert "Traceback" not in done.stderr
+        assert done.returncode in (0, 1, 2)
+        errors = [json.loads(line) for line in done.stderr.splitlines()]
+        assert len(errors) == (done.returncode != 0)
+
+    @pytest.mark.parametrize("figures", [
+        ["--per-patient-tokens", "1e300", "--price-per-million", "1e300", "--counts", "1"],
+        ["--per-patient-tokens", "1", "--seconds-rag", "1e308", "--seconds-long", "1e308", "--counts", "10"],
+        ["--per-patient-tokens", "1", "--seconds-rag", "1e308", "--seconds-long", "1e-308", "--counts", "1"],
+        ["--per-patient-tokens", "1", "--counts", "1" + "0" * 400],
+    ], ids=["cost", "times", "improvement-fraction", "count-beyond-float"])
+    def test_a_projected_figure_that_is_not_finite_is_a_usage_error(self, tmp_path, capsys, figures):
+        run(1, "project", "--out", tmp_path / "proj", *figures)
+        err, = map(json.loads, capsys.readouterr().err.splitlines())
+        assert (err["error"], err["message"]) == (
+            "UsageError", "--counts, --per-patient-tokens, --price-per-million, --seconds-rag and --seconds-long "
+                          "give a projected figure that is not finite")
+        assert not any(tmp_path.iterdir())
+
     @staticmethod
     def _without(path, key):
         data = json.loads(path.read_text())
@@ -740,6 +785,20 @@ class TestBuildIndexBatching:
             direction = np.array([1.0, g])
             assert np.array_equal(vec, (direction / np.linalg.norm(direction)).astype(np.float32))
 
+    @pytest.mark.parametrize("rows", [0, 2])
+    @pytest.mark.parametrize("dim", [None, 8])
+    def test_a_corpus_without_chunks_sends_no_request(self, tmp_path, api_server, rows, dim):
+        from budgetrag.vindex import VectorIndex
+
+        corpus = tmp_path / "proc.jsonl"
+        corpus.write_text("".join(json.dumps({"patient_id": f"p{p}", "label": 0, "max_words": 1, "word_count": 0,
+                                              "text": ""}) + "\n" for p in range(rows)), encoding="utf-8")
+        api_server.reset([self._response(0, 1)])
+        run(0, "build-index", "--corpus", corpus, "--out", tmp_path / "i.brag", "--embedder", "remote",
+            "--endpoint", api_server.url, "--model", "m", *(["--dim", dim] if dim else []))
+        index = VectorIndex.load(tmp_path / "i.brag")
+        assert (api_server.requests, len(index), index.dim) == ([], 0, dim or 256)
+
     @pytest.mark.parametrize("bad", ["short-data", "ragged-rows"])
     def test_bad_response_is_exit_3_and_leaves_no_output(self, corpus, api_server, capsys, bad):
         second = self._response(64, 63) if bad == "short-data" else self._response(64, 64)
@@ -748,6 +807,16 @@ class TestBuildIndexBatching:
         self._build(corpus, api_server, [self._response(0, 64), second, self._response(128, 22)], 3)
         err = json.loads(capsys.readouterr().err.strip())
         assert (err["error"], err["category"]) == ("RemoteSchemaError", "remote")
+        assert len(api_server.requests) == 2
+        assert list(corpus.parent.iterdir()) == [corpus]
+
+    def test_widths_that_differ_across_batches_are_exit_2_and_leave_no_output(self, corpus, api_server, capsys):
+        second = 200, {"data": [{"embedding": [1.0, float(g), 0.0]} for g in range(64, 128)]}
+        self._build(corpus, api_server, [self._response(0, 64), second, self._response(128, 22)], 2)
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["category"]) == ("DimensionMismatchError", "data")
+        assert "vectors of width 2, then 3" in err["message"]
         assert len(api_server.requests) == 2
         assert list(corpus.parent.iterdir()) == [corpus]
 
@@ -769,13 +838,13 @@ def counting_fork():
     return fork()
 os.fork = counting_fork
 
-parent, embedded_batches = os.getpid(), cli._embedded_batches
-def failing_batches(embedder, rows):
+parent, embed_share = os.getpid(), cli._embed_share
+def failing_share(args, start, stop):
     if os.getpid() == parent:
         raise OSError(5, "parent share failed")
-    return embedded_batches(embedder, rows)
+    return embed_share(args, start, stop)
 if config["fail_parent_share"]:
-    cli._embedded_batches = failing_batches
+    cli._embed_share = failing_share
 
 runs = []
 for cpus in config["cpus"]:
@@ -817,17 +886,25 @@ class TestBuildIndexShares:
         run(0, "ingest", "--corpus", raw, "--out", tmp_path / "proc.jsonl", "--max-words", max_words)
         return tmp_path / "proc.jsonl"
 
-    @pytest.mark.parametrize("patients,notes,blocks,block_words,max_words,dim,cpus", [
-        (6, 5, 8, 512, 512, 256, 2),  # the long-records shape: 40 chunks of 512 words per patient
-        (96, 1, 4, 32, 64, 64, 3),  # the many-short-records shape: 2 chunks per patient
-        (0, 1, 1, 8, 8, 16, 4),
-        (1, 2, 5, 64, 64, 32, 4),
-        (3, 2, 5, 64, 16, 32, 8),  # fewer patients than CPUs: 3 shares
-    ], ids=["long-records", "many-short-records", "0-patients", "1-patient", "fewer-patients-than-cpus"])
+    @pytest.mark.parametrize("patients,notes,blocks,block_words,max_words,dim,cpus,empty", [
+        (6, 5, 8, 512, 512, 256, 2, 0),  # the long-records shape: 40 chunks of 512 words per patient
+        (96, 1, 4, 32, 64, 64, 3, 0),  # the many-short-records shape: 2 chunks per patient
+        (0, 1, 1, 8, 8, 16, 4, 0),
+        (1, 2, 5, 64, 64, 32, 4, 0),
+        (3, 2, 5, 64, 16, 32, 8, 0),  # fewer patients than CPUs: 3 shares
+        (6, 2, 5, 64, 64, 32, 3, 2),  # the first share's 2 patients have no text, so no chunks
+    ], ids=["long-records", "many-short-records", "0-patients", "1-patient", "fewer-patients-than-cpus",
+            "empty-first-share"])
     def test_worker_run_writes_the_in_process_bytes(self, tmp_path, patients, notes, blocks, block_words,
-                                                    max_words, dim, cpus):
+                                                    max_words, dim, cpus, empty):
         if patients:
             corpus = self._processed(tmp_path, patients, notes, blocks, block_words, max_words)
+            if empty:  # written anew, without the ingest manifest that binds the file's bytes
+                rows = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+                for row in rows[:empty]:
+                    row.update(text="", word_count=0)
+                corpus = tmp_path / "emptied.jsonl"
+                corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         else:
             corpus = tmp_path / "proc.jsonl"
             corpus.write_text("", encoding="utf-8")
@@ -841,6 +918,7 @@ class TestBuildIndexShares:
 
         assert Path(f"{out}.{cpus}").read_bytes() == Path(f"{out}.1").read_bytes()
         index = VectorIndex.load(f"{out}.1")
+        assert index.dim == dim
         rows = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
         assert [ref for ref, _ in index_rows(index)] == [(row["patient_id"], i) for row in rows
                                                      for i in range(-(-row["word_count"] // max_words))]
@@ -874,15 +952,15 @@ import os, sys, time
 sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
 from budgetrag import cli
 cli._usable_cpus = lambda: 2
-parent, embedded_batches = os.getpid(), cli._embedded_batches
-def stalled_batches(embedder, rows):
+parent, embed_share = os.getpid(), cli._embed_share
+def stalled_share(args, start, stop):
     if os.getpid() != parent:
         with open({str(pid_file)!r} + ".tmp", "w") as fh:
             fh.write(str(os.getpid()))
         os.replace({str(pid_file)!r} + ".tmp", {str(pid_file)!r})
         time.sleep(60)
-    return embedded_batches(embedder, rows)
-cli._embedded_batches = stalled_batches
+    return embed_share(args, start, stop)
+cli._embed_share = stalled_share
 cli.main(["build-index", "--corpus", {str(corpus)!r}, "--out", {str(tmp_path / "index.brag")!r}])
 """
         parent = subprocess.Popen([sys.executable, "-c", script])
@@ -924,10 +1002,9 @@ print(json.dumps({"code": cli.main(config["argv"]), "rows": rows}))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="build-index forks workers only where fork exists")
-@pytest.mark.parametrize("cpus,rows", [(1, [64, 64, 64]), (2, [64, 32, 96]), (3, [64, 64, 64])])
-def test_build_index_adds_each_batch_and_each_worker_share_with_one_call(tmp_path, cpus, rows):
-    # 96 patients of 2 chunks: the parent's share of 96 / cpus patients is added one batch of
-    # EMBED_BATCH chunks at a time, each worker's share with one call
+@pytest.mark.parametrize("cpus,rows", [(1, [192]), (2, [96, 96]), (3, [64, 64, 64])])
+def test_build_index_adds_each_share_with_one_add_many(tmp_path, cpus, rows):
+    # 96 patients of 2 chunks: each share of 96 / cpus patients, the parent's too, is added with one call
     corpus = TestBuildIndexShares._processed(tmp_path, 96, 1, 4, 32, 64)
     argv = ["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "index.brag"), "--dim", "64"]
     config = {"src": str(SRC), "argv": argv, "cpus": cpus}
@@ -947,6 +1024,18 @@ class TestSyntheticCli:
 
 
 class TestProcessedCorpus:
+    def test_word_count_is_the_whitespace_split_of_the_text(self, tmp_path):
+        # ingest sums the notes' counts: every line boundary str.splitlines knows, at a note's edges too
+        breaks = ["\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+        text = "".join(f"w{i}{brk}" for i, brk in enumerate(breaks)) + "last"
+        notes = [{"note_type": "Addendum IP Operative Report", "timestamp": f"2024-03-10T0{hour}:00:00Z",
+                  "text": note} for hour, note in enumerate([text, f"\x85{text}\u2029", "one", f"x{text}"])]
+        (tmp_path / "raw.jsonl").write_text(json.dumps({"patient_id": "p0", "label": 1, "notes": notes}) + "\n",
+                                            encoding="utf-8")
+        run(0, "ingest", "--corpus", tmp_path / "raw.jsonl", "--out", tmp_path / "proc.jsonl")
+        row = json.loads((tmp_path / "proc.jsonl").read_text(encoding="utf-8"))  # one line: "\u2028" is no JSONL break
+        assert row["word_count"] == len(row["text"].split()) == 3 * (len(breaks) + 1) + 1
+
     def test_rows_hold_text_once_and_rag_contexts_match_library(self, demo_dir):
         from budgetrag.corpus import chunk_text, concat_text, load_corpus, window_notes
         from budgetrag.embedding import HashingEmbedder
