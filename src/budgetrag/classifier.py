@@ -121,6 +121,8 @@ def parse_response(raw: str) -> ParsedResponse:
             obj, _ = decoder.raw_decode(raw, start)
         except json.JSONDecodeError:
             continue
+        except (ValueError, RecursionError) as exc:  # a number of over 4300 digits, or nesting too deep
+            raise ResponseParseError(f"reply is not JSON that can be read: {exc}") from exc
         if "complication" not in obj:
             continue
         label = obj["complication"]
@@ -262,6 +264,9 @@ def _outcome_row(obj: dict) -> ClassificationOutcome | FailedClassification:
     check_types(obj, _OUTCOME_FIELDS)
     if not math.isfinite(obj["score"]):  # json reads NaN and Infinity
         raise ValueError(f"'score' must be finite, got {obj['score']!r}")
+    for key in ("prompt_words", "latency_ms"):  # summed and averaged as floats by project
+        if not 0 <= obj[key] < 2 ** 53:
+            raise ValueError(f"{key!r} must be in [0, 2**53), got {obj[key]!r:.40}")
     return ClassificationOutcome(*[obj[key] for key in _OUTCOME_FIELDS])
 
 

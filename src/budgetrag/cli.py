@@ -32,15 +32,18 @@ build-index cuts the processed rows into contiguous shares of patients,
 one per usable CPU (``os.sched_getaffinity``) and at most one per
 patient, and embeds each with ``_embed_share``: the first in this
 process, the others in workers that it forks before numpy is imported;
-they hold the rows from the fork and exit if it dies. The index takes
-the first share's width, since a remote service chooses its vectors'
-width, and each share enters it with one ``add_many`` call, in patient
-order. The remote embedder, a host with one usable CPU and a platform
-without fork keep one share, in this process, so each remote request
-holds at most ``EMBED_BATCH`` chunks. The rows, and so the index bytes,
+they hold the rows from the fork and exit if it dies, and a worker that
+dies is a data error naming its share's patients. The index takes the
+first share's width, since a remote service chooses its vectors' width,
+and each share enters it with one ``add_many`` call, in patient order.
+The remote embedder, a host with one usable CPU and a platform without
+fork keep one share, in this process, so each remote request holds at
+most ``EMBED_BATCH`` chunks. The rows, and so the index bytes,
 depend neither on the batches nor on the shares. retrieve --mode rag
 embeds ``--query`` once per run and ranks every patient's chunks against
-that one vector.
+that one vector. project reads the two arms' outcome files, and projects
+over ``--counts`` patients each arm's mean prompt words
+(``costmodel.summarize_usage``) and mean latency per patient.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -97,8 +100,8 @@ class _Parser(argparse.ArgumentParser):
         self.set_defaults(outputs=self.get_default("outputs") + ((action.dest, suffixes),))
 
 
-def _at_least(low, kind=int):
-    """argparse type for a number flag with a lower bound; a smaller value, or a float nan or inf, is a usage error."""
+def _at_least(low, kind=int, high=math.inf):
+    """argparse type for a number flag in [low, high]; a value outside, or a float nan or inf, is a usage error."""
 
     def parse(text: str):
         value = kind(text)
@@ -106,6 +109,8 @@ def _at_least(low, kind=int):
             raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value" errors
@@ -162,10 +167,10 @@ def _labels_by_patient(corpus_path) -> dict[str, int]:
 
 
 def _parse_file(path, parse):
-    """``parse(path)``; a missing field or bad value in the file is a data error naming it."""
+    """``parse(path)``; a missing field or bad value in the file, or JSON nested too deep, is a data error naming it."""
     try:
         return parse(path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise BudgetRagError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -199,15 +204,9 @@ def _delong_summary(path) -> dict:
 
 
 def _embedder_from_args(args, index: VectorIndex | None = None) -> HashingEmbedder | RemoteEmbedder:
-    from .embedding import DEFAULT_DIM, MAX_DIM, HashingEmbedder, RemoteEmbedder
+    from .embedding import HashingEmbedder, RemoteEmbedder
 
-    if args.embedder == "remote" and not args.endpoint:
-        raise UsageError("--embedder remote requires --endpoint")
-    if args.dim is not None and args.dim > MAX_DIM:  # not an argparse bound: parsing must not load numpy
-        raise UsageError(f"argument --dim: must be <= {MAX_DIM}, got {args.dim}")
-    dim = args.dim
-    if dim is None:
-        dim = index.dim if index is not None else DEFAULT_DIM
+    dim = args.dim or (index.dim if index is not None else retrieval.DEFAULT_DIM)  # --dim is at least 2
     if args.embedder == "remote":
         embedder = RemoteEmbedder(args.endpoint, args.model, dim)
     else:
@@ -321,7 +320,19 @@ def _embed_share(args, start: int, stop: int):
     return embedder.fingerprint, keys, matrix if keys else embedder.embed_many([])
 
 
+def _share_result(future, first: str, last: str):
+    """A worker's embedded share; a pool whose worker died (killed, say, or out of memory) is a data error."""
+    from concurrent.futures import BrokenExecutor
+
+    try:
+        return future.result()
+    except BrokenExecutor as exc:
+        raise BudgetRagError(f"patients {first} to {last} were not embedded: {exc}") from exc
+
+
 def cmd_build_index(args) -> dict:
+    if args.embedder == "remote" and not args.endpoint:  # before any row is read or a worker forked
+        raise UsageError("--embedder remote requires --endpoint")
     _build_rows[:] = _read_processed(args.corpus)
     # Contiguous shares of patients, one per usable CPU: this process embeds the first, forked
     # workers the others. A remote embedder keeps one share, so that each of its requests holds
@@ -330,14 +341,15 @@ def cmd_build_index(args) -> dict:
     cuts = [len(_build_rows) * i // shares for i in range(shares + 1)]
     with (_fork_pool(shares - 1) if shares > 1 else contextlib.nullcontext()) as pool:
         try:
-            futures = [pool.submit(_embed_share, args, start, stop) for start, stop in zip(cuts[1:-1], cuts[2:])]
+            futures = [(pool.submit(_embed_share, args, start, stop), _build_rows[start]["patient_id"],
+                        _build_rows[stop - 1]["patient_id"]) for start, stop in zip(cuts[1:-1], cuts[2:])]
             del _build_rows[cuts[1]:]  # the workers hold these since the first submit forked them
             embedded = [_embed_share(args, 0, cuts[1])]  # imports numpy, so after the fork
         finally:
             _build_rows.clear()
         # Every share is taken before any is added: a big block freed first (the first share's matrix, or the
         # index's old storage) raises glibc's mmap threshold, and a share that arrived later stays in the heap.
-        embedded += [future.result() for future in futures]
+        embedded += [_share_result(*share) for share in futures]
         del futures  # each holds its share
     from .vindex import VectorIndex
 
@@ -353,6 +365,8 @@ def cmd_build_index(args) -> dict:
 
 
 def cmd_retrieve(args) -> dict:
+    if args.embedder == "remote" and not args.endpoint:  # before any row is read
+        raise UsageError("--embedder remote requires --endpoint")
     rag = args.mode == "rag"
     if rag and not args.index:
         raise UsageError("--mode rag requires --index")
@@ -471,34 +485,44 @@ def cmd_delong(args) -> dict:
     return {"config": {}}
 
 
+def _arm_outcomes(path, mode: str) -> list:
+    """The successful outcomes of one arm's outcomes file, each line of which must be of ``mode``, once per patient."""
+    outcomes, failures = clf.read_outcomes(path)
+    manifest.check_unique([o.patient_id for o in outcomes + failures], f"{path}: outcomes")
+    if stray := next((o for o in outcomes + failures if o.mode != mode), None):
+        raise BudgetRagError(f"{path}: patient {stray.patient_id!r} has mode {stray.mode!r}, not {mode!r}")
+    if not outcomes:
+        raise UndefinedMetricError(f"{path}: no successful outcome to project from")
+    return outcomes
+
+
 def cmd_project(args) -> dict:
     from . import costmodel, report
 
-    given = {name: getattr(args, name) for name in costmodel.PriceSheet._fields}
-    prices = costmodel.PriceSheet(**{name: value for name, value in given.items() if value is not None})
+    rag = _arm_outcomes(args.outcomes_rag, retrieval.MODE_RAG)
+    long = _arm_outcomes(args.outcomes_long, retrieval.MODE_LONG)
+    price = costmodel.PriceSheet().usd_per_million_tokens if args.price_per_million is None else args.price_per_million
+    seconds = [sum(o.latency_ms for o in arm) / len(arm) / 1000 for arm in (rag, long)]  # the mean latency
+    prices = costmodel.PriceSheet(price, *seconds)
+    usage = costmodel.summarize_usage(long, rag, prices)  # PatientSetMismatchError unless the patients are equal
+    n = usage.patients
     try:
-        cost_rows = costmodel.project_cost(args.per_patient_tokens, prices, args.counts)
+        cost_rows = costmodel.project(usage.cost_rag_usd / n, usage.cost_long_usd / n, args.counts)
         times = costmodel.project_time(prices, args.counts)
-        figures = [times.improvement_fraction, *(f for row in cost_rows + times.rows for f in row[1:])]
+        figures = [usage.savings_fraction, times.improvement_fraction, *(f for row in cost_rows + times.rows
+                                                                           for f in row[1:])]
     except OverflowError:  # a count too large for a float
         figures = [math.inf]
     if not all(map(math.isfinite, figures)):
-        raise UsageError("--counts, --per-patient-tokens, --price-per-million, --seconds-rag and --seconds-long "
-                         "give a projected figure that is not finite")
+        raise UsageError("--counts and --price-per-million give a projected figure that is not finite")
     cost_path, time_path = _output_paths(args)
     report.write_csv(cost_path, costmodel.COST_HEADER, cost_rows)
     report.write_csv(time_path, costmodel.TIME_HEADER, times.rows)
-    return {
-        "config": {
-            "unit": costmodel.UNIT_LABEL,
-            "per_patient_tokens": args.per_patient_tokens,
-            "usd_per_million_tokens": prices.usd_per_million_tokens,
-            "seconds_per_patient_rag": prices.seconds_per_patient_rag,
-            "seconds_per_patient_long": prices.seconds_per_patient_long,
-            "counts": args.counts,
-            "improvement_fraction": times.improvement_fraction,
-        },
-    }
+    per_patient = {"rag": {"tokens": usage.total_words_rag / n, "seconds": seconds[0]},
+                   "long": {"tokens": usage.total_words_long / n, "seconds": seconds[1]}}
+    return {"config": {"unit": costmodel.UNIT_LABEL, "usd_per_million_tokens": price, "counts": args.counts},
+            "extra": {"patients": n, "per_patient": per_patient, "savings_fraction": usage.savings_fraction,
+                      "improvement_fraction": times.improvement_fraction}}
 
 
 def cmd_report(args) -> dict:
@@ -525,7 +549,7 @@ def cmd_report(args) -> dict:
 
 def _add_embedder_flags(parser) -> None:
     parser.add_argument("--embedder", choices=["hashing", "remote"], default="hashing")
-    parser.add_argument("--dim", type=_at_least(2), default=None,
+    parser.add_argument("--dim", type=_at_least(2, high=retrieval.MAX_DIM), default=None,
                         help="hashing dimension (default: the index's own, else the hashing embedder's default)")
     parser.add_argument("--endpoint", default=None)
     parser.add_argument("--model", default=None)
@@ -589,14 +613,14 @@ def build_parser() -> _Parser:
     p.add_input("--corpus", required=True, help="processed corpus JSONL (ground-truth labels)")
     p.add_output("--out", required=True, help="DeLong result JSON")
 
-    p = add("project", cmd_project, "linear cost and runtime projections")
+    p = add("project", cmd_project, "linear cost and runtime projections from the two arms' outcomes: "
+                                     "per patient, the mean prompt words and the mean latency")
+    p.add_input("--outcomes-rag", required=True, help="RAG outcomes JSONL")
+    p.add_input("--outcomes-long", required=True, help="whole-text outcomes JSONL, of the same patients")
     p.add_output("--out", required=True, suffixes=("_cost.csv", "_time.csv"),
                  help="output prefix for _cost.csv and _time.csv")
-    # each figure's flag stores under its PriceSheet field; one not given keeps the field's default
-    p.add_argument("--price-per-million", dest="usd_per_million_tokens", type=_at_least(0.0, float), default=None)
-    p.add_argument("--per-patient-tokens", type=_at_least(0.0, float), required=True)
-    p.add_argument("--seconds-rag", dest="seconds_per_patient_rag", type=_at_least(0.0, float), default=None)
-    p.add_argument("--seconds-long", dest="seconds_per_patient_long", type=_at_least(0.0, float), default=None)
+    p.add_argument("--price-per-million", type=_at_least(0.0, float), default=None,
+                   help="USD per million tokens (default: the cost model's)")
     p.add_argument("--counts", type=_counts, default="0,1000,10000,50000,100000",
                    help="comma-separated patient counts")
 

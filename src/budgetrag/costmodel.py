@@ -2,8 +2,11 @@
 
 Counts are whitespace words standing in for provider tokens; every
 output labels the unit "tokens (word-approximated)" so the
-approximation is visible. Projections are exactly linear and pass
-through the origin. The project command writes their rows with ``report.write_csv``.
+approximation is visible. The project command takes the per-patient
+tokens of each arm from :func:`summarize_usage` over the two arms'
+outcomes, and its seconds from their mean latency. :func:`project` turns
+a per-patient figure of each arm into the rows of the cost or the time
+table, exactly linear and through the origin.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .classifier import ClassificationOutcome
 from .errors import PatientSetMismatchError
 
 UNIT_LABEL = "tokens (word-approximated)"
-COST_HEADER = "patients,cost_usd"  # the columns of project_cost's rows
+COST_HEADER = "patients,cost_rag_usd,cost_long_usd"  # the columns of project's rows of dollars per patient
 TIME_HEADER = "patients,seconds_rag,seconds_long"  # the columns of project_time's rows
 
 
@@ -52,11 +55,8 @@ def cost_usd(total_words: int | float, prices: PriceSheet) -> float:
     return total_words / 1e6 * prices.usd_per_million_tokens
 
 
-def summarize_usage(
-    outcomes_long: list[ClassificationOutcome],
-    outcomes_rag: list[ClassificationOutcome],
-    prices: PriceSheet,
-) -> UsageSummary:
+def summarize_usage(outcomes_long: list[ClassificationOutcome], outcomes_rag: list[ClassificationOutcome],
+                    prices: PriceSheet) -> UsageSummary:
     """Aggregate prompt word counts per mode into dollar totals.
 
     Both outcome lists must cover the same patient set; the summary is
@@ -76,28 +76,14 @@ def summarize_usage(
     cost_long = cost_usd(total_long, prices)
     cost_rag = cost_usd(total_rag, prices)
     savings = 1.0 - cost_rag / cost_long if cost_long > 0 else 0.0
-    return UsageSummary(
-        patients=len(ids_long),
-        total_words_long=total_long,
-        total_words_rag=total_rag,
-        cost_long_usd=cost_long,
-        cost_rag_usd=cost_rag,
-        savings_fraction=savings,
-    )
+    return UsageSummary(patients=len(ids_long), total_words_long=total_long, total_words_rag=total_rag,
+                        cost_long_usd=cost_long, cost_rag_usd=cost_rag, savings_fraction=savings)
 
 
-def project_cost(
-    per_patient_tokens: float,
-    prices: PriceSheet,
-    patient_counts: list[int],
-) -> list[tuple[int, float]]:
-    """Linear cost projection: usd = count * per_patient_tokens/1e6 * price."""
-    if per_patient_tokens < 0:
-        raise ValueError("per_patient_tokens must be >= 0")
-    return [
-        (count, count * per_patient_tokens / 1e6 * prices.usd_per_million_tokens)
-        for count in patient_counts
-    ]
+def project(per_patient_rag: float, per_patient_long: float,
+            patient_counts: list[int]) -> list[tuple[int, float, float]]:
+    """Linear projection of a per-patient figure of each arm: (count, count * rag, count * long) per count."""
+    return [(count, count * per_patient_rag, count * per_patient_long) for count in patient_counts]
 
 
 class TimeProjection(NamedTuple):
@@ -107,12 +93,5 @@ class TimeProjection(NamedTuple):
 
 def project_time(prices: PriceSheet, patient_counts: list[int]) -> TimeProjection:
     """Linear runtime projection per mode from the per-patient rates."""
-    rows = [
-        (count, count * prices.seconds_per_patient_rag, count * prices.seconds_per_patient_long)
-        for count in patient_counts
-    ]
-    if prices.seconds_per_patient_long > 0:
-        improvement = 1.0 - prices.seconds_per_patient_rag / prices.seconds_per_patient_long
-    else:
-        improvement = 0.0
-    return TimeProjection(rows=rows, improvement_fraction=improvement)
+    rag, long = prices.seconds_per_patient_rag, prices.seconds_per_patient_long
+    return TimeProjection(project(rag, long, patient_counts), 1.0 - rag / long if long > 0 else 0.0)

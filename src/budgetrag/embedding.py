@@ -32,9 +32,7 @@ import numpy as np
 
 from .errors import RemoteSchemaError, ZeroVectorError
 from .remote import post_json
-
-DEFAULT_DIM = 256
-MAX_DIM = 65_536  # a hashing batch of 64 texts sums into a 64 x MAX_DIM float64 matrix: 32 MiB
+from .retrieval import DEFAULT_DIM, MAX_DIM
 
 # FNV-1a 64-bit parameters.
 _FNV_OFFSET = 14695981039346656037

@@ -77,8 +77,8 @@ def read_jsonl(path: str | Path, what: str, parse) -> list:
                 raise fault(line_no, f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
             except UnicodeEncodeError as exc:
                 raise fault(line_no, "not valid Unicode: a lone surrogate escape") from exc
-            except json.JSONDecodeError as exc:
-                raise fault(line_no, f"invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:  # a number of over 4300 digits, or nesting too deep
+                raise fault(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
             if not isinstance(obj, dict):
                 raise fault(line_no, "expected a JSON object")
             try:
@@ -124,7 +124,7 @@ def _recorded(sidecar: Path) -> tuple[str, dict[Path, str], dict[Path, str]]:
         inputs, outputs = ({(sidecar.parent / key).resolve(): digest for key, digest in run.get(field, {}).items()}
                            for field in ("inputs", "outputs"))
         return run.get("command", "the command that wrote it"), inputs, outputs
-    except (AttributeError, ValueError) as exc:  # not JSON, or not an object of objects
+    except (AttributeError, ValueError, RecursionError) as exc:  # not JSON (or too deep), or not an object of objects
         raise BudgetRagError(f"{sidecar}: not a run manifest: {type(exc).__name__}: {exc}") from exc
 
 

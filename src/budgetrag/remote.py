@@ -120,7 +120,7 @@ def post_json(url: str, payload: dict, *, max_attempts: int = DEFAULT_MAX_ATTEMP
         if 200 <= status < 300:
             try:
                 return json.loads(raw)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise RemoteSchemaError(f"response from {url} is not valid JSON: {exc}") from exc
         error = RemoteServiceError(f"{url} returned HTTP {status}", status=status,
                                    retryable=status == 429 or status >= 500)

@@ -26,6 +26,9 @@ MODE_RAG = "RAG"
 MODE_LONG = "LONG"
 
 DEFAULT_BUDGET_WORDS = 4000
+# The hashing embedder's vector width, here and not in embedding, so the CLI bounds --dim without loading numpy.
+DEFAULT_DIM = 256
+MAX_DIM = 65_536  # a hashing batch of 64 texts sums into a 64 x MAX_DIM float64 matrix: 32 MiB
 
 # The complication vocabulary: the default query names it, the mock classifier flags it, synthetic corpora plant it.
 DEFAULT_COMPLICATION_KEYWORDS = (
@@ -77,13 +80,8 @@ class AssembledContext(NamedTuple):
     total_words: int = 0
 
 
-def assemble_rag_from_chunks(
-    patient_id: str,
-    chunks: list[Chunk],
-    index: VectorIndex,
-    query,
-    cfg: RetrievalConfig,
-) -> AssembledContext:
+def assemble_rag_from_chunks(patient_id: str, chunks: list[Chunk], index: VectorIndex, query,
+                             cfg: RetrievalConfig) -> AssembledContext:
     """Assemble a budgeted context from pre-computed chunks, ranked against the unit vector ``query``.
 
     The chunks must be the same ones whose embeddings were added to the
@@ -104,22 +102,15 @@ def assemble_rag_from_chunks(
     for hit in hits:
         chunk = by_position.get(hit.position)
         if chunk is None:
-            raise BudgetRagError(
-                f"index entry ({patient_id!r}, {hit.position}) has no matching chunk"
-            )
+            raise BudgetRagError(f"index entry ({patient_id!r}, {hit.position}) has no matching chunk")
         if chunk.word_count <= remaining:
             accepted.append(chunk)
             remaining -= chunk.word_count
     accepted.sort(key=lambda c: c.position)
-    return AssembledContext(
-        patient_id=patient_id,
-        mode=MODE_RAG,
-        text="\n\n".join(c.text for c in accepted),
-        word_count=sum(c.word_count for c in accepted),
-        selected_positions=tuple(c.position for c in accepted),
-        candidate_scores=tuple((h.position, h.score) for h in hits),
-        total_words=total_words,
-    )
+    return AssembledContext(patient_id=patient_id, mode=MODE_RAG, text="\n\n".join(c.text for c in accepted),
+                            word_count=sum(c.word_count for c in accepted),
+                            selected_positions=tuple(c.position for c in accepted),
+                            candidate_scores=tuple((h.position, h.score) for h in hits), total_words=total_words)
 
 
 def long_context(patient_id: str, text: str, words: int) -> AssembledContext:

@@ -33,9 +33,10 @@ body, where any inconsistency is an ``IndexFormatError``, and last
 checks its rows with ``add_many``: a repeated key or a row that is not a
 finite unit vector is an ``IndexFormatError`` as well. Version 1
 files (no length, no header checksum) are rejected with a hint to
-rebuild them with ``build-index``. ``to_bytes`` copies the vector
-bytes straight from a byte view of the matrix; ``from_bytes`` joins the
-vector fields and reads them with one ``frombuffer``.
+rebuild them with ``build-index``. ``to_bytes`` joins the file once, the
+vectors straight from a byte view of the matrix, then packs the header and
+checksums in place; ``from_bytes`` joins the vector fields and reads them
+with one ``frombuffer``.
 
 CRC-32C (Castagnoli, RFC 3720) is computed block-parallel, the
 ``crc32_combine`` method of zlib: the buffer is cut into
@@ -258,20 +259,20 @@ class VectorIndex:
 
     # --- persistence ---------------------------------------------------
 
-    def to_bytes(self) -> bytes:
+    def to_bytes(self) -> bytearray:
         n, row = len(self), 4 * self.dim
-        # a byte view of the matrix (a copy only on a big-endian host); join copies it once
+        # a byte view of the matrix (a copy only on a big-endian host); join copies it once, into the file
         vectors = memoryview(self._matrix[:n].astype("<f4", copy=False).reshape(-1).view(np.uint8))
         pid_fields = {pid: _length_prefixed(pid) for pid in self._rows}
-        parts = []
+        parts = [bytes(HEADER_SIZE)]  # the header and its checksum, packed in place once the length is known
         for pid, pos, start in zip(self._patient_ids, self._positions[:n].tolist(), range(0, n * row, row)):
             parts += (pid_fields[pid], _U32.pack(pos), vectors[start:start + row])
-        parts.append(_length_prefixed(self.embedder_fingerprint))
-        body = b"".join(parts)
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.dim, n, HEADER_SIZE + len(body) + 4)
-        return b"".join([
-            header, _U32.pack(crc32c(header)), body, _U32.pack(crc32c(body)),
-        ])
+        parts += (_length_prefixed(self.embedder_fingerprint), bytes(4))
+        blob = bytearray().join(parts)
+        _HEADER.pack_into(blob, 0, MAGIC, FORMAT_VERSION, self.dim, n, len(blob))
+        _U32.pack_into(blob, _HEADER.size, crc32c(memoryview(blob)[:_HEADER.size]))
+        _U32.pack_into(blob, len(blob) - 4, crc32c(memoryview(blob)[HEADER_SIZE:-4]))
+        return blob
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())

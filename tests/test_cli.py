@@ -44,9 +44,9 @@ PINNED_CHAIN_SHA256 = {
     "out_rag.jsonl.manifest.json": "697839b4aa75c54bd76b337c35acf9123cd36ecadd55d2918eb07231f1354804",
     "proc.jsonl": "37ac15570c7219cc71da3269e2eb8d4a1bc3a8d44675cd7e718665fe8a917841",
     "proc.jsonl.manifest.json": "af242c8bd47438c9b6fadf957bcb4aeee64244fe74c9a171e42060a155397b81",
-    "proj.manifest.json": "bd4656a1817c5b443f1e4f6063c77660b45cea439dbcfa018bcb0ea9a9b11d81",
-    "proj_cost.csv": "99931bdefd4e1b9abd5c683faeaa1f795a0d28fc930c81a952a041a2a9e3c143",
-    "proj_time.csv": "f4e3811ac253ee7c29383a5215fbd9b6b6ca9696d02cb23020ef76edd6183d42",
+    "proj.manifest.json": "4fa8b378ad67aa088e53758ae5145e4d3d9d6440ae5918d5aa72b433914a2174",
+    "proj_cost.csv": "d998207472792f614877615e109621698df77c8fba502a1c5e90a8946b4fe10b",
+    "proj_time.csv": "aee35efecec4a7af4a5e4b1b96524d38c578f9666956893aafe8da9ea0bf8aa6",
     "report.manifest.json": "aee4929313a19e7bad9f631b91e5160db8e3bf57724823d38789185fca1002f7",
     "report.md": "2752af3a0b6c6e3ffcb841d84843264b8df404723ab862cfeafeba6e5190315a",
     "report.svg": "20a3dcd06970b90a13c61673657450147bc2442b0a839d73970c80144cd38fa1",
@@ -78,7 +78,8 @@ def demo_dir(tmp_path_factory):
         "--out", root / "m_long.json", "--roc-out", root / "roc_long.csv", "--deterministic")
     run(0, "delong", "--outcomes-a", root / "out_rag.jsonl", "--outcomes-b", root / "out_long.jsonl",
         "--corpus", root / "proc.jsonl", "--out", root / "delong.json", "--deterministic")
-    run(0, "project", "--out", root / "proj", "--per-patient-tokens", "75010", "--deterministic")
+    run(0, "project", "--outcomes-rag", root / "out_rag.jsonl", "--outcomes-long", root / "out_long.jsonl",
+        "--out", root / "proj", "--deterministic")
     run(0, "report", "--metrics-rag", root / "m_rag.json", "--metrics-long", root / "m_long.json",
         "--roc-rag", root / "roc_rag.csv", "--roc-long", root / "roc_long.csv",
         "--delong", root / "delong.json", "--out", root / "report", "--deterministic")
@@ -157,7 +158,7 @@ class TestFullPipeline:
         ("m_rag.json", "evaluate", ["out_rag.jsonl", "proc.jsonl"], ["m_rag.json", "roc_rag.csv"]),
         ("m_long.json", "evaluate", ["out_long.jsonl", "proc.jsonl"], ["m_long.json", "roc_long.csv"]),
         ("delong.json", "delong", ["out_rag.jsonl", "out_long.jsonl", "proc.jsonl"], ["delong.json"]),
-        ("proj", "project", [], ["proj_cost.csv", "proj_time.csv"]),
+        ("proj", "project", ["out_rag.jsonl", "out_long.jsonl"], ["proj_cost.csv", "proj_time.csv"]),
         ("report", "report", ["m_rag.json", "roc_rag.csv", "m_long.json", "roc_long.csv", "delong.json"],
          ["report.svg", "report.md"]),
     ])
@@ -191,15 +192,70 @@ class TestFullPipeline:
 
 
 class TestProject:
-    def test_the_three_flags_set_every_recorded_figure(self, tmp_path):
-        run(0, "project", "--out", tmp_path / "p", "--per-patient-tokens", "2000", "--counts", "0,10",
-            "--price-per-million", "5", "--seconds-rag", "0.25", "--seconds-long", "0.5", "--deterministic")
-        config = json.loads((tmp_path / "p.manifest.json").read_text())["config"]
-        assert config == {"unit": "tokens (word-approximated)", "per_patient_tokens": 2000.0,
-                          "usd_per_million_tokens": 5.0, "seconds_per_patient_rag": 0.25,
-                          "seconds_per_patient_long": 0.5, "counts": [0, 10], "improvement_fraction": 0.5}
-        assert (tmp_path / "p_cost.csv").read_text() == "patients,cost_usd\n0,0.0\n10,0.1\n"
-        assert (tmp_path / "p_time.csv").read_text() == "patients,seconds_rag,seconds_long\n0,0.0,0.0\n10,2.5,5.0\n"
+    """project takes every per-patient figure from the two arms' outcome files."""
+
+    @staticmethod
+    def _arm(demo_dir, tmp_path, source, edit=lambda rows: rows):
+        """A copy of a demo outcomes file, without its manifest, whose rows ``edit`` changes."""
+        rows = [json.loads(line) for line in (demo_dir / source).read_text(encoding="utf-8").splitlines()]
+        path = tmp_path / source
+        path.write_text("".join(json.dumps(row) + "\n" for row in edit(rows)), encoding="utf-8")
+        return path
+
+    def test_recorded_figures_come_from_the_outcome_files(self, demo_dir, tmp_path):
+        from budgetrag.classifier import read_outcomes
+        from budgetrag.costmodel import PriceSheet, summarize_usage
+
+        run(0, "project", "--outcomes-rag", demo_dir / "out_rag.jsonl", "--outcomes-long", demo_dir / "out_long.jsonl",
+            "--out", tmp_path / "p", "--counts", "0,10", "--price-per-million", "5", "--deterministic")
+        usage = summarize_usage(read_outcomes(demo_dir / "out_long.jsonl")[0],
+                                read_outcomes(demo_dir / "out_rag.jsonl")[0], PriceSheet(5.0))
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["config"] == {"unit": "tokens (word-approximated)", "usd_per_million_tokens": 5.0,
+                                      "counts": [0, 10]}
+        assert (manifest["patients"], manifest["savings_fraction"]) == (60, usage.savings_fraction)
+        assert manifest["per_patient"] == {"rag": {"tokens": usage.total_words_rag / 60, "seconds": 0.0},
+                                           "long": {"tokens": usage.total_words_long / 60, "seconds": 0.0}}
+        assert 0 < manifest["per_patient"]["rag"]["tokens"] < manifest["per_patient"]["long"]["tokens"]
+        assert manifest["improvement_fraction"] == 0.0  # the mock records 0 ms
+        assert (tmp_path / "p_cost.csv").read_text() == (
+            f"patients,cost_rag_usd,cost_long_usd\n0,0.0,0.0\n"
+            f"10,{10 * (usage.cost_rag_usd / 60)!r},{10 * (usage.cost_long_usd / 60)!r}\n")
+        assert (tmp_path / "p_time.csv").read_text() == "patients,seconds_rag,seconds_long\n0,0.0,0.0\n10,0.0,0.0\n"
+
+    def test_seconds_are_each_arms_mean_latency(self, demo_dir, tmp_path):
+        def latency(*values):
+            return lambda rows: [{**row, "latency_ms": values[i % len(values)]} for i, row in enumerate(rows)]
+
+        rag = self._arm(demo_dir, tmp_path, "out_rag.jsonl", latency(400, 600))
+        long = self._arm(demo_dir, tmp_path, "out_long.jsonl", latency(1000))
+        run(0, "project", "--outcomes-rag", rag, "--outcomes-long", long, "--out", tmp_path / "p", "--counts", "100")
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert [manifest["per_patient"][arm]["seconds"] for arm in ("rag", "long")] == [0.5, 1.0]
+        assert manifest["improvement_fraction"] == 0.5
+        assert (tmp_path / "p_time.csv").read_text() == "patients,seconds_rag,seconds_long\n100,50.0,100.0\n"
+
+    @pytest.mark.parametrize("arm,edit,error,message", [
+        ("out_rag.jsonl", lambda rows: [{**rows[0], "mode": "LONG"}, *rows[1:]], "BudgetRagError",
+         "has mode 'LONG', not 'RAG'"),
+        ("out_long.jsonl", lambda rows: rows + rows[4:5], "CorpusFormatError", "outcomes: duplicate patients"),
+        ("out_rag.jsonl", lambda rows: [{"patient_id": rows[0]["patient_id"], "mode": "RAG", "failed": True,
+                                         "error": "ResponseParseError", "message": "no verdict"}, *rows[1:]],
+         "PatientSetMismatchError", "1 only in long, 0 only in rag"),
+        ("out_long.jsonl", lambda rows: [{"patient_id": row["patient_id"], "mode": "LONG", "failed": True,
+                                          "error": "ResponseParseError", "message": "no verdict"} for row in rows],
+         "UndefinedMetricError", "no successful outcome to project from"),
+    ], ids=["wrong-mode", "repeated-patient", "patients-differ", "no-successful-outcome"])
+    def test_outcomes_that_cannot_be_projected_are_one_json_data_error(self, demo_dir, tmp_path, capsys,
+                                                                      arm, edit, error, message):
+        files = {name: self._arm(demo_dir, tmp_path, name, edit if name == arm else lambda rows: rows)
+                 for name in ("out_rag.jsonl", "out_long.jsonl")}
+        run(2, "project", "--outcomes-rag", files["out_rag.jsonl"], "--outcomes-long", files["out_long.jsonl"],
+            "--out", tmp_path / "p")
+        err, = map(json.loads, capsys.readouterr().err.splitlines())
+        assert (err["error"], err["category"]) == (error, "data")
+        assert message in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out_long.jsonl", "out_rag.jsonl"]
 
 
 class TestDeterminism:
@@ -230,6 +286,10 @@ class TestDeterminism:
 
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(demo_dir.iterdir())}
         assert digests == PINNED_CHAIN_SHA256
+
+
+_PROJECT = ["project", "--outcomes-rag", "{demo}/out_rag.jsonl", "--outcomes-long", "{demo}/out_long.jsonl",
+            "--out", "{tmp}/proj"]
 
 
 def _with_field(source, key, value):
@@ -420,8 +480,9 @@ class TestExitCodes:
         ("--parallelism", "0", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
         ("--dim", "1", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
         ("--max-retries", "0", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
-        ("--per-patient-tokens", "-1", ["project", "--out", "{tmp}/proj"]),
-        ("--counts", "1,x", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),
+        # removed, not out of range: project takes each per-patient figure from the outcomes
+        ("--per-patient-tokens", "-1", _PROJECT),
+        ("--counts", "1,x", _PROJECT),
         ("--classifier", "remote", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
         ("--embedder", "remote", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
         ("--temperature", "nan", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
@@ -430,15 +491,18 @@ class TestExitCodes:
                                 "--out", "{tmp}/m.json"]),
         ("--threshold", "inf", ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{demo}/proc.jsonl",
                                 "--out", "{tmp}/m.json"]),
-        ("--per-patient-tokens", "inf", ["project", "--out", "{tmp}/proj"]),
-        ("--seconds-rag", "nan", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),
+        ("--per-patient-tokens", "inf", _PROJECT),  # removed
+        ("--seconds-rag", "nan", _PROJECT),  # removed
         ("--mode", "rag", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/c.jsonl"]),
         ("--mode", "long", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
                             "--out", "{tmp}/c.jsonl"]),
-        ("--prices", "x", ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"]),  # the flag is gone
+        ("--prices", "x", _PROJECT),  # the flag is gone
         ("--dim", "65537", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
         ("--dim", "1000000000", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
                                  "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
+        ("--seconds-long", "1", _PROJECT),  # removed
+        ("--embedder", "remote", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--mode", "long",
+                                  "--out", "{tmp}/c.jsonl"]),
     ])
     def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
         args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]
@@ -462,7 +526,7 @@ class TestExitCodes:
                                 "--mode", "rag", "--out", "{tmp}/c.jsonl"],
         ("classify", "--max-retries"): ["classify", "--contexts", "{tmp}/ctx.jsonl", "--out", "{tmp}/o.jsonl"],
         ("classify", "--parallelism"): ["classify", "--contexts", "{tmp}/ctx.jsonl", "--out", "{tmp}/o.jsonl"],
-        ("project", "--counts"): ["project", "--out", "{tmp}/proj", "--per-patient-tokens", "1"],
+        ("project", "--counts"): _PROJECT,
     }
 
     @pytest.mark.parametrize("command,flag", list(_INT_FLAG_ARGV))
@@ -482,17 +546,14 @@ class TestExitCodes:
         assert len(errors) == (done.returncode != 0)
 
     @pytest.mark.parametrize("figures", [
-        ["--per-patient-tokens", "1e300", "--price-per-million", "1e300", "--counts", "1"],
-        ["--per-patient-tokens", "1", "--seconds-rag", "1e308", "--seconds-long", "1e308", "--counts", "10"],
-        ["--per-patient-tokens", "1", "--seconds-rag", "1e308", "--seconds-long", "1e-308", "--counts", "1"],
-        ["--per-patient-tokens", "1", "--counts", "1" + "0" * 400],
-    ], ids=["cost", "times", "improvement-fraction", "count-beyond-float"])
-    def test_a_projected_figure_that_is_not_finite_is_a_usage_error(self, tmp_path, capsys, figures):
-        run(1, "project", "--out", tmp_path / "proj", *figures)
+        ["--price-per-million", "1e308", "--counts", "1000000"],  # the LONG arm's 687 words a patient
+        ["--counts", "1" + "0" * 400],
+    ], ids=["cost", "count-beyond-float"])
+    def test_a_projected_figure_that_is_not_finite_is_a_usage_error(self, demo_dir, tmp_path, capsys, figures):
+        run(1, *[a.format(demo=demo_dir, tmp=tmp_path) for a in _PROJECT], *figures)
         err, = map(json.loads, capsys.readouterr().err.splitlines())
         assert (err["error"], err["message"]) == (
-            "UsageError", "--counts, --per-patient-tokens, --price-per-million, --seconds-rag and --seconds-long "
-                          "give a projected figure that is not finite")
+            "UsageError", "--counts and --price-per-million give a projected figure that is not finite")
         assert not any(tmp_path.iterdir())
 
     @staticmethod
@@ -652,6 +713,18 @@ class TestTextThatIsNotUnicode:
         assert len(err_lines) == 1
         return json.loads(err_lines[0])
 
+    def test_number_of_over_4300_digits_in_the_raw_corpus_is_a_data_error(self, demo_dir, tmp_path, capsys):
+        # json refuses to convert it, with a ValueError that is no JSONDecodeError
+        first = (demo_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        corpus = tmp_path / "corpus.jsonl"
+        line = '{"patient_id": "p", "label": 1' + "0" * 5000 + ', "notes": []}'
+        corpus.write_text(f"{first}\n{line}\n", encoding="utf-8")
+        run(2, "ingest", "--corpus", corpus, "--out", tmp_path / "p.jsonl")
+        err = self._error(capsys)
+        assert err["error"] == "CorpusFormatError"
+        assert err["message"].startswith(f"{corpus}: raw corpus line 2: invalid JSON: Exceeds the limit (4300 digits)")
+        assert list(tmp_path.iterdir()) == [corpus]
+
     def test_lone_surrogate_escape_in_the_raw_corpus_is_a_data_error(self, demo_dir, tmp_path, capsys):
         first = (demo_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
         corpus = tmp_path / "corpus.jsonl"
@@ -703,6 +776,61 @@ class TestTextThatIsNotUnicode:
             write_manifest(tmp_path / "out", command="ingest", config={"note": "\udcff"}, inputs={},
                            outputs={str(tmp_path / "out"): str(staged)}, started_at="")
         assert list(tmp_path.iterdir()) == [staged]
+
+
+_DEEP = "[" * 200_000  # JSON nested deeper than the decoder's recursion limit
+
+
+class TestJsonNestedTooDeep:
+    """JSON nested past the decoder's recursion limit is malformed JSON wherever it is read: one JSON error
+    line, or in a chat reply that patient's failure, and never a traceback."""
+
+    @pytest.mark.parametrize("reader,code,error", [
+        ("raw-corpus", 2, "CorpusFormatError"),
+        ("sidecar-manifest", 2, "BudgetRagError"),
+        ("report-metrics", 2, "BudgetRagError"),
+        ("embedding-response", 3, "RemoteSchemaError"),
+        ("chat-reply", 0, None),
+    ])
+    def test_is_no_traceback(self, demo_dir, tmp_path, api_server, capsys, reader, code, error):
+        contexts = tmp_path / "ctx.jsonl"
+        contexts.write_text("".join((demo_dir / "ctx_rag.jsonl").read_text(encoding="utf-8")
+                                    .splitlines(keepends=True)[:2]), encoding="utf-8")
+        remote = ["--endpoint", api_server.url, "--model", "m"]
+        if reader == "raw-corpus":
+            bad = tmp_path / "corpus.jsonl"
+            bad.write_text(f'{{"patient_id": "p0", "label": 0, "notes": {_DEEP}\n', encoding="utf-8")
+            argv = ["ingest", "--corpus", bad, "--out", tmp_path / "p.jsonl"]
+        elif reader == "sidecar-manifest":
+            bad = tmp_path / "ctx.jsonl.manifest.json"
+            bad.write_text(_DEEP, encoding="utf-8")
+            argv = ["classify", "--contexts", contexts, "--out", tmp_path / "o.jsonl"]
+        elif reader == "report-metrics":
+            bad = tmp_path / "metrics.json"
+            bad.write_text(_DEEP, encoding="utf-8")
+            argv = ["report", "--metrics-rag", bad, "--metrics-long", demo_dir / "m_long.json", "--roc-rag",
+                    demo_dir / "roc_rag.csv", "--roc-long", demo_dir / "roc_long.csv", "--out", tmp_path / "report"]
+        elif reader == "embedding-response":
+            api_server.reset([(200, _DEEP.encode())])
+            argv = ["build-index", "--corpus", demo_dir / "proc.jsonl", "--out", tmp_path / "i.brag",
+                    "--embedder", "remote", *remote]
+        else:
+            good = {"choices": [{"message": {"content": '{"complication": 0, "severity": 1}'}}]}
+            api_server.reset([(200, {"choices": [{"message": {"content": '{"complication": ' + _DEEP}}]}),
+                              (200, good)])
+            argv = ["classify", "--contexts", contexts, "--out", tmp_path / "o.jsonl", "--classifier", "remote",
+                    *remote]
+        before = sorted(tmp_path.iterdir())
+        run(code, *argv)
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        if error is None:
+            assert errors == []
+            rows = [json.loads(line) for line in (tmp_path / "o.jsonl").read_text(encoding="utf-8").splitlines()]
+            assert ["failed" in row for row in rows] == [False, True]
+            assert rows[1]["error"] == "ResponseParseError"
+        else:
+            assert [e["error"] for e in errors] == [error]
+            assert sorted(tmp_path.iterdir()) == before
 
 
 class TestInputCheckedBeforeAnyRequest:
@@ -825,9 +953,10 @@ class TestBuildIndexBatching:
 # build-index once per CPU count in config["cpus"], each with cli._usable_cpus returning that
 # count, and print per run its exit code, error lines, whether numpy was loaded at each fork, and
 # whether a child process is left. With config["fail_parent_share"], the parent's own share
-# raises OSError while the workers embed theirs.
+# raises OSError while the workers embed theirs; with config["kill_worker_share"], each worker
+# is killed by SIGKILL as it starts its share.
 _SHARES_SCRIPT = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, signal, sys
 config = json.loads(sys.argv[1])
 sys.path.insert(0, config["src"])
 from budgetrag import cli
@@ -846,6 +975,13 @@ def failing_share(args, start, stop):
 if config["fail_parent_share"]:
     cli._embed_share = failing_share
 
+def killed_share(args, start, stop):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return embed_share(args, start, stop)
+if config["kill_worker_share"]:
+    cli._embed_share = killed_share
+
 runs = []
 for cpus in config["cpus"]:
     cli._usable_cpus = lambda: cpus
@@ -863,9 +999,10 @@ print(json.dumps(runs))
 """
 
 
-def _build_with_cpus(argv, out, cpus, fail_parent_share=False):
+def _build_with_cpus(argv, out, cpus, fail_parent_share=False, kill_worker_share=False):
     config = {"src": str(Path(__file__).resolve().parents[1] / "src"), "argv": [str(a) for a in argv],
-              "out": str(out), "cpus": cpus, "fail_parent_share": fail_parent_share}
+              "out": str(out), "cpus": cpus, "fail_parent_share": fail_parent_share,
+              "kill_worker_share": kill_worker_share}
     done = subprocess.run([sys.executable, "-c", _SHARES_SCRIPT, json.dumps(config)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -937,6 +1074,26 @@ class TestBuildIndexShares:
         assert "parent share failed" in failed["errors"][0]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "corpus.jsonl", "index.brag.3", "index.brag.3.manifest.json", "proc.jsonl", "proc.jsonl.manifest.json"]
+
+    def test_a_killed_worker_is_one_json_data_error_naming_its_patients(self, tmp_path):
+        corpus = self._processed(tmp_path, 8, 2, 5, 64, 64)
+        ids = [json.loads(line)["patient_id"] for line in corpus.read_text(encoding="utf-8").splitlines()]
+        killed, = _build_with_cpus(["build-index", "--corpus", corpus, "--dim", "32"], tmp_path / "index.brag", [2],
+                                   kill_worker_share=True)
+        assert (killed["code"], killed["children"], killed["forks"]) == (2, False, [False])
+        error, = killed["errors"]
+        err = json.loads(error)
+        assert (err["error"], err["category"]) == ("BudgetRagError", "data")
+        assert err["message"].startswith(f"patients {ids[4]} to {ids[7]} were not embedded: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "proc.jsonl", "proc.jsonl.manifest.json"]
+
+    def test_a_dim_above_the_maximum_is_a_usage_error_before_any_fork(self, tmp_path):
+        corpus = self._processed(tmp_path, 8, 2, 5, 64, 64)
+        refused, = _build_with_cpus(["build-index", "--corpus", corpus, "--dim", "70000"], tmp_path / "index.brag",
+                                    [2])
+        assert (refused["code"], refused["children"], refused["forks"]) == (1, False, [])
+        error, = refused["errors"]
+        assert json.loads(error)["message"] == "argument --dim: must be <= 65536, got 70000"
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads process states from /proc")
     def test_a_killed_parent_leaves_no_worker(self, tmp_path):
@@ -1089,11 +1246,15 @@ class TestProcessedCorpus:
          ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
         ("corpus.jsonl", "anchor_date", {"anchor_date": "0001-01-01T00:00:00+01:00"}, 2,
          ["ingest", "--corpus", "{bad}", "--out", "{tmp}/p.jsonl"]),
+        ("out_rag.jsonl", "latency_ms", {"latency_ms": -1}, 2,
+         ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
+        ("out_rag.jsonl", "prompt_words", {"prompt_words": 2 ** 53}, 2,
+         ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
     ], ids=["processed-without-text", "old-processed-format", "context-without-mode", "outcome-without-label",
             "outcome-nan-score", "outcome-nan-string-score", "processed-label-2", "processed-bool-label",
             "context-int-text", "outcome-without-latency", "outcome-string-severity-defaulted",
             "context-string-positions", "context-float-position", "context-without-positions",
-            "corpus-anchor-before-year-1-in-utc"])
+            "corpus-anchor-before-year-1-in-utc", "outcome-negative-latency", "outcome-prompt-words-beyond-a-float"])
     def test_malformed_artifact_line_is_exit_2(self, demo_dir, tmp_path, capsys,
                                                source, drop, extra, bad_line, argv):
         rows = [json.loads(l) for l in (demo_dir / source).read_text().splitlines()[:3]]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from budgetrag.classifier import ClassificationOutcome
-from budgetrag.costmodel import COST_HEADER, TIME_HEADER, PriceSheet, project_cost, project_time, summarize_usage
+from budgetrag.costmodel import COST_HEADER, TIME_HEADER, PriceSheet, cost_usd, project, project_time, summarize_usage
 from budgetrag.errors import PatientSetMismatchError
 from budgetrag.report import write_csv
 
@@ -50,24 +50,28 @@ class TestSummarizeUsage:
 
 
 class TestProjectCost:
+    """The cost table: ``project`` of each arm's dollars per patient."""
+
     def test_zero_patients_is_free(self):
-        assert project_cost(75_010.0, PRICES, [0]) == [(0, 0.0)]
+        assert project(cost_usd(7_000.0, PRICES), cost_usd(75_010.0, PRICES), [0]) == [(0, 0.0, 0.0)]
 
     def test_reference_extrapolation(self):
-        # per-patient rate 172e6 / 2293 ~= 75,010 words; at 100k patients
+        # LONG per-patient rate 172e6 / 2293 ~= 75,010 words; at 100k patients
         # this projects to ~$18,753
         rate = 172e6 / 2293
-        rows = project_cost(rate, PRICES, [100_000])
-        assert rows[0][1] == pytest.approx(18752.73, abs=0.01)
-        assert round(rows[0][1]) == 18753
+        (count, _, long_usd), = project(0.0, cost_usd(rate, PRICES), [100_000])
+        assert count == 100_000
+        assert long_usd == pytest.approx(18752.73, abs=0.01)
+        assert round(long_usd) == 18753
 
     def test_doubling_count_doubles_cost(self):
-        rows = dict(project_cost(500.0, PRICES, [1000, 2000]))
-        assert rows[2000] == 2 * rows[1000]
+        (_, rag_1k, long_1k), (_, rag_2k, long_2k) = project(cost_usd(50.0, PRICES), cost_usd(500.0, PRICES),
+                                                             [1000, 2000])
+        assert (rag_2k, long_2k) == (2 * rag_1k, 2 * long_1k)
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            project_cost(-1.0, PRICES, [1])
+    def test_the_time_table_is_the_same_projection(self):
+        prices = PriceSheet(2.5, 0.45, 0.58)
+        assert project_time(prices, [0, 7, 1000]).rows == project(0.45, 0.58, [0, 7, 1000])
 
 
 class TestProjectTime:
@@ -91,8 +95,8 @@ class TestProjectTime:
 class TestCsvAndConfig:
     def test_cost_csv_format(self, tmp_path):
         path = tmp_path / "cost.csv"
-        write_csv(path, COST_HEADER, [(0, 0.0), (1000, 2.5)])
-        assert path.read_text(encoding="utf-8") == "patients,cost_usd\n0,0.0\n1000,2.5\n"
+        write_csv(path, COST_HEADER, project(0.0005, 0.0025, [0, 1000]))
+        assert path.read_text(encoding="utf-8") == "patients,cost_rag_usd,cost_long_usd\n0,0.0,0.0\n1000,0.5,2.5\n"
 
     def test_time_csv_format(self, tmp_path):
         path = tmp_path / "time.csv"

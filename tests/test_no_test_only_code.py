@@ -20,8 +20,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "budgetrag"
 
-# ROADMAP item 6 gives these their CLI callers (retrieve telemetry, project --from-outcomes).
-ALLOWED = {"context_stats", "summarize_usage"}
+# ROADMAP item 6 gives this its CLI caller (retrieve telemetry).
+ALLOWED = {"context_stats"}
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
