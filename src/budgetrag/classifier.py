@@ -23,7 +23,7 @@ import time
 from typing import NamedTuple, get_type_hints
 
 from .errors import BudgetRagError, ResponseParseError
-from .manifest import check_types, read_jsonl, write_jsonl
+from .manifest import check_types, check_unique, read_jsonl, write_jsonl
 from .remote import DEFAULT_MAX_ATTEMPTS, post_json
 from .retrieval import DEFAULT_COMPLICATION_KEYWORDS, AssembledContext
 
@@ -271,7 +271,9 @@ def _outcome_row(obj: dict) -> ClassificationOutcome | FailedClassification:
 
 
 def read_outcomes(path) -> tuple[list[ClassificationOutcome], list[FailedClassification]]:
+    """The outcome and the failure lines of an outcomes file, which holds each patient once."""
     rows = read_jsonl(path, "outcomes file", _outcome_row)
+    check_unique([r.patient_id for r in rows], f"{path}: outcomes")
     return (
         [r for r in rows if isinstance(r, ClassificationOutcome)],
         [r for r in rows if isinstance(r, FailedClassification)],

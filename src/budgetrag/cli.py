@@ -41,9 +41,10 @@ fork keep one share, in this process, so each remote request holds at
 most ``EMBED_BATCH`` chunks. The rows, and so the index bytes,
 depend neither on the batches nor on the shares. retrieve --mode rag
 embeds ``--query`` once per run and ranks every patient's chunks against
-that one vector. project reads the two arms' outcome files, and projects
-over ``--counts`` patients each arm's mean prompt words
-(``costmodel.summarize_usage``) and mean latency per patient.
+that one vector. project reads the two arms' outcome files and projects
+each arm's mean prompt words and latency per patient
+(``costmodel.summarize_usage``) over ``--counts`` patients; the token
+saving it records does not depend on ``--price-per-million``.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -121,8 +122,11 @@ _finite = _at_least(-math.inf, float)  # any finite float
 
 
 def _counts(text: str) -> list[int]:
-    """argparse type for comma-separated patient counts, each >= 0."""
-    return [_at_least(0)(count) for count in text.split(",") if count.strip()]
+    """argparse type for comma-separated patient counts, each >= 0, at least one."""
+    counts = [_at_least(0)(count) for count in text.split(",") if count.strip()]
+    if not counts:
+        raise argparse.ArgumentTypeError(f"no patient count given in {text!r}")
+    return counts
 
 
 _counts.__name__ = "counts"
@@ -231,7 +235,6 @@ def _cohort_from_outcomes(outcomes, labels: dict[str, int], path) -> ScoredCohor
     if missing:
         raise BudgetRagError(f"{path}: outcomes reference patients absent from the corpus: {missing[:10]}")
     ordered = sorted(outcomes, key=lambda o: o.patient_id)
-    manifest.check_unique([o.patient_id for o in ordered], f"{path}: outcomes")
     return ScoredCohort(
         labels=tuple(labels[o.patient_id] for o in ordered),
         scores=tuple(o.score for o in ordered),
@@ -486,9 +489,8 @@ def cmd_delong(args) -> dict:
 
 
 def _arm_outcomes(path, mode: str) -> list:
-    """The successful outcomes of one arm's outcomes file, each line of which must be of ``mode``, once per patient."""
+    """The successful outcomes of one arm's outcomes file, each line of which must be of ``mode``."""
     outcomes, failures = clf.read_outcomes(path)
-    manifest.check_unique([o.patient_id for o in outcomes + failures], f"{path}: outcomes")
     if stray := next((o for o in outcomes + failures if o.mode != mode), None):
         raise BudgetRagError(f"{path}: patient {stray.patient_id!r} has mode {stray.mode!r}, not {mode!r}")
     if not outcomes:
@@ -501,28 +503,29 @@ def cmd_project(args) -> dict:
 
     rag = _arm_outcomes(args.outcomes_rag, retrieval.MODE_RAG)
     long = _arm_outcomes(args.outcomes_long, retrieval.MODE_LONG)
-    price = costmodel.PriceSheet().usd_per_million_tokens if args.price_per_million is None else args.price_per_million
-    seconds = [sum(o.latency_ms for o in arm) / len(arm) / 1000 for arm in (rag, long)]  # the mean latency
-    prices = costmodel.PriceSheet(price, *seconds)
-    usage = costmodel.summarize_usage(long, rag, prices)  # PatientSetMismatchError unless the patients are equal
+    usage = costmodel.summarize_usage(long, rag)  # PairingError unless the patients are equal
     n = usage.patients
+    price = costmodel.USD_PER_MILLION_TOKENS if args.price_per_million is None else args.price_per_million
+    tokens = [usage.total_words_rag / n, usage.total_words_long / n]
+    seconds = [usage.total_latency_ms_rag / n / 1000, usage.total_latency_ms_long / n / 1000]  # the mean latency
+    savings, improvement = costmodel.reduction(*tokens), costmodel.reduction(*seconds)
     try:
-        cost_rows = costmodel.project(usage.cost_rag_usd / n, usage.cost_long_usd / n, args.counts)
-        times = costmodel.project_time(prices, args.counts)
-        figures = [usage.savings_fraction, times.improvement_fraction, *(f for row in cost_rows + times.rows
-                                                                           for f in row[1:])]
+        cost_rows = costmodel.project(costmodel.cost_usd(usage.total_words_rag, price) / n,
+                                      costmodel.cost_usd(usage.total_words_long, price) / n, args.counts)
+        time_rows = costmodel.project(*seconds, args.counts)
+        figures = [savings, improvement, *(f for row in cost_rows + time_rows for f in row[1:])]
     except OverflowError:  # a count too large for a float
         figures = [math.inf]
     if not all(map(math.isfinite, figures)):
         raise UsageError("--counts and --price-per-million give a projected figure that is not finite")
     cost_path, time_path = _output_paths(args)
     report.write_csv(cost_path, costmodel.COST_HEADER, cost_rows)
-    report.write_csv(time_path, costmodel.TIME_HEADER, times.rows)
-    per_patient = {"rag": {"tokens": usage.total_words_rag / n, "seconds": seconds[0]},
-                   "long": {"tokens": usage.total_words_long / n, "seconds": seconds[1]}}
+    report.write_csv(time_path, costmodel.TIME_HEADER, time_rows)
+    per_patient = {"rag": {"tokens": tokens[0], "seconds": seconds[0]},
+                   "long": {"tokens": tokens[1], "seconds": seconds[1]}}
     return {"config": {"unit": costmodel.UNIT_LABEL, "usd_per_million_tokens": price, "counts": args.counts},
-            "extra": {"patients": n, "per_patient": per_patient, "savings_fraction": usage.savings_fraction,
-                      "improvement_fraction": times.improvement_fraction}}
+            "extra": {"patients": n, "per_patient": per_patient, "savings_fraction": savings,
+                      "improvement_fraction": improvement}}
 
 
 def cmd_report(args) -> dict:

@@ -106,18 +106,14 @@ class UndefinedMetricError(BudgetRagError):
 
 
 class PairingError(BudgetRagError):
-    """Two cohorts are not paired (length, label, or patient-id mismatch)."""
+    """Two cohorts, or the two arms that project compares, are not paired (length, label, or patient-id mismatch)."""
 
 
 class InsufficientDataError(BudgetRagError):
     """Too few positives or negatives for the requested statistic."""
 
 
-# --- cost model / CLI -------------------------------------------------------
-
-class PatientSetMismatchError(BudgetRagError):
-    """Two outcome sets do not cover the same patients."""
-
+# --- CLI --------------------------------------------------------------------
 
 class FingerprintMismatchError(BudgetRagError):
     """An input file's hash does not match its recorded manifest fingerprint."""

@@ -26,7 +26,7 @@ import pytest
 
 from budgetrag.classifier import ClassificationOutcome, ClassifierConfig, classify
 from budgetrag.corpus import chunk_text
-from budgetrag.costmodel import PriceSheet, project_time, summarize_usage
+from budgetrag.costmodel import cost_usd, reduction, summarize_usage
 from budgetrag.embedding import HashingEmbedder
 from budgetrag.errors import (
     IndexChecksumError,
@@ -115,23 +115,23 @@ def _usage(pid: str, words: int, mode: str) -> ClassificationOutcome:
 
 def test_criterion_02_cost_arithmetic():
     crit = _Criterion(2, "cost-arithmetic", 1.0)
-    prices = PriceSheet(usd_per_million_tokens=2.50)
     long = [_usage("p1", 86_000_000, "LONG"), _usage("p2", 86_000_000, "LONG")]
     rag = [_usage("p1", 6_600_000, "RAG"), _usage("p2", 6_600_000, "RAG")]
-    summary = summarize_usage(long, rag, prices)
+    summary = summarize_usage(long, rag)
+    cost_long, cost_rag = cost_usd(summary.total_words_long, 2.50), cost_usd(summary.total_words_rag, 2.50)
+    savings = reduction(summary.total_words_rag, summary.total_words_long)
     ok = (
         summary.total_words_long == 172_000_000
         and summary.total_words_rag == 13_200_000
-        and summary.cost_long_usd == 430.0
-        and summary.cost_rag_usd == 33.0
-        and abs(summary.savings_fraction - 0.923) <= 0.002
-        and summary.savings_fraction > 0.90
+        and cost_long == 430.0
+        and cost_rag == 33.0
+        and abs(savings - 0.923) <= 0.002
+        and savings > 0.90
     )
-    crit.finish(ok, f"${summary.cost_long_usd:.2f} vs ${summary.cost_rag_usd:.2f}, "
-                    f"savings {summary.savings_fraction:.3f}")
-    assert summary.cost_long_usd == 430.0
-    assert summary.cost_rag_usd == 33.0
-    assert summary.savings_fraction == pytest.approx(0.923, abs=0.002)
+    crit.finish(ok, f"${cost_long:.2f} vs ${cost_rag:.2f}, savings {savings:.3f}")
+    assert cost_long == 430.0
+    assert cost_rag == 33.0
+    assert savings == pytest.approx(0.923, abs=0.002)
 
 
 # --- 03: latency improvement ------------------------------------------------
@@ -139,8 +139,8 @@ def test_criterion_02_cost_arithmetic():
 
 def test_criterion_03_latency_improvement():
     crit = _Criterion(3, "latency-improvement", 1.0)
-    slow = project_time(PriceSheet(2.5, 0.90, 1.11), [100]).improvement_fraction
-    fast = project_time(PriceSheet(2.5, 0.45, 0.58), [100]).improvement_fraction
+    slow = reduction(0.90, 1.11)
+    fast = reduction(0.45, 0.58)
     ok = abs(slow - 0.189) <= 0.005 and abs(fast - 0.224) <= 0.005
     crit.finish(ok, f"improvements {slow:.3f} and {fast:.3f}")
     assert slow == pytest.approx(0.189, abs=0.005)

@@ -204,23 +204,24 @@ class TestProject:
 
     def test_recorded_figures_come_from_the_outcome_files(self, demo_dir, tmp_path):
         from budgetrag.classifier import read_outcomes
-        from budgetrag.costmodel import PriceSheet, summarize_usage
+        from budgetrag.costmodel import cost_usd, summarize_usage
 
         run(0, "project", "--outcomes-rag", demo_dir / "out_rag.jsonl", "--outcomes-long", demo_dir / "out_long.jsonl",
             "--out", tmp_path / "p", "--counts", "0,10", "--price-per-million", "5", "--deterministic")
         usage = summarize_usage(read_outcomes(demo_dir / "out_long.jsonl")[0],
-                                read_outcomes(demo_dir / "out_rag.jsonl")[0], PriceSheet(5.0))
+                                read_outcomes(demo_dir / "out_rag.jsonl")[0])
         manifest = json.loads((tmp_path / "p.manifest.json").read_text())
         assert manifest["config"] == {"unit": "tokens (word-approximated)", "usd_per_million_tokens": 5.0,
                                       "counts": [0, 10]}
-        assert (manifest["patients"], manifest["savings_fraction"]) == (60, usage.savings_fraction)
+        assert (manifest["patients"], manifest["savings_fraction"]) == (
+            60, 1 - (usage.total_words_rag / 60) / (usage.total_words_long / 60))
         assert manifest["per_patient"] == {"rag": {"tokens": usage.total_words_rag / 60, "seconds": 0.0},
                                            "long": {"tokens": usage.total_words_long / 60, "seconds": 0.0}}
         assert 0 < manifest["per_patient"]["rag"]["tokens"] < manifest["per_patient"]["long"]["tokens"]
         assert manifest["improvement_fraction"] == 0.0  # the mock records 0 ms
+        rag_usd, long_usd = (cost_usd(total, 5.0) / 60 for total in (usage.total_words_rag, usage.total_words_long))
         assert (tmp_path / "p_cost.csv").read_text() == (
-            f"patients,cost_rag_usd,cost_long_usd\n0,0.0,0.0\n"
-            f"10,{10 * (usage.cost_rag_usd / 60)!r},{10 * (usage.cost_long_usd / 60)!r}\n")
+            f"patients,cost_rag_usd,cost_long_usd\n0,0.0,0.0\n10,{10 * rag_usd!r},{10 * long_usd!r}\n")
         assert (tmp_path / "p_time.csv").read_text() == "patients,seconds_rag,seconds_long\n0,0.0,0.0\n10,0.0,0.0\n"
 
     def test_seconds_are_each_arms_mean_latency(self, demo_dir, tmp_path):
@@ -235,13 +236,24 @@ class TestProject:
         assert manifest["improvement_fraction"] == 0.5
         assert (tmp_path / "p_time.csv").read_text() == "patients,seconds_rag,seconds_long\n100,50.0,100.0\n"
 
+    def test_the_token_saving_does_not_depend_on_the_price(self, demo_dir, tmp_path):
+        savings = []
+        for price in ("0", "2.5", "1e6"):
+            run(0, "project", "--outcomes-rag", demo_dir / "out_rag.jsonl", "--outcomes-long",
+                demo_dir / "out_long.jsonl", "--out", tmp_path / price, "--price-per-million", price)
+            manifest = json.loads((tmp_path / f"{price}.manifest.json").read_text())
+            tokens = manifest["per_patient"]
+            assert manifest["savings_fraction"] == 1 - tokens["rag"]["tokens"] / tokens["long"]["tokens"]
+            savings.append(manifest["savings_fraction"])
+        assert savings[0] == savings[1] == savings[2] > 0.5
+
     @pytest.mark.parametrize("arm,edit,error,message", [
         ("out_rag.jsonl", lambda rows: [{**rows[0], "mode": "LONG"}, *rows[1:]], "BudgetRagError",
          "has mode 'LONG', not 'RAG'"),
         ("out_long.jsonl", lambda rows: rows + rows[4:5], "CorpusFormatError", "outcomes: duplicate patients"),
         ("out_rag.jsonl", lambda rows: [{"patient_id": rows[0]["patient_id"], "mode": "RAG", "failed": True,
                                          "error": "ResponseParseError", "message": "no verdict"}, *rows[1:]],
-         "PatientSetMismatchError", "1 only in long, 0 only in rag"),
+         "PairingError", "1 only in long, 0 only in rag"),
         ("out_long.jsonl", lambda rows: [{"patient_id": row["patient_id"], "mode": "LONG", "failed": True,
                                           "error": "ResponseParseError", "message": "no verdict"} for row in rows],
          "UndefinedMetricError", "no successful outcome to project from"),
@@ -256,6 +268,28 @@ class TestProject:
         assert (err["error"], err["category"]) == (error, "data")
         assert message in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out_long.jsonl", "out_rag.jsonl"]
+
+
+class TestOutcomesReaders:
+    """Every command that reads an outcomes file takes each patient once, across outcome and failure lines."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "delong", "project"])
+    def test_a_patient_with_an_outcome_and_a_failure_is_one_json_data_error(self, demo_dir, tmp_path, capsys,
+                                                                           command):
+        text = (demo_dir / "out_rag.jsonl").read_text(encoding="utf-8")
+        failed = {"patient_id": json.loads(text.splitlines()[0])["patient_id"], "mode": "RAG", "failed": True,
+                  "error": "ResponseParseError", "message": "no verdict"}
+        bad = tmp_path / "out.jsonl"
+        bad.write_text(text + json.dumps(failed) + "\n", encoding="utf-8")
+        long, proc = demo_dir / "out_long.jsonl", demo_dir / "proc.jsonl"
+        argv = {"evaluate": ["--outcomes", bad, "--corpus", proc, "--out", tmp_path / "m.json"],
+                "delong": ["--outcomes-a", bad, "--outcomes-b", long, "--corpus", proc, "--out", tmp_path / "d.json"],
+                "project": ["--outcomes-rag", bad, "--outcomes-long", long, "--out", tmp_path / "p"]}
+        run(2, command, *argv[command])
+        err, = map(json.loads, capsys.readouterr().err.splitlines())
+        assert (err["error"], err["category"]) == ("CorpusFormatError", "data")
+        assert err["message"].startswith(f"{bad}: outcomes: duplicate patients")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 class TestDeterminism:
@@ -503,6 +537,8 @@ class TestExitCodes:
         ("--seconds-long", "1", _PROJECT),  # removed
         ("--embedder", "remote", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--mode", "long",
                                   "--out", "{tmp}/c.jsonl"]),
+        ("--counts", "", _PROJECT),  # no count at all
+        ("--counts", ",,", _PROJECT),
     ])
     def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
         args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]

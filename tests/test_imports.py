@@ -6,11 +6,12 @@ time paid on every run. The metrics are computed on the standard
 library, so evaluate and delong load no numpy; only build-index and
 retrieve --mode rag need it. Only delong's exact variance needs
 ``fractions`` (which loads ``decimal``), so evaluate loads neither.
-``costmodel`` and ``report`` serve only the project, report and
-evaluate --roc-out commands. The records are named tuples, so neither
-an offline command nor the corpus generator loads ``dataclasses`` or
-the ``inspect`` it imports (about 14 ms together). ``import budgetrag``
-loads no submodule: each name is imported from the module that defines it.
+``costmodel`` serves only the project command, and ``report`` only
+project, report and evaluate --roc-out. The records are named tuples,
+so neither an offline command nor the corpus generator loads
+``dataclasses`` or the ``inspect`` it imports (about 14 ms together).
+``import budgetrag`` loads no submodule: each name is imported from the
+module that defines it.
 The corpus generator takes the complication vocabulary from ``retrieval``,
 so it loads neither the classifier nor the HTTP helper. build-index starts
 a process pool only to fork workers for the hashing embedder on more than
@@ -54,22 +55,36 @@ def _probe(statement: str, modules=UNUSED_OFFLINE) -> dict:
 
 def test_offline_commands_load_no_numpy_http_or_thread_pool(tmp_path):
     write_corpus(tmp_path / "corpus.jsonl", generate_corpus(6, seed=0))
-    commands = [
-        ["ingest", "--corpus", "corpus.jsonl", "--out", "proc.jsonl", "--max-words", "64"],
-        ["retrieve", "--corpus", "proc.jsonl", "--mode", "long", "--out", "ctx.jsonl"],
-        ["classify", "--contexts", "ctx.jsonl", "--out", "out.jsonl"],
-        ["evaluate", "--outcomes", "out.jsonl", "--corpus", "proc.jsonl", "--out", "m.json"],
-        ["delong", "--outcomes-a", "out.jsonl", "--outcomes-b", "out.jsonl", "--corpus", "proc.jsonl",
-         "--out", "delong.json"],
-    ]
-    for argv in commands:
-        argv = [str(tmp_path / a) if a.endswith((".jsonl", ".json")) else a for a in argv]
-        unused = UNUSED_OFFLINE + ("fractions", "decimal") if argv[0] == "evaluate" else UNUSED_OFFLINE
+
+    def probe(*argv, may_load=()):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        unused = [m for m in UNUSED_OFFLINE if m not in may_load]
+        if argv[0] == "evaluate":
+            unused += ["fractions", "decimal"]
         result = _probe(f"from budgetrag.cli import main; code = main({argv!r})", unused)
         assert result == {"code": 0, "loaded": []}, argv[0]
+
+    probe("ingest", "--corpus", "{tmp}/corpus.jsonl", "--out", "{tmp}/proc.jsonl", "--max-words", "64")
+    probe("retrieve", "--corpus", "{tmp}/proc.jsonl", "--mode", "long", "--out", "{tmp}/ctx.jsonl")
+    probe("classify", "--contexts", "{tmp}/ctx.jsonl", "--out", "{tmp}/out.jsonl")
+    probe("evaluate", "--outcomes", "{tmp}/out.jsonl", "--corpus", "{tmp}/proc.jsonl", "--out", "{tmp}/m.json")
+    probe("delong", "--outcomes-a", "{tmp}/out.jsonl", "--outcomes-b", "{tmp}/out.jsonl",
+          "--corpus", "{tmp}/proc.jsonl", "--out", "{tmp}/delong.json")
     assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 6
     assert json.loads((tmp_path / "m.json").read_text())["patients"] == 6
     assert json.loads((tmp_path / "delong.json").read_text())["p_value"] == 1.0
+    # project and report load costmodel and report, and nothing else of UNUSED_OFFLINE; the whole-text
+    # outcomes, relabelled, stand in for the RAG arm, and one ROC file for both arms
+    rows = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text().splitlines()]
+    (tmp_path / "out_rag.jsonl").write_text("".join(json.dumps({**row, "mode": "RAG"}) + "\n" for row in rows))
+    probe("project", "--outcomes-rag", "{tmp}/out_rag.jsonl", "--outcomes-long", "{tmp}/out.jsonl",
+          "--out", "{tmp}/proj", may_load=("budgetrag.costmodel", "budgetrag.report"))
+    probe("evaluate", "--outcomes", "{tmp}/out.jsonl", "--corpus", "{tmp}/proc.jsonl", "--out", "{tmp}/m2.json",
+          "--roc-out", "{tmp}/roc.csv", may_load=("budgetrag.report",))
+    probe("report", "--metrics-rag", "{tmp}/m.json", "--roc-rag", "{tmp}/roc.csv", "--metrics-long", "{tmp}/m.json",
+          "--roc-long", "{tmp}/roc.csv", "--delong", "{tmp}/delong.json", "--out", "{tmp}/report",
+          may_load=("budgetrag.report",))
+    assert json.loads((tmp_path / "proj.manifest.json").read_text())["savings_fraction"] == 0.0
 
 
 def test_build_index_on_one_cpu_or_remote_loads_no_process_pool(tmp_path, api_server):

@@ -1,9 +1,9 @@
 """Record semantics: immutable named tuples, and validation at construction.
 
-Every record of the package is a ``typing.NamedTuple``. The four that
+Every record of the package is a ``typing.NamedTuple``. The three that
 validate their fields (``RetrievalConfig``, ``ClassifierConfig``,
-``ScoredCohort``, ``PriceSheet``) raise the same error type and message
-however they are built, positionally or by keyword. No record takes a
+``ScoredCohort``) raise the same error type and message however they
+are built, positionally or by keyword. No record takes a
 new value for a field or a new attribute, and a ``ScoredCohort``'s
 length is its patient count.
 """
@@ -19,7 +19,7 @@ import pytest
 from budgetrag.classifier import (BatchResult, ClassificationOutcome, ClassifierConfig, FailedClassification,
                                   ParsedResponse)
 from budgetrag.corpus import Chunk, ClinicalNote, PatientRecord
-from budgetrag.costmodel import PriceSheet, TimeProjection, UsageSummary
+from budgetrag.costmodel import UsageSummary
 from budgetrag.metrics import ConfusionMetrics, DeLongResult, MetricBundle, ScoredCohort
 from budgetrag.retrieval import AssembledContext, RetrievalConfig
 from budgetrag.synthetic import SyntheticCorpus
@@ -41,9 +41,7 @@ RECORDS = [
     _CONFUSION,
     MetricBundle(1.0, 1.0, _CONFUSION, 0.5),
     DeLongResult(1.0, 1.0, 0.0, 0.0, 1.0),
-    PriceSheet(),
-    UsageSummary(1, 10, 5, 0.0, 0.0, 0.5),
-    TimeProjection([], 0.0),
+    UsageSummary(1, 10, 5, 900, 450),
     SyntheticCorpus([], {}),
     SearchHit("p1", 0, 1.0),
 ]
@@ -73,10 +71,6 @@ def test_no_field_or_attribute_can_be_assigned(record):
      "patient_ids length does not match labels"),
     (lambda: ScoredCohort((1, 2), (0.5, 0.5)), ValueError, "labels must be 0 or 1"),
     (lambda: ScoredCohort((1, 0), (0.5, math.nan)), ValueError, "scores must be finite"),
-    (lambda: PriceSheet(usd_per_million_tokens=True), TypeError, "usd_per_million_tokens must be a number, got True"),
-    (lambda: PriceSheet(1.0, "0.9"), TypeError, "seconds_per_patient_rag must be a number, got '0.9'"),
-    (lambda: PriceSheet(seconds_per_patient_long=-1.0), ValueError,
-     "seconds_per_patient_long must be finite and >= 0, got -1.0"),
 ])
 def test_validating_record_rejects_bad_fields_at_construction(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
