@@ -35,16 +35,18 @@ process, the others in workers that it forks before numpy is imported;
 they hold the rows from the fork and exit if it dies, and a worker that
 dies is a data error naming its share's patients. The index takes the
 first share's width, since a remote service chooses its vectors' width,
-and each share enters it with one ``add_many`` call, in patient order.
+and each share enters it with one ``add_many`` call, in patient order;
+the first share's matrix becomes the index's storage without a copy.
 The remote embedder, a host with one usable CPU and a platform without
 fork keep one share, in this process, so each remote request holds at
 most ``EMBED_BATCH`` chunks. The rows, and so the index bytes,
 depend neither on the batches nor on the shares. retrieve --mode rag
 embeds ``--query`` once per run and ranks every patient's chunks against
-that one vector. project reads the two arms' outcome files and projects
-each arm's mean prompt words and latency per patient
-(``costmodel.summarize_usage``) over ``--counts`` patients; the token
-saving it records does not depend on ``--price-per-million``.
+that one vector, from one scoring pass over the index. project reads the
+two arms' outcome files and projects each arm's mean prompt words and
+latency per patient (``costmodel.summarize_usage``) over ``--counts``
+patients; the token saving it records does not depend on
+``--price-per-million``.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -358,7 +360,7 @@ def cmd_build_index(args) -> dict:
 
     index = VectorIndex(dim=embedded[0][2].shape[1], embedder_fingerprint=embedded[0][0])
     while embedded:
-        index.add_many(*embedded.pop(0)[1:])  # its keys and matrix, freed once added
+        index.add_many(*embedded.pop(0)[1:])  # its keys and matrix, kept as the storage or freed
     index.save(args.out)
     return {
         "config": {"embedder": args.embedder, "dim": index.dim, "model": args.model},
@@ -688,7 +690,7 @@ def _check_no_overwrite(args) -> None:
 
 
 def main(argv=None) -> int:
-    # build-index calls no BLAS routine and retrieve one patient's matrix-vector product at a time, but an
+    # build-index calls no BLAS routine and retrieve one row's dot product at a time, but an
     # OpenBLAS thread spins after import on a CPU that a build-index worker, or another process, needs.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     staged = {}

@@ -8,6 +8,15 @@ takes the whole windowed text. The ranking covers every indexed chunk
 of the patient, and budget filling is greedy in rank order with skip: a
 chunk that does not fit the remaining budget is skipped and scanning
 continues down the ranking. Chunks are never truncated.
+
+The ranking is the index's: each patient's ``VectorIndex.search`` reads
+that patient's hits from one scoring pass over every row, which the
+first search with the query makes, so a run over all patients scores
+each row once. The hits are matched to the patient's chunks by
+position. An index entry without a chunk, or a chunk without an index
+entry, is a data error that names the patient and the positions; a
+patient with chunks and no index entry at all is a
+``MissingPatientError``.
 """
 
 from __future__ import annotations
@@ -85,8 +94,9 @@ def assemble_rag_from_chunks(patient_id: str, chunks: list[Chunk], index: Vector
     """Assemble a budgeted context from pre-computed chunks, ranked against the unit vector ``query``.
 
     The chunks must be the same ones whose embeddings were added to the
-    index: every index entry of this patient is ranked, and each must
-    match a chunk by position.
+    index: the patient's index entries and chunks must hold the same
+    positions, or the data error names the patient and the positions
+    that differ.
     """
     total_words = sum(c.word_count for c in chunks)
     if not chunks:
@@ -97,12 +107,17 @@ def assemble_rag_from_chunks(patient_id: str, chunks: list[Chunk], index: Vector
         raise MissingPatientError(f"patient {patient_id!r} has chunks but none are indexed")
 
     by_position = {c.position: c for c in chunks}
+    ranked = [by_position.get(hit.position) for hit in hits]
+    if None in ranked or len(by_position) != len(hits):  # index positions are distinct, so this compares the sets
+        indexed = {hit.position for hit in hits}
+        differ = [f"index entry {(patient_id, position)!r} has no matching chunk"
+                  for position in sorted(indexed - by_position.keys())]
+        differ += [f"chunk {(patient_id, position)!r} is not indexed"
+                   for position in sorted(by_position.keys() - indexed)]
+        raise BudgetRagError(f"the index and the chunks of patient {patient_id!r} differ: {'; '.join(differ)}")
     remaining = cfg.budget_words
     accepted: list[Chunk] = []
-    for hit in hits:
-        chunk = by_position.get(hit.position)
-        if chunk is None:
-            raise BudgetRagError(f"index entry ({patient_id!r}, {hit.position}) has no matching chunk")
+    for chunk in ranked:
         if chunk.word_count <= remaining:
             accepted.append(chunk)
             remaining -= chunk.word_count

@@ -1,17 +1,30 @@
 """Flat exact-similarity vector store over chunk embeddings.
 
-Similarity is the dot product of unit vectors (cosine). Search is an
-exact full scan; hits are ordered by descending score, ties broken by
-ascending chunk position, then patient id.
+Similarity is the dot product of unit vectors (cosine). Hits are ordered
+by descending score, ties broken by ascending chunk position, then
+patient id.
+
+A search scores every row against its query in one pass,
+``score_rows``: row i's float64 score is the dot product of the row,
+widened to float64, with the query, computed row by row, so it does not
+depend on which or how many rows are scored with it. With the scores,
+the pass sorts each patient's rows by descending score, ties by
+position, into that patient's hits. The index keeps the scores and those
+per-patient rankings for the query's bytes: a later search with an
+equal query, filtered to one patient or not, reads them without scoring
+again, and a search with another query replaces them. Adding rows drops
+them. So ``retrieve`` ranks all patients with one scoring pass.
 
 In memory the index is one float32 matrix of rows, an int64 array of
 chunk positions and the list of patient ids, row for row, plus a map
-from each patient id to its row numbers for filtered search and
-duplicate checks. Rows enter only through ``add_many``, which checks
-a batch of (patient_id, position) keys, across patients, and their rows
-before it stores any; ``add`` and ``from_bytes`` call it too. The matrix
-and position array grow by doubling, so rows are appended in amortized
-constant time per row; rows past ``len(index)`` are spare capacity.
+from each patient id to its row numbers for the rankings and duplicate
+checks. Rows enter only through ``add_many``, which checks a batch of
+(patient_id, position) keys, across patients, and their rows before it
+stores any; ``add`` and ``from_bytes`` call it too. A batch into an
+empty index becomes its storage, without a copy when the batch is a
+C-ordered float32 matrix; later batches grow the storage by doubling, so
+rows are appended in amortized constant time per row; rows past
+``len(index)`` are spare capacity.
 
 The index persists to a little-endian binary file (format version 2):
 
@@ -29,14 +42,17 @@ checks, in order: the magic (``IndexFormatError``), the version
 the file length against the recorded one (shorter:
 ``IndexTruncatedError``; longer: ``IndexFormatError`` for trailing
 bytes), the body checksum (``IndexChecksumError``), then parses the
-body, where any inconsistency is an ``IndexFormatError``, and last
+body, where any inconsistency (more entries than the body can hold, a
+field past its end) is an ``IndexFormatError``, and last
 checks its rows with ``add_many``: a repeated key or a row that is not a
 finite unit vector is an ``IndexFormatError`` as well. Version 1
 files (no length, no header checksum) are rejected with a hint to
 rebuild them with ``build-index``. ``to_bytes`` joins the file once, the
 vectors straight from a byte view of the matrix, then packs the header and
-checksums in place; ``from_bytes`` joins the vector fields and reads them
-with one ``frombuffer``.
+checksums in place. ``from_bytes`` reads the fields inline, without a
+call per field, and copies each vector field once, into one buffer that
+``add_many`` keeps as the index's matrix: a load holds the file and one
+copy of the vectors.
 
 CRC-32C (Castagnoli, RFC 3720) is computed block-parallel, the
 ``crc32_combine`` method of zlib: the buffer is cut into
@@ -54,6 +70,7 @@ unchanged.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 import struct
 from pathlib import Path
@@ -156,6 +173,35 @@ class SearchHit(NamedTuple):
     score: float
 
 
+SCORE_BLOCK = 1 << 13  # rows times dim per float64 block of score_rows: 64 KiB, so scoring adds little peak RSS
+
+
+def score_rows(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The float64 score of each float32 row of ``matrix`` against the float64 ``query``.
+
+    Row i scores ``np.dot(matrix[i].astype(np.float64), query)``. ``matmul`` over a
+    stack of one-row matrices calls that dot product once per row, so a row's score
+    is the same whichever rows are scored with it, where one matrix-vector product
+    rounds differently over 6,400 rows than over 2. The rows are widened a block
+    at a time, so no float64 copy of the whole matrix is made.
+    """
+    q = np.ascontiguousarray(query)[:, None]
+    step = max(1, SCORE_BLOCK // matrix.shape[1])
+    scores = np.empty(len(matrix), dtype=np.float64)
+    for start in range(0, len(matrix), step):
+        block = matrix[start:start + step].astype(np.float64)
+        scores[start:start + len(block)] = np.matmul(block[:, None, :], q)[:, 0, 0]
+    return scores
+
+
+class _Ranking(NamedTuple):
+    """One query's score for every row, and each patient's hits in rank order."""
+
+    query: bytes  # the float64 query's bytes
+    scores: np.ndarray
+    by_patient: dict[str, list[SearchHit]]
+
+
 class VectorIndex:
     """Append-only flat index of unit-normalized chunk embeddings."""
 
@@ -169,6 +215,7 @@ class VectorIndex:
         self._matrix = np.empty((0, dim), dtype=np.float32)
         self._positions = np.empty(0, dtype=np.int64)
         self._rows: dict[str, list[int]] = {}
+        self._ranked: _Ranking | None = None  # the last query's ranking, dropped when rows are added
 
     def __len__(self) -> int:
         return len(self._patient_ids)
@@ -185,7 +232,10 @@ class VectorIndex:
         anything is stored, so a rejected batch leaves the index unchanged.
         A position must be an int (a bool is not one) in [0, 2**32),
         checked before numpy converts it: another type is a ``TypeError``,
-        another value a ``ValueError``.
+        another value a ``ValueError``. A batch into an empty index becomes
+        its storage, uncopied when ``matrix`` is a C-ordered float32 array,
+        so the caller must not change it afterwards; the index never writes
+        into it, since that storage is full and any later rows go to a new one.
         """
         pids, pos = [pid for pid, _ in keys], [position for _, position in keys]
         for position in pos:
@@ -217,16 +267,20 @@ class VectorIndex:
             taken.add(key)
 
         start, stop = len(self), len(self) + len(pos)
-        if stop > len(self._positions):
-            # grow by doubling
-            spare = max(stop, 2 * start) - start
-            self._matrix = np.concatenate([self._matrix[:start], np.empty((spare, self.dim), np.float32)])
-            self._positions = np.concatenate([self._positions[:start], np.empty(spare, np.int64)])
-        self._matrix[start:stop] = mat
-        self._positions[start:stop] = pos
+        if not start:  # the batch itself becomes the storage
+            self._matrix, self._positions = np.require(mat, requirements="C"), np.array(pos, dtype=np.int64)
+        else:
+            if stop > len(self._positions):  # grow by doubling, copying the stored rows once
+                capacity = max(stop, 2 * start)
+                matrix, positions = np.empty((capacity, self.dim), np.float32), np.empty(capacity, np.int64)
+                matrix[:start], positions[:start] = self._matrix[:start], self._positions[:start]
+                self._matrix, self._positions = matrix, positions
+            self._matrix[start:stop] = mat
+            self._positions[start:stop] = pos
         self._patient_ids.extend(pids)
         for row, pid in enumerate(pids, start):
             self._rows.setdefault(pid, []).append(row)
+        self._ranked = None
 
     def search(self, query: np.ndarray, k: int, filter_patient: str | None = None) -> list[SearchHit]:
         """Exact top-k by cosine similarity.
@@ -243,19 +297,34 @@ class VectorIndex:
         if q.ndim != 1 or q.shape[0] != self.dim:
             actual = q.shape[0] if q.ndim == 1 else q.shape
             raise DimensionMismatchError(f"query dim {actual} does not match index dim {self.dim}")
-        if filter_patient is None:
-            rows, pids = slice(0, len(self)), self._patient_ids
-        else:
-            rows = self._rows.get(filter_patient, [])
-            pids = [filter_patient] * len(rows)
-        scores = self._matrix[rows].astype(np.float64) @ q
-        positions = self._positions[rows]
+        ranking = self._ranking(q)
+        if filter_patient is not None:
+            return ranking.by_patient.get(filter_patient, [])[:k]
+        scores, positions = ranking.scores, self._positions[:len(self)]
         # lexsort: last key is primary
-        order = np.lexsort((np.array(pids), positions, -scores))[:k]
-        return [
-            SearchHit(patient_id=pids[i], position=int(positions[i]), score=float(scores[i]))
-            for i in order
-        ]
+        order = np.lexsort((np.array(self._patient_ids), positions, -scores))[:k]
+        return [SearchHit(self._patient_ids[i], int(positions[i]), float(scores[i])) for i in order]
+
+    def _ranking(self, q: np.ndarray) -> _Ranking:
+        """Every row scored against ``q`` in one pass, and each patient's hits in rank order.
+
+        The ranking is kept for the next search with an equal query, until rows are added.
+        """
+        key = q.tobytes()
+        if self._ranked is not None and self._ranked.query == key:
+            return self._ranked
+        n = len(self)
+        scores = score_rows(self._matrix[:n], q)
+        grouped = np.fromiter(itertools.chain.from_iterable(self._rows.values()), np.int64, n)  # rows by patient
+        sizes = [len(rows) for rows in self._rows.values()]
+        # within each patient: descending score, ties by ascending position
+        order = grouped[np.lexsort((self._positions[grouped], -scores[grouped],
+                                    np.repeat(np.arange(len(sizes)), sizes)))]
+        hits = list(map(SearchHit, [pid for pid, rows in self._rows.items() for _ in rows],
+                        self._positions[order].tolist(), scores[order].tolist()))
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        self._ranked = _Ranking(key, scores, {pid: hits[a:b] for pid, a, b in zip(self._rows, bounds, bounds[1:])})
+        return self._ranked
 
     # --- persistence ---------------------------------------------------
 
@@ -305,21 +374,34 @@ class VectorIndex:
             raise IndexFormatError(f"{len(blob) - length} trailing bytes past the recorded file length")
         _verify_crc(blob, HEADER_SIZE, length - 4, "body")
 
-        cursor = _Cursor(blob, HEADER_SIZE, length - 4)
-        row = 4 * dim
-        keys, vectors = [], []
-        for i in range(count):
-            keys.append((cursor.text(f"entry {i} id"), cursor.u32(f"entry {i} position")))
-            start = cursor.skip(row, f"entry {i} vector")
-            vectors.append(cursor.view[start:start + row])
-        fingerprint = cursor.text("fingerprint")
-        if cursor.offset != cursor.end:
-            raise IndexFormatError(
-                f"inconsistent structure: {cursor.end - cursor.offset} unparsed bytes before the checksum"
-            )
-        index = cls(dim=dim, embedder_fingerprint=fingerprint)
+        row, end = 4 * dim, length - 4
+        if count > (end - HEADER_SIZE - 4) // (8 + row):  # an entry holds two u32 fields and its vector at least
+            raise IndexFormatError(f"inconsistent header: {count} entries of dim {dim} in {length} bytes")
+        # Fields are read inline: a call per field would cost a fifth of a load. Only checksum-verified
+        # bytes are parsed, so a field past the body's end means the structure is inconsistent.
+        view, unpack = memoryview(blob), _U32.unpack_from
+        keys, vectors, offset = [], bytearray(count * row), HEADER_SIZE
         try:
-            index.add_many(keys, np.frombuffer(b"".join(vectors), dtype="<f4").reshape(count, dim))
+            for start in range(0, count * row, row):
+                pos_start = offset + 4 + unpack(blob, offset)[0]
+                stop = pos_start + 4 + row
+                if stop > end:
+                    raise IndexFormatError(f"inconsistent structure: entry {len(keys)} at offset {offset} "
+                                           f"runs {stop - end} bytes past the end of the body")
+                keys.append((str(view[offset + 4:pos_start], "utf-8"), unpack(blob, pos_start)[0]))
+                vectors[start:start + row] = view[pos_start + 4:stop]
+                offset = stop
+            fp_end = offset + 4 + unpack(blob, offset)[0]  # offset <= end, so the length field is in the file
+            if fp_end != end:
+                raise IndexFormatError(f"inconsistent structure: the fingerprint at offset {offset} "
+                                       f"ends at {fp_end}, the body at {end}")
+            fingerprint = str(view[offset + 4:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            what = f"entry {len(keys)} id" if len(keys) < count else "fingerprint"
+            raise IndexFormatError(f"{what} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+        index = cls(dim=dim, embedder_fingerprint=fingerprint)
+        try:  # the vectors' one copy out of the file becomes the index's storage
+            index.add_many(keys, np.frombuffer(vectors, dtype="<f4").reshape(count, dim))
         except (DuplicateChunkError, InvalidVectorError) as exc:
             raise IndexFormatError(f"{exc} in file") from exc
         return index
@@ -338,37 +420,3 @@ def _verify_crc(blob: bytes, start: int, end: int, what: str) -> None:
             f"{what} checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
         )
 
-
-class _Cursor:
-    """Reader over blob[offset:end] whose overruns raise IndexFormatError.
-
-    It reads only checksum-verified bytes, so an overrun means the
-    structure is inconsistent, not that the file was cut off.
-    """
-
-    def __init__(self, blob: bytes, offset: int, end: int):
-        self.view = memoryview(blob)
-        self.offset = offset
-        self.end = end
-
-    def skip(self, n: int, what: str) -> int:
-        """Claim the next n bytes and return their start offset."""
-        start, stop = self.offset, self.offset + n
-        if stop > self.end:
-            raise IndexFormatError(
-                f"inconsistent structure while reading {what} "
-                f"(need {n} bytes at offset {start}, have {self.end - start})"
-            )
-        self.offset = stop
-        return start
-
-    def u32(self, what: str) -> int:
-        return _U32.unpack_from(self.view, self.skip(4, what))[0]
-
-    def text(self, what: str) -> str:
-        n = self.u32(f"{what} length")
-        start = self.skip(n, what)
-        try:
-            return str(self.view[start:start + n], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"{what} is not UTF-8: {exc.reason} at byte {exc.start}") from exc

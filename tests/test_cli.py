@@ -503,43 +503,61 @@ class TestExitCodes:
         assert err["message"].startswith(f"{first} and {second} name the same file: ")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # nothing written or replaced
 
-    @pytest.mark.parametrize("flag,value,argv", [
-        ("--budget-words", "0", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
-                                 "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
+    # Each case's id is written beside it, so adding a case renames no other. These keep the ids pytest
+    # gave them by position; a new case takes "<command>-<flag>-<value>".
+    _OUT_OF_RANGE = {
+        "--budget-words-0-argv0": ("--budget-words", "0", [
+            "retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag", "--mode", "rag",
+            "--out", "{tmp}/c.jsonl"]),
         # removed, not out of range: the word budget is retrieval's only knob
-        ("--top-n-scan", "0", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
-                               "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
-        ("--window-days", "0", ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"]),
-        ("--max-words", "0", ["ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"]),
-        ("--parallelism", "0", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
-        ("--dim", "1", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
-        ("--max-retries", "0", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        "--top-n-scan-0-argv1": ("--top-n-scan", "0", [
+            "retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag", "--mode", "rag",
+            "--out", "{tmp}/c.jsonl"]),
+        "--window-days-0-argv2": ("--window-days", "0", [
+            "ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"]),
+        "--max-words-0-argv3": ("--max-words", "0", [
+            "ingest", "--corpus", "{demo}/corpus.jsonl", "--out", "{tmp}/p.jsonl"]),
+        "--parallelism-0-argv4": ("--parallelism", "0", [
+            "classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        "--dim-1-argv5": ("--dim", "1", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
+        "--max-retries-0-argv6": ("--max-retries", "0", [
+            "classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
         # removed, not out of range: project takes each per-patient figure from the outcomes
-        ("--per-patient-tokens", "-1", _PROJECT),
-        ("--counts", "1,x", _PROJECT),
-        ("--classifier", "remote", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
-        ("--embedder", "remote", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
-        ("--temperature", "nan", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
-        ("--temperature", "inf", ["classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
-        ("--threshold", "nan", ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{demo}/proc.jsonl",
-                                "--out", "{tmp}/m.json"]),
-        ("--threshold", "inf", ["evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{demo}/proc.jsonl",
-                                "--out", "{tmp}/m.json"]),
-        ("--per-patient-tokens", "inf", _PROJECT),  # removed
-        ("--seconds-rag", "nan", _PROJECT),  # removed
-        ("--mode", "rag", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/c.jsonl"]),
-        ("--mode", "long", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
-                            "--out", "{tmp}/c.jsonl"]),
-        ("--prices", "x", _PROJECT),  # the flag is gone
-        ("--dim", "65537", ["build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
-        ("--dim", "1000000000", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag",
-                                 "--mode", "rag", "--out", "{tmp}/c.jsonl"]),
-        ("--seconds-long", "1", _PROJECT),  # removed
-        ("--embedder", "remote", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--mode", "long",
-                                  "--out", "{tmp}/c.jsonl"]),
-        ("--counts", "", _PROJECT),  # no count at all
-        ("--counts", ",,", _PROJECT),
-    ])
+        "--per-patient-tokens--1-argv7": ("--per-patient-tokens", "-1", _PROJECT),
+        "--counts-1,x-argv8": ("--counts", "1,x", _PROJECT),
+        "--classifier-remote-argv9": ("--classifier", "remote", [
+            "classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        "--embedder-remote-argv10": ("--embedder", "remote", [
+            "build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
+        "--temperature-nan-argv11": ("--temperature", "nan", [
+            "classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        "--temperature-inf-argv12": ("--temperature", "inf", [
+            "classify", "--contexts", "{demo}/ctx_rag.jsonl", "--out", "{tmp}/o.jsonl"]),
+        "--threshold-nan-argv13": ("--threshold", "nan", [
+            "evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{demo}/proc.jsonl",
+            "--out", "{tmp}/m.json"]),
+        "--threshold-inf-argv14": ("--threshold", "inf", [
+            "evaluate", "--outcomes", "{demo}/out_rag.jsonl", "--corpus", "{demo}/proc.jsonl",
+            "--out", "{tmp}/m.json"]),
+        "--per-patient-tokens-inf-argv15": ("--per-patient-tokens", "inf", _PROJECT),  # removed
+        "--seconds-rag-nan-argv16": ("--seconds-rag", "nan", _PROJECT),  # removed
+        "--mode-rag-argv17": ("--mode", "rag", ["retrieve", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/c.jsonl"]),
+        "--mode-long-argv18": ("--mode", "long", [
+            "retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag", "--out", "{tmp}/c.jsonl"]),
+        "--prices-x-argv19": ("--prices", "x", _PROJECT),  # the flag is gone
+        "--dim-65537-argv20": ("--dim", "65537", [
+            "build-index", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/i.brag"]),
+        "--dim-1000000000-argv21": ("--dim", "1000000000", [
+            "retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag", "--mode", "rag",
+            "--out", "{tmp}/c.jsonl"]),
+        "--seconds-long-1-argv22": ("--seconds-long", "1", _PROJECT),  # removed
+        "--embedder-remote-argv23": ("--embedder", "remote", [
+            "retrieve", "--corpus", "{demo}/proc.jsonl", "--mode", "long", "--out", "{tmp}/c.jsonl"]),
+        "--counts--argv24": ("--counts", "", _PROJECT),  # no count at all
+        "--counts-,,-argv25": ("--counts", ",,", _PROJECT),
+    }
+
+    @pytest.mark.parametrize("flag,value,argv", list(_OUT_OF_RANGE.values()), ids=list(_OUT_OF_RANGE))
     def test_out_of_range_flag_is_one_json_usage_error(self, demo_dir, tmp_path, capsys, flag, value, argv):
         args = [a.format(demo=demo_dir, tmp=tmp_path) for a in argv] + [flag, value]
         assert main(args) == 1
@@ -908,6 +926,56 @@ class TestRetrieveValidation:
             "--mode", "rag", "--out", tmp_path / "c.jsonl", *remote)
         assert [body["input"] for _, _, body in api_server.requests] == [[DEFAULT_QUERY_TEXT]]
         assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 5
+
+
+    def test_rag_scores_the_index_in_one_pass(self, demo_dir, tmp_path, monkeypatch):
+        from budgetrag import vindex
+
+        calls = []
+
+        def spy(matrix, query):
+            calls.append(len(matrix))
+            return score_rows(matrix, query)
+
+        score_rows = vindex.score_rows
+        monkeypatch.setattr(vindex, "score_rows", spy)
+        run(0, "retrieve", "--corpus", demo_dir / "proc.jsonl", "--index", demo_dir / "index.brag",
+            "--mode", "rag", "--budget-words", "256", "--out", tmp_path / "c.jsonl")
+        assert calls == [len(vindex.VectorIndex.load(demo_dir / "index.brag"))]  # 60 patients, one full product
+        assert (tmp_path / "c.jsonl").read_bytes() == (demo_dir / "ctx_rag.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("change,message", [
+        # p0001 gains a copy of its last note: 5 more 64-word chunks than the index holds
+        ("extra-note", "chunk ('p0001', 10) is not indexed; chunk ('p0001', 11) is not indexed; "
+                       "chunk ('p0001', 12) is not indexed; chunk ('p0001', 13) is not indexed; "
+                       "chunk ('p0001', 14) is not indexed"),
+        # p0001 loses its last note: 5 index entries have no chunk
+        ("missing-note", "index entry ('p0001', 5) has no matching chunk; "
+                         "index entry ('p0001', 6) has no matching chunk; "
+                         "index entry ('p0001', 7) has no matching chunk; "
+                         "index entry ('p0001', 8) has no matching chunk; "
+                         "index entry ('p0001', 9) has no matching chunk"),
+    ], ids=["extra-note", "missing-note"])
+    def test_chunks_and_index_entries_that_differ_are_exit_2(self, tmp_path, capsys, change, message):
+        rows = generate_corpus(4, seed=0).records
+
+        def ingest(name):
+            (tmp_path / name).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+            run(0, "ingest", "--corpus", tmp_path / name, "--out", tmp_path / f"proc_{name}", "--max-words", "64")
+
+        ingest("corpus.jsonl")
+        run(0, "build-index", "--corpus", tmp_path / "proc_corpus.jsonl", "--out", tmp_path / "idx.bin")
+        (tmp_path / "idx.bin.manifest.json").unlink()  # with it, the fingerprint check stops the run first
+        notes = rows[1]["notes"]
+        rows[1] = {**rows[1], "notes": notes + notes[-1:] if change == "extra-note" else notes[:-1]}
+        ingest("changed.jsonl")
+        capsys.readouterr()
+        run(2, "retrieve", "--corpus", tmp_path / "proc_changed.jsonl", "--index", tmp_path / "idx.bin",
+            "--mode", "rag", "--out", tmp_path / "c.jsonl")
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "BudgetRagError", "category": "data",
+                       "message": f"the index and the chunks of patient 'p0001' differ: {message}"}
+        assert not (tmp_path / "c.jsonl").exists()
 
 
 class TestBuildIndexBatching:

@@ -134,6 +134,32 @@ class TestAssembleRag:
         with pytest.raises(BudgetRagError, match=r"\('p1', 65\) has no matching chunk"):
             assemble_rag_from_chunks("p1", chunks, index, QUERY_E0, RetrievalConfig())
 
+    def test_chunk_without_index_entry_is_error(self):
+        # the patient has chunks 0-3 and the index holds 0-1: chunks 2 and 3 would be silently dropped
+        chunks = [make_chunk("p1", i, 5) for i in range(4)]
+        index = scripted_index("p1", {0: 0.9, 1: 0.8})
+        with pytest.raises(BudgetRagError, match=r"^the index and the chunks of patient 'p1' differ: "
+                                                 r"chunk \('p1', 2\) is not indexed; "
+                                                 r"chunk \('p1', 3\) is not indexed$"):
+            assemble_rag_from_chunks("p1", chunks, index, QUERY_E0, RetrievalConfig())
+
+    def test_both_directions_in_one_error(self):
+        chunks = [make_chunk("p1", 0, 5), make_chunk("p1", 2, 5)]
+        index = scripted_index("p1", {0: 0.9, 1: 0.8})
+        with pytest.raises(BudgetRagError, match=r"^the index and the chunks of patient 'p1' differ: "
+                                                 r"index entry \('p1', 1\) has no matching chunk; "
+                                                 r"chunk \('p1', 2\) is not indexed$"):
+            assemble_rag_from_chunks("p1", chunks, index, QUERY_E0, RetrievalConfig())
+
+    @pytest.mark.parametrize("positions", [(0, 1, 2), (2, 0, 1), (0, 5, 9), (9, 5, 0)], ids=str)
+    def test_chunks_are_matched_by_position_in_any_numbering_and_order(self, positions):
+        chunks = [make_chunk("p1", position, 5) for position in positions]
+        index = scripted_index("p1", {position: 0.9 - 0.1 * rank for rank, position in enumerate(sorted(positions))})
+        ctx = assemble_rag_from_chunks("p1", chunks, index, QUERY_E0, RetrievalConfig(budget_words=10))
+        assert ctx.selected_positions == tuple(sorted(positions)[:2])
+        by_position = {c.position: c for c in chunks}
+        assert ctx.text == "\n\n".join(by_position[p].text for p in sorted(positions)[:2])
+
     def test_record_level_entry_point(self):
         # a record chunked as ingest and build-index chunk it, ranked against a query embedded once
         notes = tuple(

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from budgetrag import vindex
+from budgetrag.corpus import chunk_text
+from budgetrag.embedding import HashingEmbedder
 from budgetrag.errors import (
     DimensionMismatchError,
     DuplicateChunkError,
@@ -17,6 +21,8 @@ from budgetrag.errors import (
     IndexVersionError,
     InvalidVectorError,
 )
+from budgetrag.retrieval import DEFAULT_QUERY_TEXT
+from budgetrag.synthetic import generate_corpus
 from budgetrag.vindex import CRC_BLOCK, HEADER_SIZE, MAGIC, SearchHit, VectorIndex, crc32c
 
 from .oracles import index_rows
@@ -197,6 +203,122 @@ class TestAddMany:
         loaded.add("p2", 0, unit([1, 1, 0]))
         assert [ref for ref, _ in index_rows(loaded)] == [("p1", 0), ("p1", 1), ("p1", 2), ("p2", 0)]
         assert loaded.search(unit([0, 0, 1]), k=1, filter_patient="p1")[0].position == 2
+
+
+class TestOneScoringPass:
+    # The benchmark's two offline shapes at its sizes:
+    # (patients, notes, blocks per note, words per block, chunk words, dim)
+    OFFLINE_SHAPES = {"long-records": (60, 5, 8, 512, 512, 256), "many-short-records": (3200, 1, 4, 32, 64, 64)}
+
+    @staticmethod
+    def _shape_index(shape, seed):
+        patients, notes, blocks, block_words, max_words, dim = TestOneScoringPass.OFFLINE_SHAPES[shape]
+        corpus = generate_corpus(patients, notes_per_patient=notes, blocks_per_note=blocks,
+                                 block_words=block_words, seed=seed)
+        keys, texts = [], []
+        for record in corpus.records:
+            text = "\n\n".join(note["text"] for note in record["notes"])
+            for chunk in chunk_text(text, max_words, patient_id=record["patient_id"]):
+                keys.append((chunk.patient_id, chunk.position))
+                texts.append(chunk.text)
+        embedder = HashingEmbedder(dim)
+        index = VectorIndex(dim=dim)
+        index.add_many(keys, embedder.embed_many(texts))
+        return index, embedder.embed(DEFAULT_QUERY_TEXT)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+
+        def spy(matrix, query):
+            calls.append(len(matrix))
+            return score_rows(matrix, query)
+
+        score_rows = vindex.score_rows
+        monkeypatch.setattr(vindex, "score_rows", spy)
+        return calls
+
+    @pytest.mark.parametrize("shape", ["long-records", "many-short-records"])
+    def test_each_patients_ranking_equals_a_fresh_index_of_its_rows(self, shape, monkeypatch):
+        """A score does not depend on how many rows are scored with it: bit for bit, each patient's
+        hits from the one pass are those of an index that holds only that patient's rows. Against
+        the sparse hashed query a matrix-vector product happens to round alike over any number of
+        rows, so a dense query is ranked too."""
+        index, query = self._shape_index(shape, seed=7000)
+        by_patient = {}
+        for key, vec in index_rows(index):
+            by_patient.setdefault(key[0], []).append((key, vec))
+        fresh = {}
+        for pid, rows in by_patient.items():
+            fresh[pid] = VectorIndex(dim=index.dim)
+            fresh[pid].add_many([key for key, _ in rows], np.stack([vec for _, vec in rows]))
+        calls = self._spy(monkeypatch)
+        for q in (query, random_unit_rows(np.random.default_rng(26), 1, index.dim)[0].astype(np.float64)):
+            for pid in by_patient:
+                got = index.search(q, k=len(index), filter_patient=pid)
+                expected = fresh[pid].search(q, k=len(fresh[pid]))
+                assert [(h.patient_id, h.position, h.score.hex()) for h in got] == \
+                    [(h.patient_id, h.position, h.score.hex()) for h in expected], pid
+        assert calls.count(len(index)) == 2  # one pass over every row per query; the others are the fresh indexes
+
+    def test_the_ranking_is_kept_for_an_equal_query_until_rows_are_added(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        index = build_random_index(rng, 40, 8)
+        query, other = random_unit_rows(rng, 2, 8)
+        calls = self._spy(monkeypatch)
+        first = index.search(query, k=40)
+        pid = first[0].patient_id
+        assert index.search(query.astype(np.float64), k=5, filter_patient=pid) == \
+            [hit for hit in first if hit.patient_id == pid][:5]
+        assert calls == [40]  # filtered or not, an equal query reads the one pass
+        index.search(other, k=1)
+        index.search(query, k=1)
+        assert calls == [40, 40, 40]  # another query replaces it
+        index.add(pid, 99, query)
+        hits = index.search(query, k=1, filter_patient=pid)
+        assert calls == [40, 40, 40, 41]
+        assert (hits[0].position, hits[0].score) == (99, pytest.approx(1.0))
+
+    def test_a_later_batch_leaves_the_adopted_first_batch_alone(self):
+        # the first batch becomes the storage uncopied; the next one moves the rows to new storage
+        rows = random_unit_rows(np.random.default_rng(1), 3, 4)
+        kept = rows.copy()
+        index = VectorIndex(dim=4)
+        index.add_many([("p", 0), ("p", 1), ("p", 2)], rows)
+        assert np.shares_memory(index_rows(index)[0][1], rows)
+        index.add_many([("q", 0), ("q", 1)], random_unit_rows(np.random.default_rng(2), 2, 4))
+        index.add("q", 2, rows[0])
+        assert not np.shares_memory(index_rows(index)[0][1], rows)
+        assert np.array_equal(rows, kept)
+        assert [vec.tolist() for _, vec in index_rows(index)[:3]] == kept.tolist()
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # What a row's key costs besides its vector while rows enter the index (its id, tuples, maps
+    # and add_many's checks), against 4 kB for a vector at dim 1024.
+    KEY_BYTES = 512
+
+    def test_a_batch_into_an_empty_index_allocates_its_storage_once(self):
+        rows = random_unit_rows(np.random.default_rng(2), 500, 1024)
+        keys = [(f"p{i // 2:03d}", i % 2) for i in range(500)]
+        _, peak = self._peak(lambda: VectorIndex(dim=1024).add_many(keys, rows))
+        assert peak <= rows.nbytes + self.KEY_BYTES * len(rows)
+
+    def test_a_load_holds_the_file_and_one_copy_of_the_vectors(self, tmp_path):
+        rows = random_unit_rows(np.random.default_rng(3), 500, 1024)
+        index = VectorIndex(dim=1024, embedder_fingerprint="fp")
+        index.add_many([(f"p{i // 2:03d}", i % 2) for i in range(500)], rows)
+        index.save(tmp_path / "i.brag")
+        loaded, peak = self._peak(lambda: VectorIndex.load(tmp_path / "i.brag"))
+        assert peak <= (tmp_path / "i.brag").stat().st_size + rows.nbytes + self.KEY_BYTES * len(rows)
+        assert loaded.to_bytes() == index.to_bytes()
 
 
 class TestSearch:
@@ -402,6 +524,23 @@ class TestPersistence:
         blob[offset:offset + 2] = b"\xff\xfe"  # same length, so only the body checksum changes
         blob[-4:] = struct.pack("<I", crc32c(bytes(blob[HEADER_SIZE:-4])))
         with pytest.raises(IndexFormatError, match=f"^{what} is not UTF-8"):
+            VectorIndex.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("field,delta,match", [
+        ("entry 1 id length", 1000, r"^inconsistent structure: entry 1 at offset 57 runs 994 bytes past the end of the body$"),
+        ("fingerprint length", 1, r"^inconsistent structure: the fingerprint at offset 78 ends at 85, the body at 84$"),
+        ("fingerprint length", -1, r"^inconsistent structure: the fingerprint at offset 78 ends at 83, the body at 84$"),
+    ], ids=["entry-past-the-body", "fingerprint-past-the-body", "fingerprint-short-of-the-body"])
+    def test_field_that_misses_the_body_end_with_valid_checksum_is_format_error(self, field, delta, match):
+        index = VectorIndex(dim=3, embedder_fingerprint="fp")
+        index.add("p", 0, unit([1, 0, 0]))
+        index.add("p", 1, unit([0, 1, 0]))
+        blob = bytearray(index.to_bytes())
+        offset = HEADER_SIZE + (4 + 1 + 4 + 12) if field == "entry 1 id length" else len(blob) - 4 - len(b"fp") - 4
+        (value,) = struct.unpack_from("<I", blob, offset)
+        struct.pack_into("<I", blob, offset, value + delta)
+        blob[-4:] = struct.pack("<I", crc32c(bytes(blob[HEADER_SIZE:-4])))
+        with pytest.raises(IndexFormatError, match=match):
             VectorIndex.from_bytes(bytes(blob))
 
     @pytest.mark.parametrize("fault,match", [
