@@ -6,9 +6,10 @@ contexts (or the whole windowed text), classifies through a pluggable
 chat-completion backend, and compares the two ingestion modes with a
 full metric and DeLong statistical suite plus cost/runtime projections.
 
-Each name is imported from its submodule (``budgetrag.vindex``,
-``budgetrag.metrics``, ...); the package itself imports none of them,
-so importing it, or a numpy-free submodule of it, does not load numpy.
+The package runs on the standard library alone. Each name is imported
+from its submodule (``budgetrag.vindex``, ``budgetrag.metrics``, ...);
+the package itself imports none of them, so importing it loads no
+submodule.
 """
 
 __version__ = "0.1.0"

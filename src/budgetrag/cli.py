@@ -11,17 +11,16 @@ flags are declared too (``add_output``): the command writes under
 staged names, and ``write_manifest`` moves the outputs into place after
 writing their manifest, so a failed command leaves no output behind.
 
-Every command is a fresh process that pays for each import at start-up,
-so numpy (``embedding``, ``vindex``; by default with one OpenBLAS
-thread) is imported only inside build-index and retrieve --mode rag,
-``metrics`` (standard library only) only inside evaluate and delong,
-``fractions`` (with ``decimal``) only by delong's exact variance,
-``costmodel`` only inside project, ``report`` (whose ``write_csv`` writes
-every CSV) only inside project, report and evaluate --roc-out, the HTTP
-stack only by a remote embedder or classifier, and the process pool only
-by build-index with workers to fork. The records are ``typing.NamedTuple``s,
-which need no ``inspect`` (about 14 ms with what it imports), so no command
-loads it but build-index and retrieve --mode rag, through numpy.
+Every command is a fresh process that pays for each import at start-up.
+The package runs on the standard library alone, and ``embedding`` and
+``vindex`` are imported only inside build-index and retrieve --mode rag,
+``metrics`` only inside evaluate and delong, ``fractions`` (with
+``decimal``) only by delong's exact variance, ``costmodel`` only inside
+project, ``report`` (whose ``write_csv`` writes every CSV) only inside
+project, report and evaluate --roc-out, the HTTP stack only by a remote
+embedder or classifier, and the process pool only by build-index with
+workers to fork. The records are ``typing.NamedTuple``s, which need no
+``inspect`` (about 14 ms with what it imports), so no command loads it.
 
 Before anything is read or staged, ``main`` rejects a run in which a
 file it would write (an output, or the run manifest) is also an input,
@@ -31,22 +30,23 @@ destroy the file.
 build-index cuts the processed rows into contiguous shares of patients,
 one per usable CPU (``os.sched_getaffinity``) and at most one per
 patient, and embeds each with ``_embed_share``: the first in this
-process, the others in workers that it forks before numpy is imported;
-they hold the rows from the fork and exit if it dies, and a worker that
-dies is a data error naming its share's patients. The index takes the
-first share's width, since a remote service chooses its vectors' width,
-and each share enters it with one ``add_many`` call, in patient order;
-the first share's matrix becomes the index's storage without a copy.
-The remote embedder, a host with one usable CPU and a platform without
-fork keep one share, in this process, so each remote request holds at
-most ``EMBED_BATCH`` chunks. The rows, and so the index bytes,
-depend neither on the batches nor on the shares. retrieve --mode rag
-embeds ``--query`` once per run and ranks every patient's chunks against
-that one vector, from one scoring pass over the index. project reads the
-two arms' outcome files and projects each arm's mean prompt words and
-latency per patient (``costmodel.summarize_usage``) over ``--counts``
-patients; the token saving it records does not depend on
-``--price-per-million``.
+process, the others in workers that it forks; they hold the rows from
+the fork and exit if it dies, and a worker that dies is a data error
+naming its share's patients. The hashing embedder splits each patient's
+lower-cased text once and embeds its chunks as runs of those words, with
+no chunk text built. The index takes the first share's width, since a
+remote service chooses its vectors' width, and each share enters it with
+one ``add_many`` call, in patient order: this process adds its own while
+the workers finish theirs. The remote embedder, a host with one usable
+CPU and a platform without fork keep one share, in this process, so each
+remote request holds at most ``EMBED_BATCH`` chunks. The rows, and so
+the index bytes, depend neither on the batches nor on the shares.
+retrieve --mode rag embeds ``--query`` once per run and ranks every
+patient's chunks against that one vector, from one scoring pass over the
+index. project reads the two arms' outcome files and projects each arm's
+mean prompt words and latency per patient
+(``costmodel.summarize_usage``) over ``--counts`` patients; the token
+saving it records does not depend on ``--price-per-million``.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -72,8 +72,8 @@ from typing import TYPE_CHECKING
 
 from . import classifier as clf
 from . import manifest, remote, retrieval
-from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_text, concat_text, load_corpus, read_lines, window_notes,
-                     word_count)
+from .corpus import (DEFAULT_MAX_CHUNK_WORDS, Chunk, chunk_runs, chunk_text, concat_text, load_corpus, read_lines,
+                     window_notes, word_count)
 from .errors import BudgetRagError, DimensionMismatchError, UndefinedMetricError, UsageError
 
 if TYPE_CHECKING:
@@ -293,8 +293,7 @@ def _start_worker() -> None:
 def _fork_pool(workers: int):
     """A pool of ``workers`` processes forked from this one.
 
-    The fork context starts every worker at the first submit. Submit before numpy is imported, so
-    that no BLAS thread exists at fork time.
+    The fork context starts every worker at the first submit, so the workers hold the rows filled before it.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -303,26 +302,32 @@ def _fork_pool(workers: int):
 
 
 def _embed_share(args, start: int, stop: int):
-    """Embed the chunks of ``_build_rows[start:stop]`` in batches of ``EMBED_BATCH`` across patients; return
-    the embedder's fingerprint, the chunks' (patient_id, position) keys and one float32 matrix, row for row.
-    A share with no chunks gets the embedder's empty matrix, whose width is ``--dim`` or the default."""
-    import numpy as np
-
+    """Embed the chunks of ``_build_rows[start:stop]``; return the embedder's fingerprint, the vectors'
+    width, the chunks' (patient_id, position) keys and their vectors, row for row. The hashing embedder
+    takes each patient's chunks as runs (``chunk_runs``) of one lower-cased split of its text; the remote one takes chunk
+    texts in batches of ``EMBED_BATCH`` across patients. A share with no chunks has the embedder's width,
+    ``--dim`` or the default."""
     rows = _build_rows[start:stop]
     if len(rows) != stop - start:
         raise RuntimeError(f"{len(_build_rows)} rows are held, the share is rows {start}..{stop}")
     embedder = _embedder_from_args(args)
+    keys, vectors = [], []
+    if args.embedder == "hashing":
+        from .embedding import hash_runs
+
+        for row in rows:
+            runs = chunk_runs(row["text"].lower().split(), row["max_words"])
+            vectors += hash_runs(runs, embedder.dim)
+            keys += [(row["patient_id"], position) for position in range(len(runs))]
+        return embedder.fingerprint, embedder.dim, keys, vectors
     chunks = (chunk for row in rows for chunk in _chunks(row))
-    keys, matrix = [], np.empty((0, 0), np.float32)
     while batch := list(itertools.islice(chunks, EMBED_BATCH)):
-        vectors = embedder.embed_many([c.text for c in batch])
-        if keys and vectors.shape[1] != matrix.shape[1]:  # a remote service chooses the width per response
-            raise DimensionMismatchError(f"vectors of width {matrix.shape[1]}, then {vectors.shape[1]}")
-        # grown in place (a realloc): batches joined at the end would hold the share twice. Nothing views it.
-        matrix.resize((len(keys) + len(batch), vectors.shape[1]), refcheck=False)
-        matrix[len(keys):] = vectors
+        embedded = embedder.embed_many([c.text for c in batch])
+        if vectors and len(embedded[0]) != len(vectors[0]):  # a remote service chooses the width per response
+            raise DimensionMismatchError(f"vectors of width {len(vectors[0])}, then {len(embedded[0])}")
+        vectors += embedded
         keys += [(c.patient_id, c.position) for c in batch]
-    return embedder.fingerprint, keys, matrix if keys else embedder.embed_many([])
+    return embedder.fingerprint, len(vectors[0]) if vectors else embedder.dim, keys, vectors
 
 
 def _share_result(future, first: str, last: str):
@@ -344,23 +349,21 @@ def cmd_build_index(args) -> dict:
     # EMBED_BATCH chunks across patients.
     shares = max(1, min(_usable_cpus(), len(_build_rows))) if args.embedder == "hashing" else 1
     cuts = [len(_build_rows) * i // shares for i in range(shares + 1)]
+    from .vindex import VectorIndex
+
     with (_fork_pool(shares - 1) if shares > 1 else contextlib.nullcontext()) as pool:
         try:
             futures = [(pool.submit(_embed_share, args, start, stop), _build_rows[start]["patient_id"],
                         _build_rows[stop - 1]["patient_id"]) for start, stop in zip(cuts[1:-1], cuts[2:])]
             del _build_rows[cuts[1]:]  # the workers hold these since the first submit forked them
-            embedded = [_embed_share(args, 0, cuts[1])]  # imports numpy, so after the fork
+            fingerprint, width, keys, vectors = _embed_share(args, 0, cuts[1])
         finally:
             _build_rows.clear()
-        # Every share is taken before any is added: a big block freed first (the first share's matrix, or the
-        # index's old storage) raises glibc's mmap threshold, and a share that arrived later stays in the heap.
-        embedded += [_share_result(*share) for share in futures]
-        del futures  # each holds its share
-    from .vindex import VectorIndex
-
-    index = VectorIndex(dim=embedded[0][2].shape[1], embedder_fingerprint=embedded[0][0])
-    while embedded:
-        index.add_many(*embedded.pop(0)[1:])  # its keys and matrix, kept as the storage or freed
+        index = VectorIndex(dim=width, embedder_fingerprint=fingerprint)
+        index.add_many(keys, vectors)  # while the workers finish their shares
+        del keys, vectors
+        while futures:  # each holds its share until popped
+            index.add_many(*_share_result(*futures.pop(0))[2:])
     index.save(args.out)
     return {
         "config": {"embedder": args.embedder, "dim": index.dim, "model": args.model},
@@ -690,9 +693,6 @@ def _check_no_overwrite(args) -> None:
 
 
 def main(argv=None) -> int:
-    # build-index calls no BLAS routine and retrieve one row's dot product at a time, but an
-    # OpenBLAS thread spins after import on a CPU that a build-index worker, or another process, needs.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     staged = {}
     try:
         args = build_parser().parse_args(argv)

@@ -188,22 +188,21 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
+def chunk_runs(words: list[str], max_words: int) -> list[list[str]]:
+    """Cut words into consecutive runs of exactly ``max_words`` words, the words of each chunk.
+
+    The final run may be shorter; no word is dropped.
+    """
+    if max_words < 1:
+        raise ValueError(f"max_words must be >= 1, got {max_words}")
+    return [words[start:start + max_words] for start in range(0, len(words), max_words)]
+
+
 def chunk_text(text: str, max_words: int = DEFAULT_MAX_CHUNK_WORDS, *, patient_id: str = "") -> list[Chunk]:
-    """Split text into consecutive runs of exactly ``max_words`` words.
+    """Split text into consecutive runs of exactly ``max_words`` words (``chunk_runs``).
 
     The final chunk may be shorter; no word is split or dropped. Empty
     or whitespace-only text yields an empty list.
     """
-    if max_words < 1:
-        raise ValueError(f"max_words must be >= 1, got {max_words}")
-    words = text.split()
-    chunks = []
-    for position, start in enumerate(range(0, len(words), max_words)):
-        piece = words[start:start + max_words]
-        chunks.append(Chunk(
-            patient_id=patient_id,
-            position=position,
-            word_count=len(piece),
-            text=" ".join(piece),
-        ))
-    return chunks
+    return [Chunk(patient_id=patient_id, position=position, word_count=len(piece), text=" ".join(piece))
+            for position, piece in enumerate(chunk_runs(text.split(), max_words))]

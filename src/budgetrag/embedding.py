@@ -5,30 +5,36 @@ Two embedders are supported; the CLI constructs the one its
 
 * ``HashingEmbedder(dim)`` -- a deterministic signed feature-hashing
   embedder (bag-of-words, FNV-1a 64-bit word hash). Dependency-free,
-  identical output across runs and platforms; the offline default. A batch of
-  texts is embedded in one numpy pass: every word of the batch is
-  mapped to its cached word hash, and one ``np.bincount`` over
-  ``row * dim + bucket`` with the signs as weights sums all rows at
-  once. Each bucket sum, and each row's sum of squares, is an integer
-  below 2**52 for a text of fewer than 2**26 words, so float64 holds it
-  exactly whatever the order of summation: a text's vector is
-  bit-identical alone or in any batch. build-index relies on this when
-  it splits the patients into shares, embedded in separate processes:
-  its index bytes do not depend on the number of shares.
+  identical output across runs and platforms; the offline default.
+  ``hash_runs`` embeds runs of lower-cased words, one vector per run,
+  with work per word, not per bucket: ``embed_many`` gives it one run
+  per text, and build-index one run per chunk of a patient, cut by
+  ``corpus.chunk_runs`` from one lower-cased split of the patient's text
+  (``lower()`` never moves a whitespace boundary, so these are the words
+  of the chunks' texts). A run's bucket sums, and their sum of
+  squares, are integers, below 2**52 for a run of fewer than 2**26 words,
+  so a float64 holds each exactly; ``math.sqrt`` of the sum and each
+  division by it are correctly rounded, and the rounding to float32 is
+  the only other step: a text's vector is bit-identical alone, in any
+  batch, or as a run of its patient's words. build-index relies on this
+  when it splits the patients into shares, embedded in separate
+  processes: its index bytes do not depend on the number of shares.
 * ``RemoteEmbedder(endpoint, model_name)`` -- an embeddings-API
   endpoint speaking the usual shape: request
   ``{"model": str, "input": [str]}``, response
   ``{"data": [{"embedding": [number]}]}``.
 
-All produced embeddings are float32 and unit-normalized (L2 norm within
-1e-5 of 1). ``embed_many`` returns one ``(len(texts), dim)`` matrix.
+All produced embeddings are ``array('f')`` rows (float32), unit-normalized
+(L2 norm within 1e-5 of 1). ``embed_many`` returns a list of them, one per
+text.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from itertools import filterfalse
-
-import numpy as np
+from typing import Iterable
 
 from .errors import RemoteSchemaError, ZeroVectorError
 from .remote import post_json
@@ -39,9 +45,9 @@ _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
 _FNV_MASK = (1 << 64) - 1
 
-# Word -> 64-bit hash memo. The hash is dimension-independent, so one
-# cache serves every embedder; vocabulary in a run is bounded.
-_hash_cache: dict[str, int] = {}
+# dim -> word -> the word's bucket, fnv1a64(word) % dim, and sign, -1 when the hash's top bit is set.
+# The vocabulary of a run is bounded.
+_bucket_codes: dict[int, dict[str, tuple[int, int]]] = {}
 
 
 def fnv1a64(data: bytes) -> int:
@@ -52,7 +58,12 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def embed_hashing(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
+def _check_dim(dim: int) -> None:
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in [2, {MAX_DIM}], got {dim}")
+
+
+def embed_hashing(text: str, dim: int = DEFAULT_DIM) -> array:
     """Embed text with signed feature hashing.
 
     Lowercase-whitespace tokenize; each word lands in bucket
@@ -60,41 +71,53 @@ def embed_hashing(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     else -1; counts accumulate and the vector is L2-normalized. Empty
     text maps to the first basis vector.
     """
-    return _hash_rows([text], dim)[0]
+    return hash_runs([text.lower().split()], dim)[0]
 
 
-def _hash_rows(texts: list[str], dim: int) -> np.ndarray:
-    """``embed_hashing`` of each text, as the rows of one float32 matrix."""
-    if not 2 <= dim <= MAX_DIM:
-        raise ValueError(f"dim must be in [2, {MAX_DIM}], got {dim}")
-    lengths, word_hashes = [], []
-    for text in texts:  # one text's words at a time: the batch keeps only their hashes
-        words = text.lower().split()
-        for word in filterfalse(_hash_cache.__contains__, words):
-            _hash_cache[word] = fnv1a64(word.encode("utf-8"))
-        word_hashes += map(_hash_cache.__getitem__, words)
-        lengths.append(len(words))
-    hashes = np.array(word_hashes, dtype=np.uint64)
-    cells = np.repeat(np.arange(len(texts)) * dim, lengths) + (hashes % np.uint64(dim)).astype(np.intp)
-    signs = 1.0 - 2.0 * (hashes >> np.uint64(63))  # -1 where the top bit is set
-    acc = np.bincount(cells, weights=signs, minlength=len(texts) * dim).reshape(len(texts), dim)
-    acc[~acc.any(axis=1), 0] = 1.0  # a text with no words maps to the first basis vector
-    return (acc / np.linalg.norm(acc, axis=1, keepdims=True)).astype(np.float32)
+def hash_runs(runs: Iterable[list[str]], dim: int) -> list[array]:
+    """The ``embed_hashing`` vector of each run of already lower-cased words.
+
+    A run's work grows with its words, not with ``dim``: only the buckets its words reach are
+    summed and written into a zeroed row.
+    """
+    _check_dim(dim)
+    codes, rows, zero = _bucket_codes.setdefault(dim, {}), [], bytes(4 * dim)
+    for words in runs:
+        for word in filterfalse(codes.__contains__, words):
+            h = fnv1a64(word.encode("utf-8"))
+            codes[word] = (h % dim, -1 if h >> 63 else 1)
+        sums: dict[int, int] = {}
+        for bucket, sign in map(codes.__getitem__, words):
+            sums[bucket] = sums.get(bucket, 0) + sign
+        row = array("f", zero)
+        squares = sum(s * s for s in sums.values())
+        if not squares:  # a run with no words, or whose signs cancel, maps to the first basis vector
+            row[0] = 1.0
+        else:
+            norm = math.sqrt(squares)
+            for bucket, s in sums.items():
+                row[bucket] = s / norm
+        rows.append(row)
+    return rows
 
 
-def _normalize(values, *, context: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=np.float64)
-    if vec.ndim != 1 or vec.size == 0:
-        raise RemoteSchemaError(f"{context}: embedding must be a non-empty flat list")
-    if not np.all(np.isfinite(vec)):
+def _normalize(values, *, context: str) -> array:
+    """A service's vector, which must be a non-empty list of JSON numbers (a bool is none), unit-normalized."""
+    if type(values) is not list or not values or not all(type(v) is int or type(v) is float for v in values):
+        raise RemoteSchemaError(f"{context}: embedding must be a non-empty flat list of numbers")
+    try:
+        vec = list(map(float, values))
+    except OverflowError:  # an int past the float range
+        vec = [math.inf]
+    if not all(map(math.isfinite, vec)):
         raise RemoteSchemaError(f"{context}: embedding contains non-finite values")
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(math.fsum(v * v for v in vec))
     if norm == 0.0:
         raise ZeroVectorError(f"{context}: service returned an all-zero embedding")
-    return (vec / norm).astype(np.float32)
+    return array("f", [v / norm for v in vec])
 
 
-def _extract_embeddings(response: dict, expected: int) -> np.ndarray:
+def _extract_embeddings(response: dict, expected: int) -> list[array]:
     if "data" not in response:
         raise RemoteSchemaError("response is missing 'data'")
     data = response["data"]
@@ -108,26 +131,25 @@ def _extract_embeddings(response: dict, expected: int) -> np.ndarray:
     lengths = {len(vec) for vec in out}
     if len(lengths) > 1:
         raise RemoteSchemaError(f"response embeddings differ in length: {sorted(lengths)}")
-    return np.stack(out)
+    return out
 
 
 class HashingEmbedder:
     """Deterministic offline embedder (the default pipeline choice)."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
-        if not 2 <= dim <= MAX_DIM:
-            raise ValueError(f"dim must be in [2, {MAX_DIM}], got {dim}")
+        _check_dim(dim)
         self.dim = dim
 
     @property
     def fingerprint(self) -> str:
         return f"hashing-fnv1a64:dim={self.dim}"
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> array:
         return embed_hashing(text, self.dim)
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        return _hash_rows(texts, self.dim)
+    def embed_many(self, texts: list[str]) -> list[array]:
+        return hash_runs((text.lower().split() for text in texts), self.dim)
 
 
 class RemoteEmbedder:
@@ -138,19 +160,19 @@ class RemoteEmbedder:
             raise ValueError("remote embedder requires an endpoint")
         self.endpoint = endpoint
         self.model_name = model_name
-        self.dim = dim  # the width of no texts' empty matrix; the service chooses its vectors' width
+        self.dim = dim  # the index width when no text is embedded; the service chooses its vectors' width
 
     @property
     def fingerprint(self) -> str:
         return f"remote:{self.model_name or 'unknown'}"
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> array:
         return self._request([text])[0]
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        return self._request(texts) if texts else np.empty((0, self.dim), np.float32)
+    def embed_many(self, texts: list[str]) -> list[array]:
+        return self._request(texts) if texts else []
 
-    def _request(self, texts: list[str]) -> np.ndarray:
+    def _request(self, texts: list[str]) -> list[array]:
         """One order-preserving request. ``embed`` reaches this without going
         through ``embed_many``, so a wrapper counting calls to either method
         sees each call once."""

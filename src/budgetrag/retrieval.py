@@ -28,16 +28,17 @@ from .corpus import Chunk
 from .errors import BudgetRagError, MissingPatientError
 from .manifest import check_types, read_jsonl, write_jsonl
 
-if TYPE_CHECKING:  # annotations only: LONG contexts need no numpy
+if TYPE_CHECKING:  # annotations only: LONG contexts need no index
     from .vindex import VectorIndex
 
 MODE_RAG = "RAG"
 MODE_LONG = "LONG"
 
 DEFAULT_BUDGET_WORDS = 4000
-# The hashing embedder's vector width, here and not in embedding, so the CLI bounds --dim without loading numpy.
+# The hashing embedder's vector width, here and not in embedding, so every command bounds --dim without
+# importing the embedders.
 DEFAULT_DIM = 256
-MAX_DIM = 65_536  # a hashing batch of 64 texts sums into a 64 x MAX_DIM float64 matrix: 32 MiB
+MAX_DIM = 65_536  # a row of MAX_DIM float32 values is 256 KiB
 
 # The complication vocabulary: the default query names it, the mock classifier flags it, synthetic corpora plant it.
 DEFAULT_COMPLICATION_KEYWORDS = (

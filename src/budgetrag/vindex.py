@@ -5,26 +5,27 @@ by descending score, ties broken by ascending chunk position, then
 patient id.
 
 A search scores every row against its query in one pass,
-``score_rows``: row i's float64 score is the dot product of the row,
-widened to float64, with the query, computed row by row, so it does not
-depend on which or how many rows are scored with it. With the scores,
-the pass sorts each patient's rows by descending score, ties by
-position, into that patient's hits. The index keeps the scores and those
-per-patient rankings for the query's bytes: a later search with an
-equal query, filtered to one patient or not, reads them without scoring
-again, and a search with another query replaces them. Adding rows drops
-them. So ``retrieve`` ranks all patients with one scoring pass.
+``score_rows``: row i's score is the ``math.fsum`` of the row's products
+with the query's nonzero coordinates, each a float32 value times a
+float64 one. A zero coordinate adds an exact zero, and ``fsum`` is
+correctly rounded, so a score is one defined number: it depends neither
+on BLAS nor on which or how many rows are scored with it. With the
+scores, the pass sorts every row by descending score, ties by position,
+then patient id, and files each patient's rows, in that order, as that
+patient's hits. The index keeps the ranking for the query: a later
+search with an equal query, filtered to one patient or not, reads it
+without scoring again, and a search with another query replaces it.
+Adding rows drops it. So ``retrieve`` ranks all patients with one
+scoring pass.
 
-In memory the index is one float32 matrix of rows, an int64 array of
-chunk positions and the list of patient ids, row for row, plus a map
-from each patient id to its row numbers for the rankings and duplicate
-checks. Rows enter only through ``add_many``, which checks a batch of
-(patient_id, position) keys, across patients, and their rows before it
-stores any; ``add`` and ``from_bytes`` call it too. A batch into an
-empty index becomes its storage, without a copy when the batch is a
-C-ordered float32 matrix; later batches grow the storage by doubling, so
-rows are appended in amortized constant time per row; rows past
-``len(index)`` are spare capacity.
+In memory the index is one flat ``array('f')`` of rows, an ``array('I')``
+of chunk positions and the list of patient ids, row for row, plus a map
+from each patient id to its row numbers for the duplicate checks. Rows
+enter only through ``add_many``, which checks a batch of (patient_id,
+position) keys, across patients, and their rows before it stores any;
+``add`` and ``from_bytes`` call it too. It copies the batch's rows once,
+into one array that becomes the storage of an empty index and is
+appended to any other's.
 
 The index persists to a little-endian binary file (format version 2):
 
@@ -48,20 +49,24 @@ checks its rows with ``add_many``: a repeated key or a row that is not a
 finite unit vector is an ``IndexFormatError`` as well. Version 1
 files (no length, no header checksum) are rejected with a hint to
 rebuild them with ``build-index``. ``to_bytes`` joins the file once, the
-vectors straight from a byte view of the matrix, then packs the header and
-checksums in place. ``from_bytes`` reads the fields inline, without a
-call per field, and copies each vector field once, into one buffer that
-``add_many`` keeps as the index's matrix: a load holds the file and one
-copy of the vectors.
+vectors straight from a byte view of the storage, then packs the header
+and checksums in place. ``from_bytes`` reads the fields inline, without a
+call per field, and hands ``add_many`` each vector as a view of the file,
+which it copies once, into the index's storage: a load holds the file and
+one copy of the vectors. The file's floats are little-endian; a
+big-endian host swaps their bytes on the way in and out.
 
 CRC-32C (Castagnoli, RFC 3720) is computed block-parallel, the
 ``crc32_combine`` method of zlib: the buffer is cut into
-``CRC_BLOCK``-byte blocks, numpy advances one CRC register per block
-column by column with the byte table, and the registers are folded in
-order with a linear "advance over ``CRC_BLOCK`` zero bytes" operator,
+``CRC_BLOCK``-byte blocks, and one CRC register per block is advanced
+column by column over four byte planes, plane k holding byte k of every
+block's register. A column step looks the planes' index bytes up in the
+byte table with ``bytes.translate``, one 256-byte table per register
+byte, and XORs whole planes as ``int``s. The registers are then folded
+in order with a linear "advance over ``CRC_BLOCK`` zero bytes" operator,
 applied as four 256-entry lookups. Inputs shorter than two blocks and
 the tail after the last whole block go through the byte-table loop. The
-numpy tables are built on first use, not at import.
+plane and operator tables are built on first use, not at import.
 
 Loading is bit-exact: vector bytes and entry order round-trip
 unchanged.
@@ -70,13 +75,14 @@ unchanged.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 import numbers
+import operator
 import struct
+import sys
+from array import array
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -95,6 +101,7 @@ _HEADER = struct.Struct("<8sIIQQ")
 _U32 = struct.Struct("<I")
 HEADER_SIZE = _HEADER.size + 4
 UNIT_NORM_TOL = 1e-5
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 # CRC-32C (Castagnoli), reflected polynomial 0x82F63B78.
 _CRC32C_TABLE = []
@@ -126,45 +133,63 @@ def crc32c(data, crc: int = 0) -> int:
 
 def _crc32c_blocks(view: memoryview, register: int) -> int:
     """Advance the raw CRC register over whole CRC_BLOCK-byte blocks."""
-    table, (z0, z1, z2, z3) = _crc32c_block_tables()
+    (t0, t1, t2, t3), (z0, z1, z2, z3) = _crc32c_block_tables()
     blocks = len(view) // CRC_BLOCK
-    columns = np.frombuffer(view, dtype=np.uint8).reshape(blocks, CRC_BLOCK).T  # a view, not a copy
-    registers = np.zeros(blocks, dtype=np.uint32)
-    registers[0] = register  # the others start at 0 and are folded in below
-    for column in columns:
-        registers = table[(registers ^ column) & 0xFF] ^ (registers >> 8)
-    register, *rest = registers.tolist()
-    for block_register in rest:
-        register = (z0[register & 0xFF] ^ z1[(register >> 8) & 0xFF]
-                    ^ z2[(register >> 16) & 0xFF] ^ z3[register >> 24] ^ block_register)
+    # Plane k as an int, byte b of it (little-endian) byte k of block b's register: block 0 starts
+    # from ``register``, the others from 0 and are folded in below.
+    p0, p1, p2, p3 = (register >> shift & 0xFF for shift in (0, 8, 16, 24))
+    words = view.cast("Q")  # 8-byte words: a strided copy of one word column copies 8 byte columns
+    for word in range(CRC_BLOCK // 8):
+        columns = words[word::CRC_BLOCK // 8].tobytes()  # block b's bytes 8 * word.. at 8 * b..
+        for byte in range(8):
+            index = (p0 ^ int.from_bytes(columns[byte::8], "little")).to_bytes(blocks, "little")
+            p0 = int.from_bytes(index.translate(t0), "little") ^ p1  # table[index] ^ (register >> 8), bytewise
+            p1 = int.from_bytes(index.translate(t1), "little") ^ p2
+            p2 = int.from_bytes(index.translate(t2), "little") ^ p3
+            p3 = int.from_bytes(index.translate(t3), "little")
+    b0, b1, b2, b3 = (plane.to_bytes(blocks, "little") for plane in (p0, p1, p2, p3))
+    register = b0[0] | b1[0] << 8 | b2[0] << 16 | b3[0] << 24
+    for r0, r1, r2, r3 in zip(b0[1:], b1[1:], b2[1:], b3[1:]):
+        register = (z0[register & 0xFF] ^ z1[(register >> 8) & 0xFF] ^ z2[(register >> 16) & 0xFF]
+                    ^ z3[register >> 24] ^ r0 ^ r1 << 8 ^ r2 << 16 ^ r3 << 24)
     return register
 
 
 @functools.cache
-def _crc32c_block_tables() -> tuple[np.ndarray, tuple[list[int], ...]]:
-    """The byte table as a numpy array, and the operator that advances a
-    raw register over CRC_BLOCK zero bytes as four 256-entry tables, one
-    per register byte (the operator is linear over GF(2))."""
-    table = np.array(_CRC32C_TABLE, dtype=np.uint32)
-    images = np.left_shift(np.uint32(1), np.arange(32, dtype=np.uint32))  # one register per bit
-    for _ in range(CRC_BLOCK):
-        images = table[images & 0xFF] ^ (images >> 8)
-    has_bit = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
-    lanes = tuple(
-        np.bitwise_xor.reduce(np.where(has_bit, images[8 * j:8 * j + 8], np.uint32(0)), axis=1).tolist()
-        for j in range(4)
-    )
-    return table, lanes
+def _crc32c_block_tables() -> tuple[tuple[bytes, ...], tuple[list[int], ...]]:
+    """The byte table as four ``bytes.translate`` tables, one per register byte, and the operator
+    that advances a raw register over CRC_BLOCK zero bytes as four 256-entry tables, one per
+    register byte (the operator is linear over GF(2))."""
+    table = _CRC32C_TABLE
+    planes = tuple(bytes(entry >> shift & 0xFF for entry in table) for shift in (0, 8, 16, 24))
+    images = []  # the advanced image of each register bit
+    for bit in range(32):
+        register = 1 << bit
+        for _ in range(CRC_BLOCK):
+            register = table[register & 0xFF] ^ (register >> 8)
+        images.append(register)
+    lanes = tuple([functools.reduce(operator.xor, (images[8 * j + i] for i in range(8) if byte >> i & 1), 0)
+                   for byte in range(256)] for j in range(4))
+    return planes, lanes
 
 
 def _is_int(value) -> bool:
-    """A Python or numpy integer, and not a bool."""
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_)))
+    """An integer, a numpy one say, and not a bool."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _length_prefixed(text: str) -> bytes:
     raw = text.encode("utf-8")
     return _U32.pack(len(raw)) + raw
+
+
+def _byteswapped(floats) -> array:
+    """A copy of the float32 values of a buffer, each one's bytes reversed: a big-endian host's
+    conversion to and from the file's little-endian floats."""
+    swapped = array("f")
+    swapped.frombytes(memoryview(floats).cast("B"))
+    swapped.byteswap()
+    return swapped
 
 
 class SearchHit(NamedTuple):
@@ -173,32 +198,30 @@ class SearchHit(NamedTuple):
     score: float
 
 
-SCORE_BLOCK = 1 << 13  # rows times dim per float64 block of score_rows: 64 KiB, so scoring adds little peak RSS
+def score_rows(vectors: array, query) -> list[float]:
+    """The score of each row of the flat float32 ``vectors``, cut into rows of ``len(query)``,
+    against the float64 ``query``.
 
-
-def score_rows(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """The float64 score of each float32 row of ``matrix`` against the float64 ``query``.
-
-    Row i scores ``np.dot(matrix[i].astype(np.float64), query)``. ``matmul`` over a
-    stack of one-row matrices calls that dot product once per row, so a row's score
-    is the same whichever rows are scored with it, where one matrix-vector product
-    rounds differently over 6,400 rows than over 2. The rows are widened a block
-    at a time, so no float64 copy of the whole matrix is made.
+    Row i scores the ``math.fsum`` of its products with the query's nonzero coordinates. The
+    rows are scored one at a time, each copied out of ``vectors`` and its nonzero coordinates
+    gathered with one ``itemgetter``, so a pass holds one row besides its scores, for a sparse
+    hashed query and a dense one alike.
     """
-    q = np.ascontiguousarray(query)[:, None]
-    step = max(1, SCORE_BLOCK // matrix.shape[1])
-    scores = np.empty(len(matrix), dtype=np.float64)
-    for start in range(0, len(matrix), step):
-        block = matrix[start:start + step].astype(np.float64)
-        scores[start:start + len(block)] = np.matmul(block[:, None, :], q)[:, 0, 0]
-    return scores
+    dim = len(query)
+    nonzero = [j for j, q in enumerate(query) if q]
+    if not nonzero:
+        return [0.0] * (len(vectors) // dim)
+    weights = [query[j] for j in nonzero]
+    gather = operator.itemgetter(*nonzero) if len(nonzero) > 1 else lambda row: (row[nonzero[0]],)
+    return [math.fsum(map(operator.mul, gather(vectors[start:start + dim]), weights))
+            for start in range(0, len(vectors), dim)]
 
 
 class _Ranking(NamedTuple):
-    """One query's score for every row, and each patient's hits in rank order."""
+    """One query's hits over every row in rank order, and each patient's hits in that order."""
 
-    query: bytes  # the float64 query's bytes
-    scores: np.ndarray
+    query: array  # the float64 query
+    hits: list[SearchHit]
     by_patient: dict[str, list[SearchHit]]
 
 
@@ -211,130 +234,127 @@ class VectorIndex:
         self.dim = dim
         self.embedder_fingerprint = embedder_fingerprint
         self._patient_ids: list[str] = []
-        # row i of the first len(self) rows belongs to _patient_ids[i]
-        self._matrix = np.empty((0, dim), dtype=np.float32)
-        self._positions = np.empty(0, dtype=np.int64)
+        # row i, the floats [i * dim, (i + 1) * dim), belongs to _patient_ids[i]
+        self._vectors = array("f")
+        self._positions = array("I")  # u32
         self._rows: dict[str, list[int]] = {}
         self._ranked: _Ranking | None = None  # the last query's ranking, dropped when rows are added
 
     def __len__(self) -> int:
         return len(self._patient_ids)
 
-    def add(self, patient_id: str, position: int, vector: np.ndarray) -> None:
+    def add(self, patient_id: str, position: int, vector) -> None:
         """Append one chunk embedding; (patient_id, position) must be new."""
         self.add_many([(patient_id, position)], [vector])
 
-    def add_many(self, keys, matrix: np.ndarray) -> None:
-        """Append chunk embeddings: row i of ``matrix`` under ``keys[i]``, a (patient_id, position) pair.
+    def add_many(self, keys, vectors) -> None:
+        """Append chunk embeddings: ``vectors[i]`` under ``keys[i]``, a (patient_id, position) pair.
 
-        The keys may span patients. Every key and row is checked (dimension,
-        finite, unit norm, key new to the batch and to the index) before
-        anything is stored, so a rejected batch leaves the index unchanged.
-        A position must be an int (a bool is not one) in [0, 2**32),
-        checked before numpy converts it: another type is a ``TypeError``,
-        another value a ``ValueError``. A batch into an empty index becomes
-        its storage, uncopied when ``matrix`` is a C-ordered float32 array,
-        so the caller must not change it afterwards; the index never writes
-        into it, since that storage is full and any later rows go to a new one.
+        The keys may span patients. A vector is a sequence of ``dim`` numbers. One that
+        exposes float32 values as a buffer (an ``array('f')``, a float32 view or numpy
+        array) is copied as it is; any other is rounded to float32 value by value. Every
+        key and row is checked (dimension, finite, unit norm, key new to the batch and to
+        the index) before anything is stored, so a rejected batch leaves the index
+        unchanged. A position must be an int (a bool is not one) in [0, 2**32): another
+        type is a ``TypeError``, another value a ``ValueError``. The rows are copied once,
+        into one array, which becomes the storage of an empty index and extends any other's.
         """
-        pids, pos = [pid for pid, _ in keys], [position for _, position in keys]
-        for position in pos:
+        if len(keys) != len(vectors):
+            raise ValueError(f"{len(keys)} keys for {len(vectors)} vectors")
+        for _, position in keys:
             if not _is_int(position):
                 raise TypeError(f"positions must be ints, got {position!r}")
             if not 0 <= position <= 0xFFFFFFFF:
                 raise ValueError(f"positions must fit in a u32, got {position}")
-        try:
-            mat = np.asarray(matrix, dtype=np.float32)
-        except ValueError as exc:  # a list of vectors of unequal length
-            raise DimensionMismatchError(f"expected dim {self.dim}: {exc}") from exc
-        if mat.ndim != 2 or mat.shape[1] != self.dim:
-            actual = mat.shape[1] if mat.ndim == 2 else mat.shape
-            raise DimensionMismatchError(f"expected dim {self.dim}, got {actual}")
-        if len(pos) != len(mat):
-            raise ValueError(f"{len(pos)} keys for {len(mat)} vectors")
-        norms = np.sqrt(np.einsum("ij,ij->i", mat, mat, dtype=np.float64))  # no float64 copy of the matrix
-        bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # NaN compares false: non-finite rows are bad too
-        if bad.any():
-            i = int(np.argmax(bad))
-            if not np.isfinite(mat[i]).all():
-                raise InvalidVectorError(f"vector for {(pids[i], pos[i])!r} has non-finite values")
-            raise InvalidVectorError(f"vector for {(pids[i], pos[i])!r} is not unit-normalized (norm={norms[i]:.6g})")
-        taken = {(pid, p) for pid in self._rows.keys() & set(pids)  # each patient once
-                 for p in self._positions[self._rows[pid]].tolist()}
-        for key in zip(pids, pos):
-            if key in taken:
-                raise DuplicateChunkError(f"duplicate chunk_ref {key!r}")
-            taken.add(key)
+        positions = array("I", [position for _, position in keys])
+        dim = self.dim
+        batch = array("f", [0.0]) * (dim * len(keys))
+        with memoryview(batch) as out:
+            for i, vector in enumerate(vectors):
+                if len(vector) != dim:
+                    raise DimensionMismatchError(f"expected dim {dim}, got {len(vector)}")
+                row = slice(i * dim, (i + 1) * dim)
+                try:
+                    out[row] = vector
+                except (TypeError, ValueError):  # not a float32 buffer
+                    out[row] = array("f", vector)
+                norm = math.hypot(*out[row])
+                if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN compares false: non-finite rows fail too
+                    if not all(map(math.isfinite, out[row])):
+                        raise InvalidVectorError(f"vector for {keys[i]!r} has non-finite values")
+                    raise InvalidVectorError(f"vector for {keys[i]!r} is not unit-normalized (norm={norm:.6g})")
+        start = len(self)
+        grouped: dict[str, list[int]] = {}  # each patient's new row numbers
+        for row, (pid, _) in enumerate(keys, start):
+            grouped.setdefault(pid, []).append(row)
+        for pid, rows in grouped.items():  # one patient at a time
+            taken = set(map(self._positions.__getitem__, self._rows.get(pid, ())))
+            for row in rows:
+                position = positions[row - start]
+                if position in taken:
+                    raise DuplicateChunkError(f"duplicate chunk_ref {(pid, position)!r}")
+                taken.add(position)
 
-        start, stop = len(self), len(self) + len(pos)
-        if not start:  # the batch itself becomes the storage
-            self._matrix, self._positions = np.require(mat, requirements="C"), np.array(pos, dtype=np.int64)
+        if start:
+            self._vectors += batch
         else:
-            if stop > len(self._positions):  # grow by doubling, copying the stored rows once
-                capacity = max(stop, 2 * start)
-                matrix, positions = np.empty((capacity, self.dim), np.float32), np.empty(capacity, np.int64)
-                matrix[:start], positions[:start] = self._matrix[:start], self._positions[:start]
-                self._matrix, self._positions = matrix, positions
-            self._matrix[start:stop] = mat
-            self._positions[start:stop] = pos
-        self._patient_ids.extend(pids)
-        for row, pid in enumerate(pids, start):
-            self._rows.setdefault(pid, []).append(row)
+            self._vectors = batch
+        self._positions += positions
+        self._patient_ids += [pid for pid, _ in keys]
+        for pid, rows in grouped.items():
+            if pid in self._rows:
+                self._rows[pid] += rows
+            else:
+                self._rows[pid] = rows
         self._ranked = None
 
-    def search(self, query: np.ndarray, k: int, filter_patient: str | None = None) -> list[SearchHit]:
+    def search(self, query, k: int, filter_patient: str | None = None) -> list[SearchHit]:
         """Exact top-k by cosine similarity.
 
         Ties are broken by ascending position, then patient id. With
         fewer than k matching entries, all of them are returned. ``k``
-        must be an int (a bool is not one) and at least 0.
+        must be an int (a bool is not one) and at least 0; ``query`` a
+        sequence of ``dim`` finite numbers.
         """
         if not _is_int(k):
             raise TypeError(f"k must be an int, got {k!r}")
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        q = np.asarray(query, dtype=np.float64)
-        if q.ndim != 1 or q.shape[0] != self.dim:
-            actual = q.shape[0] if q.ndim == 1 else q.shape
-            raise DimensionMismatchError(f"query dim {actual} does not match index dim {self.dim}")
+        q = array("d", query)
+        if len(q) != self.dim:
+            raise DimensionMismatchError(f"query dim {len(q)} does not match index dim {self.dim}")
+        if not all(map(math.isfinite, q)):
+            raise InvalidVectorError("query has non-finite values")
         ranking = self._ranking(q)
         if filter_patient is not None:
             return ranking.by_patient.get(filter_patient, [])[:k]
-        scores, positions = ranking.scores, self._positions[:len(self)]
-        # lexsort: last key is primary
-        order = np.lexsort((np.array(self._patient_ids), positions, -scores))[:k]
-        return [SearchHit(self._patient_ids[i], int(positions[i]), float(scores[i])) for i in order]
+        return ranking.hits[:k]
 
-    def _ranking(self, q: np.ndarray) -> _Ranking:
-        """Every row scored against ``q`` in one pass, and each patient's hits in rank order.
+    def _ranking(self, q: array) -> _Ranking:
+        """Every row scored against ``q`` in one pass and ranked, overall and per patient.
 
         The ranking is kept for the next search with an equal query, until rows are added.
         """
-        key = q.tobytes()
-        if self._ranked is not None and self._ranked.query == key:
+        if self._ranked is not None and self._ranked.query == q:
             return self._ranked
-        n = len(self)
-        scores = score_rows(self._matrix[:n], q)
-        grouped = np.fromiter(itertools.chain.from_iterable(self._rows.values()), np.int64, n)  # rows by patient
-        sizes = [len(rows) for rows in self._rows.values()]
-        # within each patient: descending score, ties by ascending position
-        order = grouped[np.lexsort((self._positions[grouped], -scores[grouped],
-                                    np.repeat(np.arange(len(sizes)), sizes)))]
-        hits = list(map(SearchHit, [pid for pid, rows in self._rows.items() for _ in rows],
-                        self._positions[order].tolist(), scores[order].tolist()))
-        bounds = list(itertools.accumulate(sizes, initial=0))
-        self._ranked = _Ranking(key, scores, {pid: hits[a:b] for pid, a, b in zip(self._rows, bounds, bounds[1:])})
+        scores = score_rows(self._vectors, q)
+        by_patient: dict[str, list[SearchHit]] = {pid: [] for pid in self._rows}
+        hits = []
+        for negated, position, pid in sorted(zip(map(operator.neg, scores), self._positions, self._patient_ids)):
+            hits.append(SearchHit(pid, position, -negated))
+            by_patient[pid].append(hits[-1])
+        self._ranked = _Ranking(q, hits, by_patient)
         return self._ranked
 
     # --- persistence ---------------------------------------------------
 
     def to_bytes(self) -> bytearray:
         n, row = len(self), 4 * self.dim
-        # a byte view of the matrix (a copy only on a big-endian host); join copies it once, into the file
-        vectors = memoryview(self._matrix[:n].astype("<f4", copy=False).reshape(-1).view(np.uint8))
+        # a byte view of the storage (a copy only on a big-endian host); join copies it once, into the file
+        vectors = memoryview(self._vectors if _LITTLE_ENDIAN else _byteswapped(self._vectors)).cast("B")
         pid_fields = {pid: _length_prefixed(pid) for pid in self._rows}
         parts = [bytes(HEADER_SIZE)]  # the header and its checksum, packed in place once the length is known
-        for pid, pos, start in zip(self._patient_ids, self._positions[:n].tolist(), range(0, n * row, row)):
+        for pid, pos, start in zip(self._patient_ids, self._positions, range(0, n * row, row)):
             parts += (pid_fields[pid], _U32.pack(pos), vectors[start:start + row])
         parts += (_length_prefixed(self.embedder_fingerprint), bytes(4))
         blob = bytearray().join(parts)
@@ -380,16 +400,17 @@ class VectorIndex:
         # Fields are read inline: a call per field would cost a fifth of a load. Only checksum-verified
         # bytes are parsed, so a field past the body's end means the structure is inconsistent.
         view, unpack = memoryview(blob), _U32.unpack_from
-        keys, vectors, offset = [], bytearray(count * row), HEADER_SIZE
+        keys, vectors, offset = [], [], HEADER_SIZE
         try:
-            for start in range(0, count * row, row):
+            for _ in range(count):
                 pos_start = offset + 4 + unpack(blob, offset)[0]
                 stop = pos_start + 4 + row
                 if stop > end:
                     raise IndexFormatError(f"inconsistent structure: entry {len(keys)} at offset {offset} "
                                            f"runs {stop - end} bytes past the end of the body")
                 keys.append((str(view[offset + 4:pos_start], "utf-8"), unpack(blob, pos_start)[0]))
-                vectors[start:start + row] = view[pos_start + 4:stop]
+                raw = view[pos_start + 4:stop]
+                vectors.append(raw.cast("f") if _LITTLE_ENDIAN else _byteswapped(raw))
                 offset = stop
             fp_end = offset + 4 + unpack(blob, offset)[0]  # offset <= end, so the length field is in the file
             if fp_end != end:
@@ -400,8 +421,8 @@ class VectorIndex:
             what = f"entry {len(keys)} id" if len(keys) < count else "fingerprint"
             raise IndexFormatError(f"{what} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
         index = cls(dim=dim, embedder_fingerprint=fingerprint)
-        try:  # the vectors' one copy out of the file becomes the index's storage
-            index.add_many(keys, np.frombuffer(vectors, dtype="<f4").reshape(count, dim))
+        try:  # the vectors' one copy out of the file is the index's storage
+            index.add_many(keys, vectors)
         except (DuplicateChunkError, InvalidVectorError) as exc:
             raise IndexFormatError(f"{exc} in file") from exc
         return index

@@ -29,9 +29,10 @@ from budgetrag.synthetic import (_BASE_TIME, _NOTE_TYPES, FILLER_VOCAB, Syntheti
 
 def index_rows(index) -> list[tuple[tuple[str, int], np.ndarray]]:
     """Each ((patient_id, position), vector) row of a ``VectorIndex`` in insertion order, read
-    straight from its private arrays, not through its search or serialization."""
-    n = len(index)
-    return list(zip(zip(index._patient_ids, index._positions[:n].tolist()), index._matrix[:n]))
+    straight from its private arrays, not through its search or serialization. The vectors are
+    a copy, so the index may grow while they are held."""
+    matrix = np.array(index._vectors, dtype=np.float32).reshape(len(index), index.dim)
+    return list(zip(zip(index._patient_ids, index._positions.tolist()), matrix))
 
 
 def psi(x: float, y: float) -> float:

@@ -55,34 +55,41 @@ PINNED_CHAIN_SHA256 = {
 }
 
 
+# Every command of the mock pipeline over the 60-patient corpus in {root}, each run --deterministic.
+DEMO_CHAIN = [
+    ["ingest", "--corpus", "{root}/corpus.jsonl", "--out", "{root}/proc.jsonl", "--max-words", "64"],
+    ["build-index", "--corpus", "{root}/proc.jsonl", "--out", "{root}/index.brag", "--dim", "512"],
+    ["retrieve", "--corpus", "{root}/proc.jsonl", "--index", "{root}/index.brag", "--mode", "rag",
+     "--budget-words", "256", "--out", "{root}/ctx_rag.jsonl"],
+    ["retrieve", "--corpus", "{root}/proc.jsonl", "--mode", "long", "--out", "{root}/ctx_long.jsonl"],
+    ["classify", "--contexts", "{root}/ctx_rag.jsonl", "--out", "{root}/out_rag.jsonl"],
+    ["classify", "--contexts", "{root}/ctx_long.jsonl", "--out", "{root}/out_long.jsonl"],
+    ["evaluate", "--outcomes", "{root}/out_rag.jsonl", "--corpus", "{root}/proc.jsonl", "--out", "{root}/m_rag.json",
+     "--roc-out", "{root}/roc_rag.csv"],
+    ["evaluate", "--outcomes", "{root}/out_long.jsonl", "--corpus", "{root}/proc.jsonl",
+     "--out", "{root}/m_long.json", "--roc-out", "{root}/roc_long.csv"],
+    ["delong", "--outcomes-a", "{root}/out_rag.jsonl", "--outcomes-b", "{root}/out_long.jsonl",
+     "--corpus", "{root}/proc.jsonl", "--out", "{root}/delong.json"],
+    ["project", "--outcomes-rag", "{root}/out_rag.jsonl", "--outcomes-long", "{root}/out_long.jsonl",
+     "--out", "{root}/proj"],
+    ["report", "--metrics-rag", "{root}/m_rag.json", "--metrics-long", "{root}/m_long.json",
+     "--roc-rag", "{root}/roc_rag.csv", "--roc-long", "{root}/roc_long.csv", "--delong", "{root}/delong.json",
+     "--out", "{root}/report"],
+]
+
+
+def demo_chain(root) -> list[list[str]]:
+    """DEMO_CHAIN's argument lists for the corpus in ``root``."""
+    return [[arg.format(root=root) for arg in argv] + ["--deterministic"] for argv in DEMO_CHAIN]
+
+
 @pytest.fixture(scope="module")
 def demo_dir(tmp_path_factory):
     """A 60-patient synthetic corpus run through the whole mock pipeline."""
     root = tmp_path_factory.mktemp("pipeline")
     write_corpus(root / "corpus.jsonl", generate_corpus(60, seed=0))
-    run(0, "ingest", "--corpus", root / "corpus.jsonl", "--out", root / "proc.jsonl",
-        "--max-words", "64", "--deterministic")
-    run(0, "build-index", "--corpus", root / "proc.jsonl", "--out", root / "index.brag",
-        "--dim", "512", "--deterministic")
-    run(0, "retrieve", "--corpus", root / "proc.jsonl", "--index", root / "index.brag",
-        "--mode", "rag", "--budget-words", "256", "--out", root / "ctx_rag.jsonl", "--deterministic")
-    run(0, "retrieve", "--corpus", root / "proc.jsonl", "--mode", "long",
-        "--out", root / "ctx_long.jsonl", "--deterministic")
-    run(0, "classify", "--contexts", root / "ctx_rag.jsonl", "--out", root / "out_rag.jsonl",
-        "--deterministic")
-    run(0, "classify", "--contexts", root / "ctx_long.jsonl", "--out", root / "out_long.jsonl",
-        "--deterministic")
-    run(0, "evaluate", "--outcomes", root / "out_rag.jsonl", "--corpus", root / "proc.jsonl",
-        "--out", root / "m_rag.json", "--roc-out", root / "roc_rag.csv", "--deterministic")
-    run(0, "evaluate", "--outcomes", root / "out_long.jsonl", "--corpus", root / "proc.jsonl",
-        "--out", root / "m_long.json", "--roc-out", root / "roc_long.csv", "--deterministic")
-    run(0, "delong", "--outcomes-a", root / "out_rag.jsonl", "--outcomes-b", root / "out_long.jsonl",
-        "--corpus", root / "proc.jsonl", "--out", root / "delong.json", "--deterministic")
-    run(0, "project", "--outcomes-rag", root / "out_rag.jsonl", "--outcomes-long", root / "out_long.jsonl",
-        "--out", root / "proj", "--deterministic")
-    run(0, "report", "--metrics-rag", root / "m_rag.json", "--metrics-long", root / "m_long.json",
-        "--roc-rag", root / "roc_rag.csv", "--roc-long", root / "roc_long.csv",
-        "--delong", root / "delong.json", "--out", root / "report", "--deterministic")
+    for argv in demo_chain(root):
+        run(0, *argv)
     return root
 
 
@@ -933,9 +940,9 @@ class TestRetrieveValidation:
 
         calls = []
 
-        def spy(matrix, query):
-            calls.append(len(matrix))
-            return score_rows(matrix, query)
+        def spy(vectors, query):
+            calls.append(len(vectors) // len(query))  # rows
+            return score_rows(vectors, query)
 
         score_rows = vindex.score_rows
         monkeypatch.setattr(vindex, "score_rows", spy)
@@ -1245,9 +1252,8 @@ cli.main(["build-index", "--corpus", {str(corpus)!r}, "--out", {str(tmp_path / "
 # In a fresh interpreter: run build-index with cli._usable_cpus returning config["cpus"], and print
 # its exit code and the number of rows of each VectorIndex.add_many call.
 _ADD_MANY_SCRIPT = """
-import json, os, sys
+import json, sys
 config = json.loads(sys.argv[1])
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # numpy is loaded before the fork here, to wrap add_many
 sys.path.insert(0, config["src"])
 from budgetrag import cli
 from budgetrag.vindex import VectorIndex

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budgetrag.embedding import MAX_DIM, HashingEmbedder, RemoteEmbedder, embed_hashing, fnv1a64
+from budgetrag.corpus import chunk_runs, chunk_text
+from budgetrag.embedding import MAX_DIM, HashingEmbedder, RemoteEmbedder, embed_hashing, fnv1a64, hash_runs
 from budgetrag.errors import RemoteSchemaError, RemoteServiceError, ZeroVectorError
 
 from .oracles import hashing_embedding_reference
@@ -40,14 +41,15 @@ class TestHashingEmbedder:
 
     def test_unit_norm(self):
         for text in ("one", "a b c d", "x " * 100):
-            norm = np.linalg.norm(embed_hashing(text, 64).astype(np.float64))
+            norm = np.linalg.norm(np.asarray(embed_hashing(text, 64), np.float64))
             assert abs(norm - 1.0) <= 1e-5
 
     def test_case_insensitive(self):
         assert np.array_equal(embed_hashing("Sepsis NOTED", 32), embed_hashing("sepsis noted", 32))
 
-    def test_dtype_is_float32(self):
-        assert embed_hashing("anything", 8).dtype == np.float32
+    def test_is_a_float32_array(self):
+        vec = embed_hashing("anything", 8)
+        assert vec.typecode == "f" and len(vec) == 8
 
     def test_dim_must_be_at_least_two(self):
         with pytest.raises(ValueError):
@@ -57,7 +59,7 @@ class TestHashingEmbedder:
         for make in (HashingEmbedder, lambda dim: embed_hashing("x", dim)):
             with pytest.raises(ValueError, match=rf"dim must be in \[2, {MAX_DIM}\], got {MAX_DIM + 1}"):
                 make(MAX_DIM + 1)
-        assert HashingEmbedder(MAX_DIM).embed("x").shape == (MAX_DIM,)
+        assert len(HashingEmbedder(MAX_DIM).embed("x")) == MAX_DIM
 
     @given(words=st.lists(st.sampled_from("alpha beta gamma delta".split()), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -98,18 +100,40 @@ class TestHashingOracle:
     @pytest.mark.parametrize("dim", [2, 3, 256, 4096])
     def test_batch_rows_equal_reference_and_one_row_call(self, dim):
         batch = HashingEmbedder(dim).embed_many(ORACLE_TEXTS)
-        assert batch.dtype == np.float32 and batch.shape == (len(ORACLE_TEXTS), dim)
+        assert len(batch) == len(ORACLE_TEXTS)
         for row, text in zip(batch, ORACLE_TEXTS):
-            assert np.array_equal(row.view(np.uint32), hashing_embedding_reference(text, dim).view(np.uint32))
-            assert np.array_equal(row.view(np.uint32), embed_hashing(text, dim).view(np.uint32))
+            assert row.typecode == "f"
+            assert row.tobytes() == hashing_embedding_reference(text, dim).tobytes()
+            assert row.tobytes() == embed_hashing(text, dim).tobytes()
 
     @given(texts=st.lists(st.text(alphabet="aAb İßΣς\u00a0\x1c\x85\t", max_size=12), max_size=8),
            dim=st.sampled_from([2, 4096]))
     @settings(max_examples=60, deadline=None)
     def test_any_mix_of_texts_matches_reference(self, texts, dim):
         batch = HashingEmbedder(dim).embed_many(texts)
-        expected = np.array([hashing_embedding_reference(t, dim) for t in texts], np.float32).reshape(-1, dim)
-        assert np.array_equal(batch.view(np.uint32), expected.view(np.uint32))
+        assert [row.tobytes() for row in batch] == [hashing_embedding_reference(t, dim).tobytes() for t in texts]
+
+
+class TestRunsOfAPatientsWords:
+    """build-index splits each patient's lower-cased text once and embeds its chunks as runs of those words."""
+
+    def test_lower_never_moves_a_whitespace_boundary(self):
+        # no code point lower-cases into or out of whitespace
+        for char in map(chr, range(0x110000)):
+            assert char.lower().split() == ([] if char.isspace() else [char.lower()]), hex(ord(char))
+        # whitespace is neither cased nor case-ignorable, so a final sigma's context stops at it
+        for space in filter(str.isspace, map(chr, range(0x110000))):
+            assert ("AΣ" + space + "B").lower() == "aς" + space + "b"
+            assert ("A" + space + "Σ").lower() == "a" + space + "σ"
+
+    @pytest.mark.parametrize("max_words", [1, 3, 512])
+    def test_runs_equal_the_chunks_texts(self, max_words):
+        text = "\n\n".join(ORACLE_TEXTS)
+        runs = chunk_runs(text.lower().split(), max_words)
+        chunks = chunk_text(text, max_words)
+        assert [" ".join(run) for run in runs] == [c.text.lower() for c in chunks]
+        assert [row.tobytes() for row in hash_runs(runs, 64)] == \
+            [row.tobytes() for row in HashingEmbedder(64).embed_many([c.text for c in chunks])]
 
 
 class TestRemoteEmbedding:
@@ -171,6 +195,23 @@ class TestRemoteEmbedding:
         with pytest.raises(RemoteSchemaError, match=r"data\[0\].embedding"):
             RemoteEmbedder(api_server.url, "embed-small").embed("x")
 
+    @pytest.mark.parametrize("values", [["0.6", "0.8"], [True, False], [1.0, None], [[0.6, 0.8]]],
+                             ids=["strings", "bools", "null", "nested"])
+    def test_component_that_is_not_a_json_number_is_schema_error(self, api_server, values):
+        api_server.reset([(200, {"data": [{"embedding": values}]})])
+        with pytest.raises(RemoteSchemaError, match=r"data\[0\]\.embedding"):
+            RemoteEmbedder(api_server.url, "embed-small").embed("x")
+
+    @pytest.mark.parametrize("values", [[float("nan"), 1.0], [10 ** 400, 1]], ids=["nan", "int-past-float-range"])
+    def test_non_finite_component_is_schema_error(self, api_server, values):
+        api_server.reset([(200, {"data": [{"embedding": values}]})])
+        with pytest.raises(RemoteSchemaError, match=r"data\[0\]\.embedding: embedding contains non-finite values"):
+            RemoteEmbedder(api_server.url, "embed-small").embed("x")
+
+    def test_integer_components_are_numbers(self, api_server):
+        api_server.reset([(200, {"data": [{"embedding": [3, 4]}]})])
+        assert RemoteEmbedder(api_server.url, "embed-small").embed("x").tolist() == pytest.approx([0.6, 0.8])
+
     def test_zero_vector_rejected(self, api_server):
         api_server.reset([(200, {"data": [{"embedding": [0.0, 0.0]}]})])
         with pytest.raises(ZeroVectorError):
@@ -179,11 +220,11 @@ class TestRemoteEmbedding:
 
 class TestEmbedBatch:
     def test_empty_batch(self):
-        assert HashingEmbedder(8).embed_many([]).shape == (0, 8)
+        assert HashingEmbedder(8).embed_many([]) == []
 
     def test_empty_remote_batch_sends_no_request(self, api_server):
         api_server.reset([(200, {"data": []})])
-        assert RemoteEmbedder(api_server.url, "m", dim=8).embed_many([]).shape == (0, 8)
+        assert RemoteEmbedder(api_server.url, "m", dim=8).embed_many([]) == []
         assert api_server.requests == []
 
     def test_hashing_batch_equals_map(self):

@@ -1,11 +1,14 @@
 """Each command imports only the layers it runs, and the package root imports none.
 
 Every CLI command is a fresh process, so a module it imports without
-using (numpy is about 0.16 s, the HTTP stack about 0.03 s) is start-up
-time paid on every run. The metrics are computed on the standard
-library, so evaluate and delong load no numpy; only build-index and
-retrieve --mode rag need it. Only delong's exact variance needs
-``fractions`` (which loads ``decimal``), so evaluate loads neither.
+using (numpy was about 0.1 s, the HTTP stack is about 0.03 s) is start-up
+time paid on every run. The package runs on the standard library alone:
+no command loads numpy, build-index with workers and retrieve --mode rag
+included, and the demo chain writes its pinned bytes, and the remote
+embedder its index and contexts, where ``import numpy`` fails. Only
+build-index and retrieve --mode rag load ``embedding`` and ``vindex``.
+Only delong's exact variance needs ``fractions`` (which loads
+``decimal``), so evaluate loads neither.
 ``costmodel`` serves only the project command, and ``report`` only
 project, report and evaluate --roc-out. The records are named tuples,
 so neither an offline command nor the corpus generator loads
@@ -21,6 +24,7 @@ neither ``concurrent.futures.process`` nor ``multiprocessing``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -32,10 +36,15 @@ import pytest
 
 import budgetrag
 from budgetrag.synthetic import generate_corpus, write_corpus
+from budgetrag.vindex import VectorIndex
+
+from .oracles import index_rows
+from .test_cli import PINNED_CHAIN_SHA256, demo_chain
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNUSED_OFFLINE = ("numpy", "http.client", "urllib.request", "ssl", "email.utils", "concurrent.futures",
-                  "budgetrag.costmodel", "budgetrag.report", "dataclasses", "inspect")
+                  "budgetrag.costmodel", "budgetrag.report", "budgetrag.embedding", "budgetrag.vindex",
+                  "dataclasses", "inspect")
 
 # In a fresh interpreter: run the statement, then print which of UNUSED_OFFLINE got loaded.
 _PROBE = """
@@ -66,6 +75,15 @@ def test_offline_commands_load_no_numpy_http_or_thread_pool(tmp_path):
 
     probe("ingest", "--corpus", "{tmp}/corpus.jsonl", "--out", "{tmp}/proc.jsonl", "--max-words", "64")
     probe("retrieve", "--corpus", "{tmp}/proc.jsonl", "--mode", "long", "--out", "{tmp}/ctx.jsonl")
+    # build-index on two shares, one of them in a forked worker, loads the process pool, the embedders
+    # and the index, and nothing else of UNUSED_OFFLINE; retrieve --mode rag the embedders and the index
+    index_layers = ("budgetrag.embedding", "budgetrag.vindex")
+    two_shares = "from budgetrag import cli; cli._usable_cpus = lambda: 2; code = cli.main({argv!r})"
+    build = ["build-index", "--corpus", f"{tmp_path}/proc.jsonl", "--out", f"{tmp_path}/index.brag"]
+    unused = [m for m in UNUSED_OFFLINE if m not in ("concurrent.futures", *index_layers)]
+    assert _probe(two_shares.format(argv=build), unused) == {"code": 0, "loaded": []}
+    probe("retrieve", "--corpus", "{tmp}/proc.jsonl", "--mode", "rag", "--index", "{tmp}/index.brag",
+          "--out", "{tmp}/ctx_rag.jsonl", may_load=index_layers)
     probe("classify", "--contexts", "{tmp}/ctx.jsonl", "--out", "{tmp}/out.jsonl")
     probe("evaluate", "--outcomes", "{tmp}/out.jsonl", "--corpus", "{tmp}/proc.jsonl", "--out", "{tmp}/m.json")
     probe("delong", "--outcomes-a", "{tmp}/out.jsonl", "--outcomes-b", "{tmp}/out.jsonl",
@@ -100,11 +118,60 @@ def test_build_index_on_one_cpu_or_remote_loads_no_process_pool(tmp_path, api_se
               "--embedder", "remote", "--endpoint", api_server.url, "--model", "m"]
     one_cpu = ["build-index", "--corpus", proc, "--out", str(tmp_path / "one-cpu.brag")]
     pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})" if hasattr(os, "sched_setaffinity") else "pass"
-    pool = ("concurrent.futures.process", "multiprocessing")
+    unused = ("concurrent.futures.process", "multiprocessing", "numpy")
     for statement in (f"from budgetrag.cli import main; code = main({remote!r})",
                       f"import os; {pin}; from budgetrag.cli import main; code = main({one_cpu!r})"):
-        assert _probe(statement, pool) == {"code": 0, "loaded": []}, statement
+        assert _probe(statement, unused) == {"code": 0, "loaded": []}, statement
     assert len(api_server.requests) == 1
+
+
+# In a fresh interpreter where ``import numpy`` raises ImportError, as it does in the build-index
+# workers forked from it: run each argument list with build-index on two shares, print the exit codes.
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+sys.path.insert(0, sys.argv[1])
+from budgetrag import cli
+cli._usable_cpus = lambda: 2
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[2])]))
+"""
+
+
+def _run_without_numpy(chain: list[list[str]]) -> list[int]:
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(SRC), json.dumps(chain)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_demo_chain_writes_its_pinned_bytes_without_numpy(tmp_path):
+    write_corpus(tmp_path / "corpus.jsonl", generate_corpus(60, seed=0))
+    chain = demo_chain(tmp_path)
+    assert _run_without_numpy(chain) == [0] * len(chain)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == PINNED_CHAIN_SHA256
+
+
+def test_remote_embedder_runs_without_numpy(tmp_path, api_server):
+    write_corpus(tmp_path / "corpus.jsonl", generate_corpus(4, seed=0, notes_per_patient=1, blocks_per_note=4,
+                                                            block_words=32))
+    proc, index = str(tmp_path / "proc.jsonl"), str(tmp_path / "index.brag")
+    remote = ["--embedder", "remote", "--endpoint", api_server.url, "--model", "m"]
+    # 4 patients of 128 words: 8 chunks, chunk g in the direction (1, g); the query in the direction (1, 7)
+    api_server.reset([(200, {"data": [{"embedding": [1.0, float(g)]} for g in range(8)]}),
+                      (200, {"data": [{"embedding": [1.0, 7.0]}]})])
+    assert _run_without_numpy([
+        ["ingest", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", proc, "--max-words", "64"],
+        ["build-index", "--corpus", proc, "--out", index, *remote],
+        ["retrieve", "--corpus", proc, "--mode", "rag", "--index", index, "--budget-words", "64",
+         "--out", str(tmp_path / "ctx.jsonl"), *remote],
+    ]) == [0, 0, 0]
+    assert len(api_server.requests) == 2
+    loaded = VectorIndex.load(index)
+    assert [ref for ref, _ in index_rows(loaded)] == [(f"p{p:04d}", c) for p in range(4) for c in range(2)]
+    # each patient keeps the one chunk nearer the query: its second, (1, 2p + 1)
+    contexts = [json.loads(line) for line in (tmp_path / "ctx.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [ctx["selected_positions"] for ctx in contexts] == [[1]] * 4
 
 
 def test_corpus_generator_loads_no_numpy_or_http():

@@ -6,7 +6,7 @@ A function that writes the row storage itself skips those checks: a
 loader that did so accepted a checksum-valid file holding a NaN row, and
 ``search`` ranked it. So only ``VectorIndex.__init__``, which creates
 the empty storage, and ``add_many`` may assign, subscript-assign, delete
-or call a mutating method on ``_matrix``, ``_positions``,
+or call a mutating method on ``_vectors``, ``_positions``,
 ``_patient_ids`` or ``_rows``, anywhere in the package.
 """
 
@@ -16,15 +16,16 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "budgetrag"
-STORAGE = {"_matrix", "_positions", "_patient_ids", "_rows"}
+STORAGE = {"_vectors", "_positions", "_patient_ids", "_rows"}
 WRITERS = {"VectorIndex.__init__", "VectorIndex.add_many"}
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "update", "setdefault", "popitem", "sort",
-            "reverse", "fill", "resize", "put", "itemset", "__setitem__", "__delitem__"}
+            "reverse", "fill", "resize", "put", "itemset", "__setitem__", "__delitem__", "frombytes", "fromlist",
+            "byteswap"}
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _is_storage(expr: ast.expr) -> bool:
-    """``<obj>._rows`` or an item of it, such as ``<obj>._matrix[a:b]``."""
+    """``<obj>._rows`` or an item of it, such as ``<obj>._vectors[a:b]``."""
     while isinstance(expr, ast.Subscript):
         expr = expr.value
     return isinstance(expr, ast.Attribute) and expr.attr in STORAGE

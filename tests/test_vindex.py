@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import struct
 import tracemalloc
+from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,12 +74,14 @@ def crc32c_bitwise(data: bytes, crc: int = 0) -> int:
 
 
 def brute_force_search(index: VectorIndex, query: np.ndarray, k: int, filter_patient=None):
-    """Independent oracle: per-entry dot products, tuple sort."""
+    """Independent oracle: per-entry sums of the float64 products over every coordinate, in exact
+    rational arithmetic and rounded once, tuple sort."""
     scored = []
     for (pid, pos), vec in index_rows(index):
         if filter_patient is not None and pid != filter_patient:
             continue
-        score = float(np.dot(vec.astype(np.float64), np.asarray(query, dtype=np.float64)))
+        products = vec.astype(np.float64) * np.asarray(query, dtype=np.float64)
+        score = float(sum(map(Fraction, products.tolist())))
         scored.append(SearchHit(patient_id=pid, position=pos, score=score))
     scored.sort(key=lambda h: (-h.score, h.position, h.patient_id))
     return scored[:k]
@@ -230,9 +234,9 @@ class TestOneScoringPass:
     def _spy(monkeypatch):
         calls = []
 
-        def spy(matrix, query):
-            calls.append(len(matrix))
-            return score_rows(matrix, query)
+        def spy(vectors, query):
+            calls.append(len(vectors) // len(query))  # rows
+            return score_rows(vectors, query)
 
         score_rows = vindex.score_rows
         monkeypatch.setattr(vindex, "score_rows", spy)
@@ -279,17 +283,15 @@ class TestOneScoringPass:
         assert calls == [40, 40, 40, 41]
         assert (hits[0].position, hits[0].score) == (99, pytest.approx(1.0))
 
-    def test_a_later_batch_leaves_the_adopted_first_batch_alone(self):
-        # the first batch becomes the storage uncopied; the next one moves the rows to new storage
+    def test_the_index_keeps_its_own_copy_of_each_batch(self):
+        # a batch is copied into the storage: the caller may change its rows afterwards
         rows = random_unit_rows(np.random.default_rng(1), 3, 4)
         kept = rows.copy()
         index = VectorIndex(dim=4)
         index.add_many([("p", 0), ("p", 1), ("p", 2)], rows)
-        assert np.shares_memory(index_rows(index)[0][1], rows)
+        rows[:] = 0.5
         index.add_many([("q", 0), ("q", 1)], random_unit_rows(np.random.default_rng(2), 2, 4))
         index.add("q", 2, rows[0])
-        assert not np.shares_memory(index_rows(index)[0][1], rows)
-        assert np.array_equal(rows, kept)
         assert [vec.tolist() for _, vec in index_rows(index)[:3]] == kept.tolist()
 
     @staticmethod
@@ -311,6 +313,17 @@ class TestOneScoringPass:
         _, peak = self._peak(lambda: VectorIndex(dim=1024).add_many(keys, rows))
         assert peak <= rows.nbytes + self.KEY_BYTES * len(rows)
 
+    def test_a_batch_of_short_rows_costs_its_vectors_and_190_bytes_a_row(self):
+        # the many-short-records shape: 3,200 patients of 2 chunks at dim 64, as the embedder returns
+        # them; add_many checks duplicates one patient at a time, without a set of every key
+        texts = [" ".join(f"w{(i * 7 + j * j) % 301}" for j in range(64)) for i in range(6400)]
+        rows = HashingEmbedder(64).embed_many(texts)
+        keys = [(f"p{i // 2:04d}", i % 2) for i in range(6400)]
+        index = VectorIndex(dim=64)
+        _, peak = self._peak(lambda: index.add_many(keys, rows))
+        assert len(index) == 6400
+        assert peak <= 6400 * 64 * 4 + 190 * 6400
+
     def test_a_load_holds_the_file_and_one_copy_of_the_vectors(self, tmp_path):
         rows = random_unit_rows(np.random.default_rng(3), 500, 1024)
         index = VectorIndex(dim=1024, embedder_fingerprint="fp")
@@ -319,6 +332,20 @@ class TestOneScoringPass:
         loaded, peak = self._peak(lambda: VectorIndex.load(tmp_path / "i.brag"))
         assert peak <= (tmp_path / "i.brag").stat().st_size + rows.nbytes + self.KEY_BYTES * len(rows)
         assert loaded.to_bytes() == index.to_bytes()
+
+    def test_a_dense_query_is_scored_without_a_copy_of_the_rows(self):
+        # a remote service's vectors are dense: the pass holds one row and the scores, not a column per coordinate
+        rows = random_unit_rows(np.random.default_rng(5), 2000, 256)
+        vectors, query = array("f", rows.tobytes()), array("d", random_unit_rows(np.random.default_rng(6), 1, 256)[0])
+        scores, peak = self._peak(lambda: vindex.score_rows(vectors, query))
+        assert len(scores) == 2000
+        assert peak <= 48 * len(rows) + 64 * 256
+
+    def test_a_query_with_one_nonzero_coordinate_scores_that_column(self):
+        rows = random_unit_rows(np.random.default_rng(4), 5, 3)
+        vectors = array("f", rows.tobytes())
+        assert vindex.score_rows(vectors, array("d", [0.0, -2.0, 0.0])) == [-2.0 * float(v) for v in rows[:, 1]]
+        assert vindex.score_rows(vectors, array("d", [0.0] * 3)) == [0.0] * 5
 
 
 class TestSearch:
@@ -363,6 +390,13 @@ class TestSearch:
         index = VectorIndex(dim=2)
         index.add("p1", 0, unit([1, 0]))
         assert len(index.search(unit([0, 1]), k=10)) == 1
+
+    def test_non_finite_query_rejected(self):
+        index = VectorIndex(dim=2)
+        index.add("p1", 0, unit([1, 0]))
+        for query in ([np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(InvalidVectorError, match="query has non-finite values"):
+                index.search(query, k=1)
 
     def test_query_dim_mismatch(self):
         index = VectorIndex(dim=2)
@@ -447,6 +481,16 @@ class TestPersistence:
             assert vec_a.tobytes() == vec_b.tobytes()
         # canonical serialization is a fixed point
         assert loaded.to_bytes() == index.to_bytes()
+
+    def test_a_big_endian_host_swaps_each_float_both_ways(self, monkeypatch):
+        index = self._small_index()
+        blob = index.to_bytes()
+        monkeypatch.setattr(vindex, "_LITTLE_ENDIAN", False)  # this host's floats, read as a big-endian one's
+        swapped = index.to_bytes()
+        vector = HEADER_SIZE + 4 + len("pat-α".encode("utf-8")) + 4  # the first entry's vector field
+        assert swapped[vector:vector + 12] == b"".join(blob[i:i + 4][::-1] for i in range(vector, vector + 12, 4))
+        assert swapped[:HEADER_SIZE - 4] == blob[:HEADER_SIZE - 4] and len(swapped) == len(blob)
+        assert VectorIndex.from_bytes(swapped).to_bytes() == swapped
 
     def test_bad_magic(self, tmp_path):
         blob = self._small_index().to_bytes()
