@@ -27,20 +27,28 @@ file it would write (an output, or the run manifest) is also an input,
 an input's sidecar manifest, or another file it writes: that run would
 destroy the file.
 
-build-index cuts the processed rows into contiguous shares of patients,
-one per usable CPU (``os.sched_getaffinity``) and at most one per
-patient, and embeds each with ``_embed_share``: the first in this
-process, the others in workers that it forks; they hold the rows from
-the fork and exit if it dies, and a worker that dies is a data error
-naming its share's patients. The hashing embedder splits each patient's
-lower-cased text once and embeds its chunks as runs of those words, with
-no chunk text built. The index takes the first share's width, since a
-remote service chooses its vectors' width, and each share enters it with
-one ``add_many`` call, in patient order: this process adds its own while
-the workers finish theirs. The remote embedder, a host with one usable
-CPU and a platform without fork keep one share, in this process, so each
-remote request holds at most ``EMBED_BATCH`` chunks. The rows, and so
-the index bytes, depend neither on the batches nor on the shares.
+build-index with the hashing embedder cuts the processed rows into
+contiguous shares of patients, one per usable CPU
+(``os.sched_getaffinity``) and at most one per patient, and embeds each
+with ``_embed_share``: the first in this process, the others in workers
+that it forks; they hold the rows from the fork and exit if it dies, and
+a worker that dies is a data error naming its share's patients. A share
+splits each patient's lower-cased text once and embeds its chunks as
+runs of those words, with no chunk text built; its vectors come back in
+one ``array('f')``, so a worker's share crosses the pool as one buffer.
+Each share enters the index with one ``add_many`` call, in patient
+order: this process adds its own while the workers finish theirs. A host
+with one usable CPU and a platform without fork keep one share. The
+remote embedder runs in this process. It sends the chunk texts in
+batches of ``EMBED_BATCH`` across patients, the first batch alone, then
+up to ``EMBED_IN_FLIGHT`` at once, each request on a daemon thread of
+its own (``_in_flight``), so the service's round trips overlap. Each
+batch enters the index in batch order, whichever response arrives
+first, and the index takes the first batch's width, since the service
+chooses it. The first batch that fails stops new requests, and the
+command ends without waiting for those still open. The rows, and so the
+index bytes, depend neither on the batches, nor on the shares, nor on
+the order of the responses.
 retrieve --mode rag embeds ``--query`` once per run and ranks every
 patient's chunks against that one vector, from one scoring pass over the
 index. project reads the two arms' outcome files and projects each arm's
@@ -67,6 +75,7 @@ import os
 import sys
 import threading
 import time
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -83,6 +92,7 @@ if TYPE_CHECKING:
 
 _EXIT_CODES = {"usage": 1, "data": 2, "remote": 3}
 EMBED_BATCH = 64  # chunks per embed_many call: bounds a remote request's inputs and a hashing pass's tokens
+EMBED_IN_FLIGHT = 4  # remote embed_many calls build-index keeps open at once; below socketserver's listen backlog, 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -301,33 +311,29 @@ def _fork_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker)
 
 
-def _embed_share(args, start: int, stop: int):
-    """Embed the chunks of ``_build_rows[start:stop]``; return the embedder's fingerprint, the vectors'
-    width, the chunks' (patient_id, position) keys and their vectors, row for row. The hashing embedder
-    takes each patient's chunks as runs (``chunk_runs``) of one lower-cased split of its text; the remote one takes chunk
-    texts in batches of ``EMBED_BATCH`` across patients. A share with no chunks has the embedder's width,
-    ``--dim`` or the default."""
+def _embed_share(args, start: int, stop: int) -> tuple[list, array]:
+    """Hash the chunks of ``_build_rows[start:stop]``; return their (patient_id, position) keys and their
+    vectors end to end in one ``array('f')``, so that a worker's share crosses the pool as one buffer. Each
+    patient's chunks are runs (``chunk_runs``) of one lower-cased split of its text."""
     rows = _build_rows[start:stop]
     if len(rows) != stop - start:
         raise RuntimeError(f"{len(_build_rows)} rows are held, the share is rows {start}..{stop}")
-    embedder = _embedder_from_args(args)
-    keys, vectors = [], []
-    if args.embedder == "hashing":
-        from .embedding import hash_runs
+    from .embedding import hash_runs
 
-        for row in rows:
-            runs = chunk_runs(row["text"].lower().split(), row["max_words"])
-            vectors += hash_runs(runs, embedder.dim)
-            keys += [(row["patient_id"], position) for position in range(len(runs))]
-        return embedder.fingerprint, embedder.dim, keys, vectors
-    chunks = (chunk for row in rows for chunk in _chunks(row))
-    while batch := list(itertools.islice(chunks, EMBED_BATCH)):
-        embedded = embedder.embed_many([c.text for c in batch])
-        if vectors and len(embedded[0]) != len(vectors[0]):  # a remote service chooses the width per response
-            raise DimensionMismatchError(f"vectors of width {len(vectors[0])}, then {len(embedded[0])}")
-        vectors += embedded
-        keys += [(c.patient_id, c.position) for c in batch]
-    return embedder.fingerprint, len(vectors[0]) if vectors else embedder.dim, keys, vectors
+    dim = _embedder_from_args(args).dim
+    keys, vectors = [], array("f")
+    for row in rows:
+        runs = chunk_runs(row["text"].lower().split(), row["max_words"])
+        for vector in hash_runs(runs, dim):
+            vectors += vector
+        keys += [(row["patient_id"], position) for position in range(len(runs))]
+    return keys, vectors
+
+
+def _rows(vectors: array, dim: int) -> list[memoryview]:
+    """Views of the ``dim``-wide rows of ``vectors``, in order."""
+    view = memoryview(vectors)
+    return [view[start:start + dim] for start in range(0, len(vectors), dim)]
 
 
 def _share_result(future, first: str, last: str):
@@ -340,30 +346,107 @@ def _share_result(future, first: str, last: str):
         raise BudgetRagError(f"patients {first} to {last} were not embedded: {exc}") from exc
 
 
+def _hashed_index(args) -> VectorIndex:
+    """The hashing embedder's index of the chunks of ``_build_rows``, from contiguous shares of patients, one
+    per usable CPU: this process embeds the first, forked workers the others. Each share enters the index
+    with one ``add_many`` call, in patient order."""
+    from .vindex import VectorIndex
+
+    embedder = _embedder_from_args(args)
+    index = VectorIndex(dim=embedder.dim, embedder_fingerprint=embedder.fingerprint)
+    shares = max(1, min(_usable_cpus(), len(_build_rows)))
+    cuts = [len(_build_rows) * i // shares for i in range(shares + 1)]
+    with (_fork_pool(shares - 1) if shares > 1 else contextlib.nullcontext()) as pool:
+        futures = [(pool.submit(_embed_share, args, start, stop), _build_rows[start]["patient_id"],
+                    _build_rows[stop - 1]["patient_id"]) for start, stop in zip(cuts[1:-1], cuts[2:])]
+        del _build_rows[cuts[1]:]  # the workers hold these since the first submit forked them
+        keys, vectors = _embed_share(args, 0, cuts[1])
+        _build_rows.clear()
+        index.add_many(keys, _rows(vectors, index.dim))  # while the workers finish their shares
+        del keys, vectors
+        while futures:  # each holds its share until popped
+            keys, vectors = _share_result(*futures.pop(0))
+            index.add_many(keys, _rows(vectors, index.dim))
+            del keys, vectors
+    return index
+
+
+def _in_flight(call, items, limit: int):
+    """Yield ``(item, call(item))`` for each of ``items``, in their order.
+
+    The first call runs on this thread, alone: a service that refuses every request fails once, and the
+    first request's one-off work (the HTTP stack's import) is this thread's. Then up to ``limit`` calls run
+    at once, each on a daemon thread of its own, and at most ``limit`` results are held. The first call that
+    raises stops new calls, and its exception is raised here: the calls still running are waited for
+    neither here nor when the process exits."""
+    import queue
+
+    finished, held, items = queue.SimpleQueue(), {}, iter(items)
+
+    def run(number, item):
+        try:
+            finished.put((number, item, call(item), None))
+        except BaseException as exc:  # raised again by the consumer, as if the call had been its own
+            finished.put((number, item, None, exc))
+
+    def take(block: bool) -> None:
+        number, item, result, exc = finished.get(block)
+        if exc is not None:
+            raise exc
+        held[number] = item, result
+
+    if (first := next(items, None)) is not None:
+        yield first, call(first)
+    sent = 0
+    for taken in itertools.count():
+        while not finished.empty():  # a call that failed since the last look stops new calls
+            take(False)
+        while sent < taken + limit and (item := next(items, None)) is not None:
+            threading.Thread(target=run, args=(sent, item), daemon=True).start()
+            sent += 1
+        while taken < sent and taken not in held:
+            take(True)
+        if taken == sent:
+            return
+        yield held.pop(taken)
+
+
+def _remote_index(args) -> VectorIndex:
+    """The remote embedder's index of the chunks of ``_build_rows``, sent in batches of ``EMBED_BATCH``
+    chunks across patients, ``EMBED_IN_FLIGHT`` requests at once. Each batch enters the index in batch
+    order, so the rows are in patient/position order whichever response comes first; the first batch's
+    width is the index's, since the service chooses it. A row of ``_build_rows`` is let go once its chunks
+    are cut."""
+    from .vindex import VectorIndex
+
+    embedder = _embedder_from_args(args)
+
+    def patients():  # popped, so that each row is let go once its chunks are cut
+        _build_rows.reverse()
+        while _build_rows:
+            yield _build_rows.pop()
+
+    chunks = (chunk for row in patients() for chunk in _chunks(row))
+    batches = iter(lambda: list(itertools.islice(chunks, EMBED_BATCH)), [])
+    index = None
+    for batch, vectors in _in_flight(lambda batch: embedder.embed_many([c.text for c in batch]), batches,
+                                     EMBED_IN_FLIGHT):
+        if index is None:
+            index = VectorIndex(dim=len(vectors[0]), embedder_fingerprint=embedder.fingerprint)
+        elif len(vectors[0]) != index.dim:  # a remote service chooses the width per response
+            raise DimensionMismatchError(f"vectors of width {index.dim}, then {len(vectors[0])}")
+        index.add_many([(c.patient_id, c.position) for c in batch], vectors)
+    return VectorIndex(dim=embedder.dim, embedder_fingerprint=embedder.fingerprint) if index is None else index
+
+
 def cmd_build_index(args) -> dict:
     if args.embedder == "remote" and not args.endpoint:  # before any row is read or a worker forked
         raise UsageError("--embedder remote requires --endpoint")
     _build_rows[:] = _read_processed(args.corpus)
-    # Contiguous shares of patients, one per usable CPU: this process embeds the first, forked
-    # workers the others. A remote embedder keeps one share, so that each of its requests holds
-    # EMBED_BATCH chunks across patients.
-    shares = max(1, min(_usable_cpus(), len(_build_rows))) if args.embedder == "hashing" else 1
-    cuts = [len(_build_rows) * i // shares for i in range(shares + 1)]
-    from .vindex import VectorIndex
-
-    with (_fork_pool(shares - 1) if shares > 1 else contextlib.nullcontext()) as pool:
-        try:
-            futures = [(pool.submit(_embed_share, args, start, stop), _build_rows[start]["patient_id"],
-                        _build_rows[stop - 1]["patient_id"]) for start, stop in zip(cuts[1:-1], cuts[2:])]
-            del _build_rows[cuts[1]:]  # the workers hold these since the first submit forked them
-            fingerprint, width, keys, vectors = _embed_share(args, 0, cuts[1])
-        finally:
-            _build_rows.clear()
-        index = VectorIndex(dim=width, embedder_fingerprint=fingerprint)
-        index.add_many(keys, vectors)  # while the workers finish their shares
-        del keys, vectors
-        while futures:  # each holds its share until popped
-            index.add_many(*_share_result(*futures.pop(0))[2:])
+    try:
+        index = _remote_index(args) if args.embedder == "remote" else _hashed_index(args)
+    finally:
+        _build_rows.clear()
     index.save(args.out)
     return {
         "config": {"embedder": args.embedder, "dim": index.dim, "model": args.model},

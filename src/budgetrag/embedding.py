@@ -22,7 +22,11 @@ Two embedders are supported; the CLI constructs the one its
 * ``RemoteEmbedder(endpoint, model_name)`` -- an embeddings-API
   endpoint speaking the usual shape: request
   ``{"model": str, "input": [str]}``, response
-  ``{"data": [{"embedding": [number]}]}``.
+  ``{"data": [{"index": int, "embedding": [number]}]}``. When the items
+  carry ``index``, every one must, the indexes must be the ints 0..n-1,
+  each once, and each vector belongs to the input at its index, in
+  whatever order the items come; items without ``index`` are taken in
+  the inputs' order.
 
 All produced embeddings are ``array('f')`` rows (float32), unit-normalized
 (L2 norm within 1e-5 of 1). ``embed_many`` returns a list of them, one per
@@ -118,16 +122,23 @@ def _normalize(values, *, context: str) -> array:
 
 
 def _extract_embeddings(response: dict, expected: int) -> list[array]:
+    """The vectors of the response's ``data`` items, one per input: each at its ``index`` when the items carry
+    one, else at its place in the list."""
     if "data" not in response:
         raise RemoteSchemaError("response is missing 'data'")
     data = response["data"]
     if not isinstance(data, list) or len(data) != expected:
         raise RemoteSchemaError(f"response 'data' must be a list of {expected} items")
-    out = []
+    indexed = any(isinstance(item, dict) and "index" in item for item in data)
+    out: list = [None] * expected
     for i, item in enumerate(data):
         if not isinstance(item, dict) or "embedding" not in item:
             raise RemoteSchemaError(f"response is missing 'data[{i}].embedding'")
-        out.append(_normalize(item["embedding"], context=f"data[{i}].embedding"))
+        at = item.get("index") if indexed else i
+        if type(at) is not int or not 0 <= at < expected or out[at] is not None:  # a bool is not an index
+            raise RemoteSchemaError(f"response 'data[{i}].index' must be a new int in [0, {expected}) when "
+                                    f"any item has an index, got {at!r:.40}")
+        out[at] = _normalize(item["embedding"], context=f"data[{i}].embedding")
     lengths = {len(vec) for vec in out}
     if len(lengths) > 1:
         raise RemoteSchemaError(f"response embeddings differ in length: {sorted(lengths)}")

@@ -27,6 +27,7 @@ from .errors import BudgetRagError, CorpusFormatError, FingerprintMismatchError
 
 EPOCH = "1970-01-01T00:00:00Z"
 _ENCODER = json.JSONEncoder(ensure_ascii=False)  # json.dumps(row, ensure_ascii=False) would build one per row
+_ASCII_ENCODER = json.JSONEncoder()  # ensure_ascii: every character past "~" as \uXXXX, by a faster escaper
 
 
 def utc_now(deterministic: bool = False) -> str:
@@ -44,10 +45,18 @@ def sha256_file(path: str | Path) -> str:
 
 
 def write_jsonl(path: str | Path, rows) -> None:
-    """Write one JSON object per line."""
+    """Write one JSON object per line, non-ASCII text unescaped.
+
+    A row is encoded with the ASCII encoder first. A line with no ``\\u`` holds no character that the two
+    encoders write differently (a non-ASCII or DEL character), so it is the unescaped encoder's line too;
+    any other line is encoded again without the escapes.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(_ENCODER.encode(row) + "\n")
+            line = _ASCII_ENCODER.encode(row)
+            if "\\u" in line:
+                line = _ENCODER.encode(row)
+            fh.write(line + "\n")
 
 
 def read_jsonl(path: str | Path, what: str, parse) -> list:

@@ -48,9 +48,12 @@ field past its end) is an ``IndexFormatError``, and last
 checks its rows with ``add_many``: a repeated key or a row that is not a
 finite unit vector is an ``IndexFormatError`` as well. Version 1
 files (no length, no header checksum) are rejected with a hint to
-rebuild them with ``build-index``. ``to_bytes`` joins the file once, the
-vectors straight from a byte view of the storage, then packs the header
-and checksums in place. ``from_bytes`` reads the fields inline, without a
+rebuild them with ``build-index``. ``save`` writes the file in pieces:
+the header, whose length is known beforehand, the body about
+``SAVE_PIECE`` bytes at a time, each piece joined from a byte view of
+the storage and checksummed on from the last, then the trailer, so it
+holds one piece of the file besides the index; ``to_bytes`` joins the
+same pieces. ``from_bytes`` reads the fields inline, without a
 call per field, and hands ``add_many`` each vector as a view of the file,
 which it copies once, into the index's storage: a load holds the file and
 one copy of the vectors. The file's floats are little-endian; a
@@ -112,6 +115,7 @@ for _n in range(256):
     _CRC32C_TABLE.append(_c)
 
 CRC_BLOCK = 512
+SAVE_PIECE = 1 << 18  # body bytes that save joins and checksums at a time
 
 
 def crc32c(data, crc: int = 0) -> int:
@@ -349,22 +353,41 @@ class VectorIndex:
     # --- persistence ---------------------------------------------------
 
     def to_bytes(self) -> bytearray:
+        return bytearray().join(self._pieces())
+
+    def _pieces(self):
+        """The file, in order: the header, the body in pieces of about ``SAVE_PIECE`` bytes, each joined from
+        a byte view of the storage and checksummed on from the one before, and the trailer."""
         n, row = len(self), 4 * self.dim
-        # a byte view of the storage (a copy only on a big-endian host); join copies it once, into the file
+        # a byte view of the storage (a copy only on a big-endian host)
         vectors = memoryview(self._vectors if _LITTLE_ENDIAN else _byteswapped(self._vectors)).cast("B")
         pid_fields = {pid: _length_prefixed(pid) for pid in self._rows}
-        parts = [bytes(HEADER_SIZE)]  # the header and its checksum, packed in place once the length is known
+        fingerprint = _length_prefixed(self.embedder_fingerprint)
+        length = (HEADER_SIZE + sum(len(pid_fields[pid]) * len(rows) for pid, rows in self._rows.items())
+                  + n * (4 + row) + len(fingerprint) + 4)
+        header = bytearray(HEADER_SIZE)
+        _HEADER.pack_into(header, 0, MAGIC, FORMAT_VERSION, self.dim, n, length)
+        _U32.pack_into(header, _HEADER.size, crc32c(memoryview(header)[:_HEADER.size]))
+        yield header
+        crc, parts, size = 0, [], 0
         for pid, pos, start in zip(self._patient_ids, self._positions, range(0, n * row, row)):
-            parts += (pid_fields[pid], _U32.pack(pos), vectors[start:start + row])
-        parts += (_length_prefixed(self.embedder_fingerprint), bytes(4))
-        blob = bytearray().join(parts)
-        _HEADER.pack_into(blob, 0, MAGIC, FORMAT_VERSION, self.dim, n, len(blob))
-        _U32.pack_into(blob, _HEADER.size, crc32c(memoryview(blob)[:_HEADER.size]))
-        _U32.pack_into(blob, len(blob) - 4, crc32c(memoryview(blob)[HEADER_SIZE:-4]))
-        return blob
+            field = pid_fields[pid]
+            parts += (field, _U32.pack(pos), vectors[start:start + row])
+            size += len(field) + 4 + row
+            if size >= SAVE_PIECE:
+                piece = b"".join(parts)
+                crc = crc32c(piece, crc)
+                yield piece
+                parts, size = [], 0
+        parts.append(fingerprint)
+        piece = b"".join(parts)
+        yield piece
+        yield _U32.pack(crc32c(piece, crc))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        """Write the file piece by piece: it holds one piece of the body besides the index."""
+        with open(path, "wb") as fh:
+            fh.writelines(self._pieces())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "VectorIndex":

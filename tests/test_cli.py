@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -986,43 +987,84 @@ class TestRetrieveValidation:
 
 
 class TestBuildIndexBatching:
-    """build-index embeds chunks in batches of EMBED_BATCH across patients: one remote request per batch."""
+    """build-index embeds chunks in batches of EMBED_BATCH across patients: one remote request per batch.
+    After the first batch, sent alone, up to EMBED_IN_FLIGHT requests are open at once, and the rows enter
+    the index in patient/position order whichever response comes first. The stub answers each request by
+    its inputs, whatever the order in which the requests arrive."""
 
     PATIENTS, CHUNKS = 3, 50
 
-    @pytest.fixture
-    def corpus(self, tmp_path):
-        # 3 patients of 50 one-word chunks: the batches hold chunks 0-63, 64-127
+    @classmethod
+    def _corpus(cls, tmp_path, patients=PATIENTS):
+        # patients of 50 one-word chunks; with 3, the batches hold chunks 0-63, 64-127
         # and 128-149, so p1 straddles the first boundary and p2 the second
-        rows = [{"patient_id": f"p{p}", "label": p % 2, "max_words": 1, "word_count": self.CHUNKS,
-                 "text": " ".join(f"w{p}x{i}" for i in range(self.CHUNKS))} for p in range(self.PATIENTS)]
+        rows = [{"patient_id": f"p{p}", "label": p % 2, "max_words": 1, "word_count": cls.CHUNKS,
+                 "text": " ".join(f"w{p}x{i}" for i in range(cls.CHUNKS))} for p in range(patients)]
         path = tmp_path / "proc.jsonl"
         path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         return path
 
-    def _build(self, corpus, api_server, script, expected_code):
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        return self._corpus(tmp_path)
+
+    def _build(self, corpus, api_server, script, expected_code, out="i.brag"):
         api_server.reset(script)
-        run(expected_code, "build-index", "--corpus", corpus, "--out", corpus.parent / "i.brag",
+        run(expected_code, "build-index", "--corpus", corpus, "--out", corpus.parent / out,
             "--embedder", "remote", "--endpoint", api_server.url, "--model", "m")
 
-    @staticmethod
-    def _response(first, count):
-        # chunk g of the corpus gets the direction (1, g)
-        return 200, {"data": [{"embedding": [1.0, float(g)]} for g in range(first, first + count)]}
+    @classmethod
+    def _chunk(cls, text: str) -> int:
+        """The corpus-wide number of the chunk w{p}x{i}."""
+        patient, position = text[1:].split("x")
+        return int(patient) * cls.CHUNKS + int(position)
 
-    def test_one_request_per_batch_across_patients(self, corpus, api_server):
+    @classmethod
+    def _batch(cls, body) -> int:
+        return cls._chunk(body["input"][0]) // 64
+
+    @classmethod
+    def _answer(cls, body, width=2):
+        # chunk g gets the direction (1, g), padded with zeros to the width
+        return 200, {"data": [{"embedding": [1.0, float(cls._chunk(text))] + [0.0] * (width - 2)}
+                              for text in body["input"]]}
+
+    @staticmethod
+    def _wait(condition, timeout=5.0):
+        deadline = time.monotonic() + timeout
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.002)
+
+    def _request_of(self, api_server, batch: int) -> int | None:
+        """The number of the request that sent ``batch``; None before it arrives."""
+        return next((i for i, (_, _, body) in enumerate(api_server.requests) if self._batch(body) == batch), None)
+
+    def _stopped_at(self, api_server, batch: int) -> None:
+        """No request opened once the response to ``batch``, the one that failed, was being written, and no
+        more than EMBED_IN_FLIGHT were open at once."""
+        from budgetrag.cli import EMBED_IN_FLIGHT
+
+        events = api_server.events
+        assert [kind for kind, _ in events[events.index(("answer", self._request_of(api_server, batch))):]
+                if kind == "open"] == []
+        assert api_server.max_open <= EMBED_IN_FLIGHT
+
+    def _assert_rows(self, path, patients):
         from budgetrag.vindex import VectorIndex
 
-        self._build(corpus, api_server, [self._response(0, 64), self._response(64, 64), self._response(128, 22)], 0)
-        inputs = [body["input"] for _, _, body in api_server.requests]
-        assert [len(batch) for batch in inputs] == [64, 64, 22]
-        texts = [f"w{p}x{i}" for p in range(self.PATIENTS) for i in range(self.CHUNKS)]
-        assert [text for batch in inputs for text in batch] == texts
-        rows = index_rows(VectorIndex.load(corpus.parent / "i.brag"))
-        assert [ref for ref, _ in rows] == [(f"p{p}", i) for p in range(self.PATIENTS) for i in range(self.CHUNKS)]
+        rows = index_rows(VectorIndex.load(path))
+        assert [ref for ref, _ in rows] == [(f"p{p}", i) for p in range(patients) for i in range(self.CHUNKS)]
         for g, (_, vec) in enumerate(rows):
             direction = np.array([1.0, g])
             assert np.array_equal(vec, (direction / np.linalg.norm(direction)).astype(np.float32))
+
+    def test_one_request_per_batch_across_patients(self, corpus, api_server):
+        self._build(corpus, api_server, [self._answer], 0)
+        inputs = sorted((body["input"] for _, _, body in api_server.requests), key=lambda batch: self._chunk(batch[0]))
+        assert [len(batch) for batch in inputs] == [64, 64, 22]
+        texts = [f"w{p}x{i}" for p in range(self.PATIENTS) for i in range(self.CHUNKS)]
+        assert [text for batch in inputs for text in batch] == texts  # each chunk sent once
+        self._assert_rows(corpus.parent / "i.brag", self.PATIENTS)
 
     @pytest.mark.parametrize("rows", [0, 2])
     @pytest.mark.parametrize("dim", [None, 8])
@@ -1032,7 +1074,7 @@ class TestBuildIndexBatching:
         corpus = tmp_path / "proc.jsonl"
         corpus.write_text("".join(json.dumps({"patient_id": f"p{p}", "label": 0, "max_words": 1, "word_count": 0,
                                               "text": ""}) + "\n" for p in range(rows)), encoding="utf-8")
-        api_server.reset([self._response(0, 1)])
+        api_server.reset([(200, {"data": [{"embedding": [1.0, 0.0]}]})])
         run(0, "build-index", "--corpus", corpus, "--out", tmp_path / "i.brag", "--embedder", "remote",
             "--endpoint", api_server.url, "--model", "m", *(["--dim", dim] if dim else []))
         index = VectorIndex.load(tmp_path / "i.brag")
@@ -1040,24 +1082,123 @@ class TestBuildIndexBatching:
 
     @pytest.mark.parametrize("bad", ["short-data", "ragged-rows"])
     def test_bad_response_is_exit_3_and_leaves_no_output(self, corpus, api_server, capsys, bad):
-        second = self._response(64, 63) if bad == "short-data" else self._response(64, 64)
-        if bad == "ragged-rows":
-            second[1]["data"][10]["embedding"].append(0.5)
-        self._build(corpus, api_server, [self._response(0, 64), second, self._response(128, 22)], 3)
+        def answer(body):
+            status, payload = self._answer(body)
+            if self._batch(body) == 1:  # the second batch, answered once the third has arrived
+                self._wait(lambda: len(api_server.requests) == 3)
+                if bad == "short-data":
+                    payload["data"].pop()
+                else:
+                    payload["data"][10]["embedding"].append(0.5)
+            return status, payload
+
+        self._build(corpus, api_server, [answer], 3)
         err = json.loads(capsys.readouterr().err.strip())
         assert (err["error"], err["category"]) == ("RemoteSchemaError", "remote")
-        assert len(api_server.requests) == 2
+        self._stopped_at(api_server, 1)
         assert list(corpus.parent.iterdir()) == [corpus]
 
     def test_widths_that_differ_across_batches_are_exit_2_and_leave_no_output(self, corpus, api_server, capsys):
-        second = 200, {"data": [{"embedding": [1.0, float(g), 0.0]} for g in range(64, 128)]}
-        self._build(corpus, api_server, [self._response(0, 64), second, self._response(128, 22)], 2)
+        def answer(body):
+            if self._batch(body) == 1:  # the second batch, answered once the third has arrived
+                self._wait(lambda: len(api_server.requests) == 3)
+                return self._answer(body, width=3)
+            return self._answer(body)
+
+        self._build(corpus, api_server, [answer], 2)
         [line] = capsys.readouterr().err.splitlines()
         err = json.loads(line)
         assert (err["error"], err["category"]) == ("DimensionMismatchError", "data")
         assert "vectors of width 2, then 3" in err["message"]
-        assert len(api_server.requests) == 2
+        self._stopped_at(api_server, 1)
         assert list(corpus.parent.iterdir()) == [corpus]
+
+    def test_items_placed_by_their_index_give_the_in_order_bytes(self, corpus, api_server):
+        def reversed_with_index(body):
+            status, payload = self._answer(body)
+            payload["data"] = [{**item, "index": i} for i, item in enumerate(payload["data"])][::-1]
+            return status, payload
+
+        self._build(corpus, api_server, [self._answer], 0, out="plain.brag")
+        self._build(corpus, api_server, [reversed_with_index], 0, out="indexed.brag")
+        assert (corpus.parent / "indexed.brag").read_bytes() == (corpus.parent / "plain.brag").read_bytes()
+
+    def test_requests_overlap_up_to_the_limit(self, tmp_path, api_server):
+        from budgetrag.cli import EMBED_IN_FLIGHT
+
+        corpus = self._corpus(tmp_path, patients=8)  # 400 chunks: 7 batches
+
+        def answer(body):  # the second and third batches, in whichever order they arrive, wait for each other
+            if self._batch(body) in (1, 2):
+                self._wait(lambda: api_server.max_open >= 2)
+            return self._answer(body)
+
+        self._build(corpus, api_server, [answer], 0)
+        assert 1 < api_server.max_open <= EMBED_IN_FLIGHT
+        assert sorted(map(self._batch, (body for _, _, body in api_server.requests))) == list(range(7))
+        self._assert_rows(tmp_path / "i.brag", 8)
+
+    def test_rows_enter_in_batch_order_whichever_response_comes_first(self, tmp_path, api_server, monkeypatch):
+        from budgetrag import cli
+
+        corpus = self._corpus(tmp_path, patients=8)  # 7 batches: the first alone, then 1-4 at once
+
+        def last_first(body):  # batches 1-3 each wait until the next one's response is written
+            batch = self._batch(body)
+            if 1 <= batch < cli.EMBED_IN_FLIGHT:
+                self._wait(lambda: ("done", self._request_of(api_server, batch + 1)) in api_server.events)
+            return self._answer(body)
+
+        self._build(corpus, api_server, [last_first], 0)
+        answered = [self._batch(api_server.requests[i][2]) for kind, i in api_server.events if kind == "answer"]
+        assert answered[:cli.EMBED_IN_FLIGHT + 1] == [0, *range(cli.EMBED_IN_FLIGHT, 0, -1)]
+        self._assert_rows(tmp_path / "i.brag", 8)
+        monkeypatch.setattr(cli, "EMBED_IN_FLIGHT", 1)
+        self._build(corpus, api_server, [self._answer], 0, out="one-at-a-time.brag")
+        assert api_server.max_open == 1
+        assert (tmp_path / "i.brag").read_bytes() == (tmp_path / "one-at-a-time.brag").read_bytes()
+
+    def test_a_failed_batch_ends_the_run_without_waiting_for_the_others(self, tmp_path, api_server):
+        corpus = self._corpus(tmp_path, patients=8)  # 7 batches: the first alone, then 1-4 at once
+        release = threading.Event()
+
+        def answer(body):  # batch 1 is held for 5 s; batch 2 fails once batches 3 and 4 have arrived
+            batch = self._batch(body)
+            if batch == 1:
+                release.wait(5)
+            elif batch == 2:
+                self._wait(lambda: len(api_server.requests) == 5)
+                return 400, {"error": "bad input"}
+            return self._answer(body)
+
+        api_server.reset([answer])
+        argv = ["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "i.brag"), "--embedder", "remote",
+                "--endpoint", api_server.url, "--model", "m"]
+        started = time.monotonic()
+        try:
+            done = subprocess.run([sys.executable, "-m", "budgetrag.cli", *argv], capture_output=True, text=True,
+                                  timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)))
+            elapsed = time.monotonic() - started
+            self._stopped_at(api_server, 2)
+        finally:
+            release.set()
+            assert api_server.wait_idle(10)
+        assert done.returncode == 3, done.stderr
+        err = json.loads(done.stderr)
+        assert (err["error"], err["category"]) == ("RemoteServiceError", "remote")
+        assert "HTTP 400" in err["message"]
+        assert elapsed < 4, elapsed  # batch 1's response was still 5 s away
+        assert list(tmp_path.iterdir()) == [corpus]
+
+
+def test_in_flight_requests_stay_below_the_listen_backlog():
+    """A server on socketserver's default listen backlog (``request_queue_size``, 5), as both stubs are, queues
+    that many connections; more at once wait out SYN retransmits."""
+    import socketserver
+
+    from budgetrag.cli import EMBED_IN_FLIGHT
+
+    assert 1 < EMBED_IN_FLIGHT < socketserver.TCPServer.request_queue_size
 
 
 # In a fresh interpreter (a fork of the test process would copy its threads' state): run

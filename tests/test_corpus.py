@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from budgetrag import manifest
 from budgetrag.corpus import (
     DEFAULT_NOTE_TYPES,
     ClinicalNote,
@@ -260,3 +261,23 @@ def test_read_jsonl_names_path_what_and_line_of_each_fault(tmp_path, line, parse
         read_jsonl(path, "test rows", parse)
     assert str(err.value) == f"{path}: test rows line 3: {message}"
     assert type(err.value.__cause__) is cause if cause else err.value.__cause__ is None
+
+
+@pytest.mark.parametrize("text", ["plain words", "caf\u00e9", "\u2028", "\x7f", "tab\tand\nnewline", "\x01", "\x1f",
+                                  "a\\u0041", "\\u", "\\", 'a "quote"', "\U0001f600", "\ud800", ""],
+                         ids=["ascii", "latin-1", "line-separator", "del", "short-escapes", "control", "unit-separator",
+                              "backslash-u-escape", "backslash-u", "backslash", "quote", "astral", "lone-surrogate",
+                              "empty"])
+def test_write_jsonl_writes_the_unescaped_encoders_line(tmp_path, text):
+    """write_jsonl tries the ASCII encoder first; its lines equal those of json.JSONEncoder(ensure_ascii=False)."""
+    rows = [{"text": text, text: [text, 1.5, None, True]}, {"patient_id": "p1", "n": 2}]
+    expected = "".join(json.JSONEncoder(ensure_ascii=False).encode(row) + "\n" for row in rows)
+    path = tmp_path / "rows.jsonl"
+    if "\ud800" in text:  # no UTF-8 file can hold it, with either encoder
+        with pytest.raises(UnicodeEncodeError):
+            expected.encode("utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            manifest.write_jsonl(path, rows)
+        return
+    manifest.write_jsonl(path, rows)
+    assert path.read_bytes() == expected.encode("utf-8")

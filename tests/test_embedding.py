@@ -250,6 +250,21 @@ class TestEmbedBatch:
         for got, expected in zip(batched, singles):
             assert np.array_equal(got, expected)
 
+    def test_items_are_placed_by_their_index(self, api_server):
+        api_server.reset([(200, {"data": [{"index": 2, "embedding": [0.0, 1.0]}, {"index": 0, "embedding": [3.0, 4.0]},
+                                          {"index": 1, "embedding": [1.0, 0.0]}]})])
+        batch = RemoteEmbedder(api_server.url, "m").embed_many(["a", "b", "c"])
+        assert [vec.tolist() for vec in batch] == [pytest.approx([0.6, 0.8]), [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("indexes", [[0, 0], [0, None], [True, 0], [0, 2], [-1, 1], [0.0, 1], ["0", 1]],
+                             ids=["repeated", "missing", "bool", "past-the-end", "negative", "float", "string"])
+    def test_indexes_other_than_each_input_once_are_schema_errors_naming_the_item(self, api_server, indexes):
+        data = [{"embedding": [1.0, 0.0]} if at is None else {"index": at, "embedding": [1.0, 0.0]} for at in indexes]
+        bad = next(i for i, at in enumerate(indexes) if type(at) is not int or at not in (0, 1) or at in indexes[:i])
+        api_server.reset([(200, {"data": data})])
+        with pytest.raises(RemoteSchemaError, match=rf"'data\[{bad}\]\.index' must be a new int in \[0, 2\)"):
+            RemoteEmbedder(api_server.url, "m").embed_many(["a", "b"])
+
     def test_batch_error_names_element_index(self, api_server):
         api_server.reset([(200, {"data": [{"embedding": [1.0, 0.0]}, {"bad": 1}]})])
         with pytest.raises(RemoteSchemaError, match=r"data\[1\]"):
