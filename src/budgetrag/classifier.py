@@ -25,7 +25,7 @@ from typing import NamedTuple, get_type_hints
 from .errors import BudgetRagError, ResponseParseError
 from .manifest import check_types, check_unique, read_jsonl, write_jsonl
 from .remote import DEFAULT_MAX_ATTEMPTS, post_json
-from .retrieval import DEFAULT_COMPLICATION_KEYWORDS, AssembledContext
+from .retrieval import DEFAULT_COMPLICATION_KEYWORDS, AssembledContext, check_mode
 
 # Only the {context} placeholder is substituted (plain replace, so the
 # JSON braces below need no escaping).
@@ -260,8 +260,10 @@ def write_outcomes(path, batch: BatchResult) -> None:
 def _outcome_row(obj: dict) -> ClassificationOutcome | FailedClassification:
     if "failed" in obj:  # written only as "failed": true
         check_types(obj, _FAILURE_FIELDS)
+        check_mode(obj)
         return FailedClassification(*[obj[key] for key in _FAILURE_FIELDS])
     check_types(obj, _OUTCOME_FIELDS)
+    check_mode(obj)
     if not math.isfinite(obj["score"]):  # json reads NaN and Infinity
         raise ValueError(f"'score' must be finite, got {obj['score']!r}")
     for key in ("prompt_words", "latency_ms"):  # summed and averaged as floats by project

@@ -50,11 +50,12 @@ command ends without waiting for those still open. The rows, and so the
 index bytes, depend neither on the batches, nor on the shares, nor on
 the order of the responses.
 retrieve --mode rag embeds ``--query`` once per run and ranks every
-patient's chunks against that one vector, from one scoring pass over the
-index. project reads the two arms' outcome files and projects each arm's
-mean prompt words and latency per patient
-(``costmodel.summarize_usage``) over ``--counts`` patients; the token
-saving it records does not depend on ``--price-per-million``.
+patient's chunks against that one vector, with one search per patient
+that scores only that patient's rows, so each row is scored once.
+project reads the two arms' outcome files and projects each arm's mean
+prompt words and latency per patient (``costmodel.summarize_usage``)
+over ``--counts`` patients; the token saving it records does not depend
+on ``--price-per-million``.
 
 Exit codes, each failure reported as one JSON object on stderr:
 0 success; 1 usage error (a bad flag value or flag combination);
@@ -91,7 +92,7 @@ if TYPE_CHECKING:
     from .vindex import VectorIndex
 
 _EXIT_CODES = {"usage": 1, "data": 2, "remote": 3}
-EMBED_BATCH = 64  # chunks per embed_many call: bounds a remote request's inputs and a hashing pass's tokens
+EMBED_BATCH = 64  # chunks per remote embed_many call: bounds a request's inputs
 EMBED_IN_FLIGHT = 4  # remote embed_many calls build-index keeps open at once; below socketserver's listen backlog, 5
 
 

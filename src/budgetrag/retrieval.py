@@ -9,10 +9,10 @@ of the patient, and budget filling is greedy in rank order with skip: a
 chunk that does not fit the remaining budget is skipped and scanning
 continues down the ranking. Chunks are never truncated.
 
-The ranking is the index's: each patient's ``VectorIndex.search`` reads
-that patient's hits from one scoring pass over every row, which the
-first search with the query makes, so a run over all patients scores
-each row once. The hits are matched to the patient's chunks by
+The ranking is the index's: each patient's ``VectorIndex.search``,
+filtered to that patient, scores only the patient's rows, so a run over
+all patients scores each row once. Every patient is searched, one with
+no chunks too, and the hits are matched to the patient's chunks by
 position. An index entry without a chunk, or a chunk without an index
 entry, is a data error that names the patient and the positions; a
 patient with chunks and no index entry at all is a
@@ -97,14 +97,12 @@ def assemble_rag_from_chunks(patient_id: str, chunks: list[Chunk], index: Vector
     The chunks must be the same ones whose embeddings were added to the
     index: the patient's index entries and chunks must hold the same
     positions, or the data error names the patient and the positions
-    that differ.
+    that differ. A patient with no chunks and no index entries gets an
+    empty context.
     """
     total_words = sum(c.word_count for c in chunks)
-    if not chunks:
-        return AssembledContext(patient_id=patient_id, mode=MODE_RAG, text="", word_count=0)
-
     hits = index.search(query, k=len(index), filter_patient=patient_id)
-    if not hits:
+    if chunks and not hits:
         raise MissingPatientError(f"patient {patient_id!r} has chunks but none are indexed")
 
     by_position = {c.position: c for c in chunks}
@@ -165,8 +163,18 @@ def write_contexts(path: str | Path, contexts: list[AssembledContext]) -> None:
     write_jsonl(path, (context_to_json(ctx) for ctx in contexts))
 
 
+def check_mode(obj: dict) -> None:
+    """Raise ``ValueError`` unless the ``mode`` of a JSON-lines row is one this package writes."""
+    if obj["mode"] not in (MODE_RAG, MODE_LONG):
+        raise ValueError(f"'mode' must be {MODE_RAG!r} or {MODE_LONG!r}, got {obj['mode']!r:.40}")
+
+
 def _context_row(obj: dict) -> AssembledContext:
     check_types(obj, _CONTEXT_FIELDS)
+    check_mode(obj)
+    for key in ("word_count", "total_words"):
+        if obj[key] < 0:
+            raise ValueError(f"{key!r} must be >= 0, got {obj[key]!r:.40}")
     positions = obj["selected_positions"]
     if any(type(position) is not int for position in positions):
         raise TypeError(f"'selected_positions' must be a list of int, got {positions!r:.40}")

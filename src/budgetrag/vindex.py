@@ -4,19 +4,16 @@ Similarity is the dot product of unit vectors (cosine). Hits are ordered
 by descending score, ties broken by ascending chunk position, then
 patient id.
 
-A search scores every row against its query in one pass,
-``score_rows``: row i's score is the ``math.fsum`` of the row's products
-with the query's nonzero coordinates, each a float32 value times a
-float64 one. A zero coordinate adds an exact zero, and ``fsum`` is
-correctly rounded, so a score is one defined number: it depends neither
-on BLAS nor on which or how many rows are scored with it. With the
-scores, the pass sorts every row by descending score, ties by position,
-then patient id, and files each patient's rows, in that order, as that
-patient's hits. The index keeps the ranking for the query: a later
-search with an equal query, filtered to one patient or not, reads it
-without scoring again, and a search with another query replaces it.
-Adding rows drops it. So ``retrieve`` ranks all patients with one
-scoring pass.
+A search scores only the rows it can return, ``score_rows``: one
+patient's rows when it is filtered to that patient, every row otherwise.
+Row i's score is the ``math.fsum`` of the row's products with the
+query's nonzero coordinates, each a float32 value times a float64 one.
+A zero coordinate adds an exact zero, and ``fsum`` is correctly rounded,
+so a score is one defined number: it depends neither on BLAS nor on
+which or how many rows are scored with it. The search sorts the scored
+rows by descending score, ties by position, then patient id, and returns
+the first k. The index keeps nothing of a query, so ``retrieve``, with
+one filtered search per patient, scores each row once.
 
 In memory the index is one flat ``array('f')`` of rows, an ``array('I')``
 of chunk positions and the list of patient ids, row for row, plus a map
@@ -78,6 +75,7 @@ unchanged.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -202,9 +200,9 @@ class SearchHit(NamedTuple):
     score: float
 
 
-def score_rows(vectors: array, query) -> list[float]:
-    """The score of each row of the flat float32 ``vectors``, cut into rows of ``len(query)``,
-    against the float64 ``query``.
+def score_rows(vectors: array, query, rows) -> list[float]:
+    """The score against the float64 ``query`` of each row number in ``rows`` of the flat float32
+    ``vectors``, cut into rows of ``len(query)``.
 
     Row i scores the ``math.fsum`` of its products with the query's nonzero coordinates. The
     rows are scored one at a time, each copied out of ``vectors`` and its nonzero coordinates
@@ -212,21 +210,12 @@ def score_rows(vectors: array, query) -> list[float]:
     hashed query and a dense one alike.
     """
     dim = len(query)
-    nonzero = [j for j, q in enumerate(query) if q]
+    nonzero = list(itertools.compress(range(dim), query))  # once per search: no Python loop over the query
     if not nonzero:
-        return [0.0] * (len(vectors) // dim)
-    weights = [query[j] for j in nonzero]
+        return [0.0] * len(rows)
+    weights = list(filter(None, query))
     gather = operator.itemgetter(*nonzero) if len(nonzero) > 1 else lambda row: (row[nonzero[0]],)
-    return [math.fsum(map(operator.mul, gather(vectors[start:start + dim]), weights))
-            for start in range(0, len(vectors), dim)]
-
-
-class _Ranking(NamedTuple):
-    """One query's hits over every row in rank order, and each patient's hits in that order."""
-
-    query: array  # the float64 query
-    hits: list[SearchHit]
-    by_patient: dict[str, list[SearchHit]]
+    return [math.fsum(map(operator.mul, gather(vectors[i * dim:(i + 1) * dim]), weights)) for i in rows]
 
 
 class VectorIndex:
@@ -242,7 +231,6 @@ class VectorIndex:
         self._vectors = array("f")
         self._positions = array("I")  # u32
         self._rows: dict[str, list[int]] = {}
-        self._ranked: _Ranking | None = None  # the last query's ranking, dropped when rows are added
 
     def __len__(self) -> int:
         return len(self._patient_ids)
@@ -310,7 +298,6 @@ class VectorIndex:
                 self._rows[pid] += rows
             else:
                 self._rows[pid] = rows
-        self._ranked = None
 
     def search(self, query, k: int, filter_patient: str | None = None) -> list[SearchHit]:
         """Exact top-k by cosine similarity.
@@ -329,26 +316,10 @@ class VectorIndex:
             raise DimensionMismatchError(f"query dim {len(q)} does not match index dim {self.dim}")
         if not all(map(math.isfinite, q)):
             raise InvalidVectorError("query has non-finite values")
-        ranking = self._ranking(q)
-        if filter_patient is not None:
-            return ranking.by_patient.get(filter_patient, [])[:k]
-        return ranking.hits[:k]
-
-    def _ranking(self, q: array) -> _Ranking:
-        """Every row scored against ``q`` in one pass and ranked, overall and per patient.
-
-        The ranking is kept for the next search with an equal query, until rows are added.
-        """
-        if self._ranked is not None and self._ranked.query == q:
-            return self._ranked
-        scores = score_rows(self._vectors, q)
-        by_patient: dict[str, list[SearchHit]] = {pid: [] for pid in self._rows}
-        hits = []
-        for negated, position, pid in sorted(zip(map(operator.neg, scores), self._positions, self._patient_ids)):
-            hits.append(SearchHit(pid, position, -negated))
-            by_patient[pid].append(hits[-1])
-        self._ranked = _Ranking(q, hits, by_patient)
-        return self._ranked
+        rows = range(len(self)) if filter_patient is None else self._rows.get(filter_patient, [])
+        scored = zip(map(operator.neg, score_rows(self._vectors, q, rows)), map(self._positions.__getitem__, rows),
+                     map(self._patient_ids.__getitem__, rows))
+        return [SearchHit(pid, position, -negated) for negated, position, pid in sorted(scored)[:k]]
 
     # --- persistence ---------------------------------------------------
 

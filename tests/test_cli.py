@@ -936,20 +936,22 @@ class TestRetrieveValidation:
         assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 5
 
 
-    def test_rag_scores_the_index_in_one_pass(self, demo_dir, tmp_path, monkeypatch):
+    def test_rag_scores_each_row_once(self, demo_dir, tmp_path, monkeypatch):
         from budgetrag import vindex
 
         calls = []
 
-        def spy(vectors, query):
-            calls.append(len(vectors) // len(query))  # rows
-            return score_rows(vectors, query)
+        def spy(vectors, query, rows):
+            calls.append(list(rows))
+            return score_rows(vectors, query, rows)
 
         score_rows = vindex.score_rows
         monkeypatch.setattr(vindex, "score_rows", spy)
         run(0, "retrieve", "--corpus", demo_dir / "proc.jsonl", "--index", demo_dir / "index.brag",
             "--mode", "rag", "--budget-words", "256", "--out", tmp_path / "c.jsonl")
-        assert calls == [len(vindex.VectorIndex.load(demo_dir / "index.brag"))]  # 60 patients, one full product
+        assert len(calls) == 60  # one search per patient, each scoring that patient's rows
+        assert sorted(row for rows in calls for row in rows) == \
+            list(range(len(vindex.VectorIndex.load(demo_dir / "index.brag"))))
         assert (tmp_path / "c.jsonl").read_bytes() == (demo_dir / "ctx_rag.jsonl").read_bytes()
 
     @pytest.mark.parametrize("change,message", [
@@ -963,7 +965,10 @@ class TestRetrieveValidation:
                          "index entry ('p0001', 7) has no matching chunk; "
                          "index entry ('p0001', 8) has no matching chunk; "
                          "index entry ('p0001', 9) has no matching chunk"),
-    ], ids=["extra-note", "missing-note"])
+        # p0001's notes lose their text: it has no chunks for its 10 index entries
+        ("emptied-notes", "; ".join(f"index entry ('p0001', {position}) has no matching chunk"
+                                    for position in range(10))),
+    ], ids=["extra-note", "missing-note", "emptied-notes"])
     def test_chunks_and_index_entries_that_differ_are_exit_2(self, tmp_path, capsys, change, message):
         rows = generate_corpus(4, seed=0).records
 
@@ -975,7 +980,9 @@ class TestRetrieveValidation:
         run(0, "build-index", "--corpus", tmp_path / "proc_corpus.jsonl", "--out", tmp_path / "idx.bin")
         (tmp_path / "idx.bin.manifest.json").unlink()  # with it, the fingerprint check stops the run first
         notes = rows[1]["notes"]
-        rows[1] = {**rows[1], "notes": notes + notes[-1:] if change == "extra-note" else notes[:-1]}
+        changed = {"extra-note": notes + notes[-1:], "missing-note": notes[:-1],
+                   "emptied-notes": [{**note, "text": ""} for note in notes]}
+        rows[1] = {**rows[1], "notes": changed[change]}
         ingest("changed.jsonl")
         capsys.readouterr()
         run(2, "retrieve", "--corpus", tmp_path / "proc_changed.jsonl", "--index", tmp_path / "idx.bin",
@@ -1501,11 +1508,23 @@ class TestProcessedCorpus:
          ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
         ("out_rag.jsonl", "prompt_words", {"prompt_words": 2 ** 53}, 2,
          ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
+        ("ctx_rag.jsonl", "mode", {"mode": "BOGUS"}, 2,
+         ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+        ("ctx_rag.jsonl", "word_count", {"word_count": -5}, 2,
+         ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+        ("ctx_long.jsonl", "total_words", {"total_words": -1}, 2,
+         ["classify", "--contexts", "{bad}", "--out", "{tmp}/o.jsonl"]),
+        ("out_rag.jsonl", "mode", {"mode": "BOGUS"}, 2,
+         ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
+        ("out_rag.jsonl", "mode", {"mode": "rag", "failed": True, "error": "ResponseParseError", "message": "m"}, 2,
+         ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
     ], ids=["processed-without-text", "old-processed-format", "context-without-mode", "outcome-without-label",
             "outcome-nan-score", "outcome-nan-string-score", "processed-label-2", "processed-bool-label",
             "context-int-text", "outcome-without-latency", "outcome-string-severity-defaulted",
             "context-string-positions", "context-float-position", "context-without-positions",
-            "corpus-anchor-before-year-1-in-utc", "outcome-negative-latency", "outcome-prompt-words-beyond-a-float"])
+            "corpus-anchor-before-year-1-in-utc", "outcome-negative-latency", "outcome-prompt-words-beyond-a-float",
+            "context-bogus-mode", "context-negative-word-count", "context-negative-total-words",
+            "outcome-bogus-mode", "failure-lower-case-mode"])
     def test_malformed_artifact_line_is_exit_2(self, demo_dir, tmp_path, capsys,
                                                source, drop, extra, bad_line, argv):
         rows = [json.loads(l) for l in (demo_dir / source).read_text().splitlines()[:3]]

@@ -107,6 +107,14 @@ class TestAssembleRag:
         ctx = assemble_rag_from_chunks("p1", [], VectorIndex(dim=4), QUERY_E0, RetrievalConfig())
         assert ctx.word_count == 0 and ctx.text == "" and ctx.mode == MODE_RAG
 
+    def test_indexed_patient_with_no_chunks_is_error(self):
+        # the index holds p1's entries: a patient without chunks is searched like any other
+        index = scripted_index("p1", {0: 0.9, 1: 0.8})
+        with pytest.raises(BudgetRagError, match=r"^the index and the chunks of patient 'p1' differ: "
+                                                 r"index entry \('p1', 0\) has no matching chunk; "
+                                                 r"index entry \('p1', 1\) has no matching chunk$"):
+            assemble_rag_from_chunks("p1", [], index, QUERY_E0, RetrievalConfig())
+
     def test_patient_absent_from_index_is_error(self):
         chunks = [make_chunk("p1", 0, 5)]
         index = scripted_index("other", {0: 0.5})

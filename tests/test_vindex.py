@@ -209,14 +209,14 @@ class TestAddMany:
         assert loaded.search(unit([0, 0, 1]), k=1, filter_patient="p1")[0].position == 2
 
 
-class TestOneScoringPass:
+class TestScoringAndStorage:
     # The benchmark's two offline shapes at its sizes:
     # (patients, notes, blocks per note, words per block, chunk words, dim)
     OFFLINE_SHAPES = {"long-records": (60, 5, 8, 512, 512, 256), "many-short-records": (3200, 1, 4, 32, 64, 64)}
 
     @staticmethod
     def _shape_index(shape, seed):
-        patients, notes, blocks, block_words, max_words, dim = TestOneScoringPass.OFFLINE_SHAPES[shape]
+        patients, notes, blocks, block_words, max_words, dim = TestScoringAndStorage.OFFLINE_SHAPES[shape]
         corpus = generate_corpus(patients, notes_per_patient=notes, blocks_per_note=blocks,
                                  block_words=block_words, seed=seed)
         keys, texts = [], []
@@ -234,9 +234,9 @@ class TestOneScoringPass:
     def _spy(monkeypatch):
         calls = []
 
-        def spy(vectors, query):
-            calls.append(len(vectors) // len(query))  # rows
-            return score_rows(vectors, query)
+        def spy(vectors, query, rows):
+            calls.append(list(rows))
+            return score_rows(vectors, query, rows)
 
         score_rows = vindex.score_rows
         monkeypatch.setattr(vindex, "score_rows", spy)
@@ -244,10 +244,9 @@ class TestOneScoringPass:
 
     @pytest.mark.parametrize("shape", ["long-records", "many-short-records"])
     def test_each_patients_ranking_equals_a_fresh_index_of_its_rows(self, shape, monkeypatch):
-        """A score does not depend on how many rows are scored with it: bit for bit, each patient's
-        hits from the one pass are those of an index that holds only that patient's rows. Against
-        the sparse hashed query a matrix-vector product happens to round alike over any number of
-        rows, so a dense query is ranked too."""
+        """A score does not depend on which rows are scored with it: bit for bit, each patient's
+        hits are those of an index that holds only that patient's rows, for the sparse hashed
+        query and a dense one. One search per patient scores each row once per query."""
         index, query = self._shape_index(shape, seed=7000)
         by_patient = {}
         for key, vec in index_rows(index):
@@ -258,29 +257,29 @@ class TestOneScoringPass:
             fresh[pid].add_many([key for key, _ in rows], np.stack([vec for _, vec in rows]))
         calls = self._spy(monkeypatch)
         for q in (query, random_unit_rows(np.random.default_rng(26), 1, index.dim)[0].astype(np.float64)):
+            scored = []
             for pid in by_patient:
                 got = index.search(q, k=len(index), filter_patient=pid)
+                scored += calls.pop()
                 expected = fresh[pid].search(q, k=len(fresh[pid]))
                 assert [(h.patient_id, h.position, h.score.hex()) for h in got] == \
                     [(h.patient_id, h.position, h.score.hex()) for h in expected], pid
-        assert calls.count(len(index)) == 2  # one pass over every row per query; the others are the fresh indexes
+            assert sorted(scored) == list(range(len(index)))  # each row scored once per query
 
-    def test_the_ranking_is_kept_for_an_equal_query_until_rows_are_added(self, monkeypatch):
+    def test_a_search_scores_only_the_rows_it_can_return(self, monkeypatch):
         rng = np.random.default_rng(26)
-        index = build_random_index(rng, 40, 8)
-        query, other = random_unit_rows(rng, 2, 8)
+        index = VectorIndex(dim=8)
+        index.add_many([(f"p{i % 5}", i) for i in range(40)], random_unit_rows(rng, 40, 8))  # rows of p3: 3, 8, ..
+        query = random_unit_rows(rng, 1, 8)[0]
         calls = self._spy(monkeypatch)
         first = index.search(query, k=40)
-        pid = first[0].patient_id
-        assert index.search(query.astype(np.float64), k=5, filter_patient=pid) == \
-            [hit for hit in first if hit.patient_id == pid][:5]
-        assert calls == [40]  # filtered or not, an equal query reads the one pass
-        index.search(other, k=1)
-        index.search(query, k=1)
-        assert calls == [40, 40, 40]  # another query replaces it
-        index.add(pid, 99, query)
-        hits = index.search(query, k=1, filter_patient=pid)
-        assert calls == [40, 40, 40, 41]
+        assert index.search(query.astype(np.float64), k=5, filter_patient="p3") == \
+            [hit for hit in first if hit.patient_id == "p3"][:5]
+        assert index.search(query, k=5, filter_patient="absent") == []
+        assert calls == [list(range(40)), list(range(3, 40, 5)), []]  # unfiltered every row, filtered the patient's
+        index.add("p3", 99, query)
+        hits = index.search(query, k=1, filter_patient="p3")
+        assert calls[-1] == [*range(3, 40, 5), 40]  # a search after add sees the new row
         assert (hits[0].position, hits[0].score) == (99, pytest.approx(1.0))
 
     def test_the_index_keeps_its_own_copy_of_each_batch(self):
@@ -337,15 +336,18 @@ class TestOneScoringPass:
         # a remote service's vectors are dense: the pass holds one row and the scores, not a column per coordinate
         rows = random_unit_rows(np.random.default_rng(5), 2000, 256)
         vectors, query = array("f", rows.tobytes()), array("d", random_unit_rows(np.random.default_rng(6), 1, 256)[0])
-        scores, peak = self._peak(lambda: vindex.score_rows(vectors, query))
+        scores, peak = self._peak(lambda: vindex.score_rows(vectors, query, range(len(rows))))
         assert len(scores) == 2000
         assert peak <= 48 * len(rows) + 64 * 256
 
     def test_a_query_with_one_nonzero_coordinate_scores_that_column(self):
         rows = random_unit_rows(np.random.default_rng(4), 5, 3)
         vectors = array("f", rows.tobytes())
-        assert vindex.score_rows(vectors, array("d", [0.0, -2.0, 0.0])) == [-2.0 * float(v) for v in rows[:, 1]]
-        assert vindex.score_rows(vectors, array("d", [0.0] * 3)) == [0.0] * 5
+        assert vindex.score_rows(vectors, array("d", [0.0, -2.0, 0.0]), range(5)) == \
+            [-2.0 * float(v) for v in rows[:, 1]]
+        assert vindex.score_rows(vectors, array("d", [0.0, -2.0, 0.0]), [3, 1]) == \
+            [-2.0 * float(rows[3, 1]), -2.0 * float(rows[1, 1])]
+        assert vindex.score_rows(vectors, array("d", [0.0] * 3), [4, 0]) == [0.0] * 2
 
 
 class TestSearch:
