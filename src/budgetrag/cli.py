@@ -18,9 +18,10 @@ The package runs on the standard library alone, and ``embedding`` and
 ``decimal``) only by delong's exact variance, ``costmodel`` only inside
 project, ``report`` (whose ``write_csv`` writes every CSV) only inside
 project, report and evaluate --roc-out, the HTTP stack only by a remote
-embedder or classifier, and the process pool only by build-index with
-workers to fork. The records are ``typing.NamedTuple``s, which need no
-``inspect`` (about 14 ms with what it imports), so no command loads it.
+embedder or classifier, and ``pickle`` and ``signal`` only by build-index
+with the hashing embedder. The records are ``typing.NamedTuple``s, which
+need no ``inspect`` (about 14 ms with what it imports), so no command
+loads it.
 
 Before anything is read or staged, ``main`` rejects a run in which a
 file it would write (an output, or the run manifest) is also an input,
@@ -31,24 +32,26 @@ build-index with the hashing embedder cuts the processed rows into
 contiguous shares of patients, one per usable CPU
 (``os.sched_getaffinity``) and at most one per patient, and embeds each
 with ``_embed_share``: the first in this process, the others in workers
-that it forks; they hold the rows from the fork and exit if it dies, and
-a worker that dies is a data error naming its share's patients. A share
-splits each patient's lower-cased text once and embeds its chunks as
-runs of those words, with no chunk text built; its vectors come back in
-one ``array('f')``, so a worker's share crosses the pool as one buffer.
-Each share enters the index with one ``add_many`` call, in patient
-order: this process adds its own while the workers finish theirs. A host
-with one usable CPU and a platform without fork keep one share. The
-remote embedder runs in this process. It sends the chunk texts in
-batches of ``EMBED_BATCH`` across patients, the first batch alone, then
-up to ``EMBED_IN_FLIGHT`` at once, each request on a daemon thread of
-its own (``_in_flight``), so the service's round trips overlap. Each
-batch enters the index in batch order, whichever response arrives
-first, and the index takes the first batch's width, since the service
-chooses it. The first batch that fails stops new requests, and the
-command ends without waiting for those still open. The rows, and so the
-index bytes, depend neither on the batches, nor on the shares, nor on
-the order of the responses.
+it forks (``_fork_share``). A worker holds its rows from the fork,
+pickles its share down a pipe of its own, exits if this process dies,
+and leaves through ``os._exit``, never through this process's clean-up.
+This process reads the pipes in share order and reaps each worker: one
+that fails, raising or killed, is a data error naming its share's
+patients, and the workers not yet read are then killed. A share splits
+each patient's lower-cased text once and embeds its chunks as runs of
+those words, with no chunk text built. Each share enters the index with
+one ``add_many`` call, in patient order: this process adds its own while
+the workers finish theirs. A host with one usable CPU and a platform
+without fork keep one share. The remote embedder runs in this process.
+It sends the chunk texts in batches of ``EMBED_BATCH`` across patients,
+the first batch alone, then up to ``EMBED_IN_FLIGHT`` at once, each
+request on a daemon thread of its own (``_in_flight``), so the service's
+round trips overlap. Each batch enters the index in batch order,
+whichever response arrives first, and the index takes the first batch's
+width, since the service chooses it. The first batch that fails stops
+new requests, and the command ends without waiting for those still open.
+The rows, and so the index bytes, depend neither on the batches, nor on
+the shares, nor on the order of the responses.
 retrieve --mode rag embeds ``--query`` once per run and ranks every
 patient's chunks against that one vector, with one search per patient
 that scores only that patient's rows, so each row is scored once.
@@ -281,47 +284,15 @@ def cmd_ingest(args) -> dict:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say (no
-    ``os.sched_getaffinity``, which every platform without fork lacks)."""
+    """The CPUs this process may run on; 1 without ``os.sched_getaffinity``, which every platform without fork lacks."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# The rows of the build-index run in progress, filled before the fork: the workers inherit them, unpickled.
-_build_rows: list[dict] = []
-
-
-def _start_worker() -> None:
-    """Initialize a forked worker: end it once its parent is gone. A parent that is killed sends no
-    shutdown, and its worker would wait on the pool's pipes for ever."""
-    def exit_when_orphaned(parent=os.getppid()):
-        while os.getppid() == parent:
-            time.sleep(0.1)
-        os._exit(1)
-
-    threading.Thread(target=exit_when_orphaned, daemon=True).start()
-
-
-def _fork_pool(workers: int):
-    """A pool of ``workers`` processes forked from this one.
-
-    The fork context starts every worker at the first submit, so the workers hold the rows filled before it.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker)
-
-
-def _embed_share(args, start: int, stop: int) -> tuple[list, array]:
-    """Hash the chunks of ``_build_rows[start:stop]``; return their (patient_id, position) keys and their
-    vectors end to end in one ``array('f')``, so that a worker's share crosses the pool as one buffer. Each
-    patient's chunks are runs (``chunk_runs``) of one lower-cased split of its text."""
-    rows = _build_rows[start:stop]
-    if len(rows) != stop - start:
-        raise RuntimeError(f"{len(_build_rows)} rows are held, the share is rows {start}..{stop}")
+def _embed_share(rows: list[dict], dim: int) -> tuple[list, array]:
+    """Hash the chunks of ``rows`` at ``dim``, as runs (``chunk_runs``) of one lower-cased split of each text;
+    return their (patient_id, position) keys and their vectors end to end in one ``array('f')``."""
     from .embedding import hash_runs
 
-    dim = _embedder_from_args(args).dim
     keys, vectors = [], array("f")
     for row in rows:
         runs = chunk_runs(row["text"].lower().split(), row["max_words"])
@@ -337,38 +308,74 @@ def _rows(vectors: array, dim: int) -> list[memoryview]:
     return [view[start:start + dim] for start in range(0, len(vectors), dim)]
 
 
-def _share_result(future, first: str, last: str):
-    """A worker's embedded share; a pool whose worker died (killed, say, or out of memory) is a data error."""
-    from concurrent.futures import BrokenExecutor
+def _fork_share(rows: list[dict], dim: int) -> tuple[int, int, str, str]:
+    """Fork a worker that pickles ``_embed_share(rows, dim)`` down a pipe; return its pid, the pipe's read end
+    and the share's first and last patient. The worker leaves through ``os._exit``, never this process's clean-up:
+    status 0 once its share is written, else 1, as when this process (pid taken before the fork) is gone."""
+    import pickle
 
+    def exit_when_orphaned(parent=os.getpid()):
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    read, write = os.pipe()
     try:
-        return future.result()
-    except BrokenExecutor as exc:
-        raise BudgetRagError(f"patients {first} to {last} were not embedded: {exc}") from exc
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read, rows[0]["patient_id"], rows[-1]["patient_id"]
+    try:
+        os.close(read)
+        threading.Thread(target=exit_when_orphaned, daemon=True).start()
+        with open(write, "wb") as pipe:
+            pickle.dump(_embed_share(rows, dim), pipe, pickle.HIGHEST_PROTOCOL)
+        os._exit(0)
+    finally:  # anything raised ends the worker here, with no traceback
+        os._exit(1)
 
 
-def _hashed_index(args) -> VectorIndex:
-    """The hashing embedder's index of the chunks of ``_build_rows``, from contiguous shares of patients, one
-    per usable CPU: this process embeds the first, forked workers the others. Each share enters the index
-    with one ``add_many`` call, in patient order."""
+def _hashed_index(args, rows: list[dict]) -> VectorIndex:
+    """The hashing embedder's index of the chunks of ``rows`` (emptied as it goes), one ``add_many`` per contiguous
+    share of patients in order: one share per usable CPU, the first embedded here, the others by forked workers."""
+    import pickle
+    import signal
+
     from .vindex import VectorIndex
 
     embedder = _embedder_from_args(args)
     index = VectorIndex(dim=embedder.dim, embedder_fingerprint=embedder.fingerprint)
-    shares = max(1, min(_usable_cpus(), len(_build_rows)))
-    cuts = [len(_build_rows) * i // shares for i in range(shares + 1)]
-    with (_fork_pool(shares - 1) if shares > 1 else contextlib.nullcontext()) as pool:
-        futures = [(pool.submit(_embed_share, args, start, stop), _build_rows[start]["patient_id"],
-                    _build_rows[stop - 1]["patient_id"]) for start, stop in zip(cuts[1:-1], cuts[2:])]
-        del _build_rows[cuts[1]:]  # the workers hold these since the first submit forked them
-        keys, vectors = _embed_share(args, 0, cuts[1])
-        _build_rows.clear()
+    shares = max(1, min(_usable_cpus(), len(rows)))
+    cuts = [len(rows) * i // shares for i in range(shares + 1)]
+    workers = []  # the forked shares not yet read, in share order
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            workers.append(_fork_share(rows[start:stop], index.dim))
+        del rows[cuts[1]:]  # the workers hold these since their fork
+        keys, vectors = _embed_share(rows, index.dim)
+        rows.clear()
         index.add_many(keys, _rows(vectors, index.dim))  # while the workers finish their shares
         del keys, vectors
-        while futures:  # each holds its share until popped
-            keys, vectors = _share_result(*futures.pop(0))
+        while workers:
+            pid, read, first, last = workers.pop(0)
+            with open(read, "rb") as pipe:
+                share = pipe.read()  # to the end, which a worker that fails, raising or killed, cuts short
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise BudgetRagError(f"patients {first} to {last} were not embedded: the worker {ended}")
+            keys, vectors = pickle.loads(share)
             index.add_many(keys, _rows(vectors, index.dim))
-            del keys, vectors
+            del share, keys, vectors
+    finally:  # after a failure, the workers not yet read: killed, as one may hold another's pipe open
+        for pid, read, _, _ in workers:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return index
 
 
@@ -412,20 +419,18 @@ def _in_flight(call, items, limit: int):
         yield held.pop(taken)
 
 
-def _remote_index(args) -> VectorIndex:
-    """The remote embedder's index of the chunks of ``_build_rows``, sent in batches of ``EMBED_BATCH``
-    chunks across patients, ``EMBED_IN_FLIGHT`` requests at once. Each batch enters the index in batch
-    order, so the rows are in patient/position order whichever response comes first; the first batch's
-    width is the index's, since the service chooses it. A row of ``_build_rows`` is let go once its chunks
-    are cut."""
+def _remote_index(args, rows: list[dict]) -> VectorIndex:
+    """The remote embedder's index of the chunks of ``rows`` (emptied as it goes), sent in batches of
+    ``EMBED_BATCH`` chunks across patients, ``EMBED_IN_FLIGHT`` requests at once. Each batch enters the index
+    in batch order, whichever response comes first, and the first batch's width, chosen by the service, is its."""
     from .vindex import VectorIndex
 
     embedder = _embedder_from_args(args)
 
     def patients():  # popped, so that each row is let go once its chunks are cut
-        _build_rows.reverse()
-        while _build_rows:
-            yield _build_rows.pop()
+        rows.reverse()
+        while rows:
+            yield rows.pop()
 
     chunks = (chunk for row in patients() for chunk in _chunks(row))
     batches = iter(lambda: list(itertools.islice(chunks, EMBED_BATCH)), [])
@@ -441,25 +446,22 @@ def _remote_index(args) -> VectorIndex:
 
 
 def cmd_build_index(args) -> dict:
-    if args.embedder == "remote" and not args.endpoint:  # before any row is read or a worker forked
+    remote_embedder = args.embedder == "remote"
+    if remote_embedder and not args.endpoint:  # before any row is read or a worker forked
         raise UsageError("--embedder remote requires --endpoint")
-    _build_rows[:] = _read_processed(args.corpus)
-    try:
-        index = _remote_index(args) if args.embedder == "remote" else _hashed_index(args)
-    finally:
-        _build_rows.clear()
+    index = (_remote_index if remote_embedder else _hashed_index)(args, _read_processed(args.corpus))
     index.save(args.out)
     return {
-        "config": {"embedder": args.embedder, "dim": index.dim, "model": args.model},
+        "config": {"embedder": args.embedder, "dim": index.dim, "model": args.model if remote_embedder else None},
         "embedder": index.embedder_fingerprint,
         "extra": {"entries": len(index)},
     }
 
 
 def cmd_retrieve(args) -> dict:
-    if args.embedder == "remote" and not args.endpoint:  # before any row is read
-        raise UsageError("--embedder remote requires --endpoint")
     rag = args.mode == "rag"
+    if rag and args.embedder == "remote" and not args.endpoint:  # before any row is read
+        raise UsageError("--embedder remote requires --endpoint")
     if rag and not args.index:
         raise UsageError("--mode rag requires --index")
     if not rag and args.index:
@@ -648,7 +650,8 @@ def _add_embedder_flags(parser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="budgetrag", description=__doc__)
+    parser = _Parser(prog="budgetrag", description=__doc__.splitlines()[0],
+                     epilog=__doc__[__doc__.index("Exit codes"):], formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):

@@ -17,6 +17,7 @@ which keeps counting reproducible across tokenizers and languages.
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -80,24 +81,32 @@ class Chunk(NamedTuple):
     text: str
 
 
+# RFC 3339 section 5.6 date-time: the T may be a space (its note) and either letter lower-case; the
+# seconds' fraction may have any length, kept to the microsecond. Ranges are left to datetime.
+_DATE_TIME = re.compile(r"(\d{4})-(\d\d)-(\d\d)[Tt ](\d\d):(\d\d):(\d\d)(?:\.(\d+))?"
+                        r"(?:[Zz]|([+-])([01]\d|2[0-3]):([0-5]\d))", re.ASCII)
+
+
 def parse_rfc3339(value: str, field: str) -> datetime:
     """Parse the RFC 3339 timestamp in ``field`` into an aware UTC datetime.
 
-    Python 3.10's ``fromisoformat`` rejects the trailing ``Z``, so it is
-    normalized first. Timestamps without a UTC offset are rejected. Each
-    error names ``field``.
+    The text must match RFC 3339's ``date-time`` whichever Python runs,
+    not ``fromisoformat``'s wider and version-dependent forms. Timestamps
+    without a UTC offset are rejected. Each error names ``field``.
     """
     if not isinstance(value, str):
         raise TypeError(f"{field!r} must be an RFC 3339 string, got {value!r:.40}")
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
+    match = _DATE_TIME.fullmatch(value.strip())
+    if match is None:
+        raise ValueError(f"{field!r} is not an RFC 3339 date-time with a UTC offset "
+                         f"(YYYY-MM-DDThh:mm:ss[.fraction], then Z or +hh:mm or -hh:mm): {value!r}")
+    *fields, fraction, sign, offset_hours, offset_minutes = match.groups()
+    offset = timedelta(hours=int(offset_hours or 0), minutes=int(offset_minutes or 0))
     try:
-        parsed = datetime.fromisoformat(text)
-    except ValueError as exc:
+        parsed = datetime(*map(int, fields), int((fraction or "")[:6].ljust(6, "0")),
+                          tzinfo=timezone(-offset if sign == "-" else offset))
+    except ValueError as exc:  # a field out of range, e.g. month 13, February 30 or the leap second 60
         raise ValueError(f"{field!r} is not a valid RFC 3339 timestamp: {value!r}") from exc
-    if parsed.tzinfo is None:
-        raise ValueError(f"{field!r} has no UTC offset: {value!r}")
     try:
         return parsed.astimezone(timezone.utc)
     except OverflowError as exc:  # e.g. 0001-01-01T00:00:00+01:00

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -348,6 +349,13 @@ class TestExitCodes:
     def test_unknown_command_is_exit_1(self):
         assert main(["frobnicate"]) == 1
 
+    def test_help_lists_the_exit_codes_and_no_internals(self, capsys):
+        assert main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert out.startswith("usage: budgetrag ")
+        assert all(code in out for code in ("0 success", "1 usage error", "2 data error", "3 remote-service error"))
+        assert re.findall(r"\b_\w+|add_input", out) == []
+
     def test_single_class_evaluate_is_exit_2(self, demo_dir, tmp_path, capsys):
         outcomes = [json.loads(l) for l in (demo_dir / "out_rag.jsonl").read_text().splitlines()]
         labels = {json.loads(l)["patient_id"]: json.loads(l)["label"]
@@ -559,8 +567,10 @@ class TestExitCodes:
             "retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag", "--mode", "rag",
             "--out", "{tmp}/c.jsonl"]),
         "--seconds-long-1-argv22": ("--seconds-long", "1", _PROJECT),  # removed
+        # with --mode rag: --mode long builds no embedder, so it asks for no --endpoint
         "--embedder-remote-argv23": ("--embedder", "remote", [
-            "retrieve", "--corpus", "{demo}/proc.jsonl", "--mode", "long", "--out", "{tmp}/c.jsonl"]),
+            "retrieve", "--corpus", "{demo}/proc.jsonl", "--index", "{demo}/index.brag", "--mode", "rag",
+            "--out", "{tmp}/c.jsonl"]),
         "--counts--argv24": ("--counts", "", _PROJECT),  # no count at all
         "--counts-,,-argv25": ("--counts", ",,", _PROJECT),
     }
@@ -936,6 +946,18 @@ class TestRetrieveValidation:
         assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 5
 
 
+    def test_embedder_flags_bind_only_the_runs_that_embed(self, demo_dir, tmp_path):
+        """retrieve --mode long builds no embedder, so --embedder remote asks for no --endpoint there; build-index
+        records --model only for the remote embedder, which sends it."""
+        run(0, "retrieve", "--corpus", demo_dir / "proc.jsonl", "--mode", "long", "--embedder", "remote",
+            "--out", tmp_path / "c.jsonl")
+        assert (tmp_path / "c.jsonl").read_bytes() == (demo_dir / "ctx_long.jsonl").read_bytes()
+        run(0, "build-index", "--corpus", demo_dir / "proc.jsonl", "--out", tmp_path / "i.brag", "--dim", "512",
+            "--model", "M", "--deterministic")
+        config = json.loads((tmp_path / "i.brag.manifest.json").read_text())["config"]
+        assert config == {"embedder": "hashing", "dim": 512, "model": None}
+        assert (tmp_path / "i.brag").read_bytes() == (demo_dir / "index.brag").read_bytes()
+
     def test_rag_scores_each_row_once(self, demo_dir, tmp_path, monkeypatch):
         from budgetrag import vindex
 
@@ -1213,7 +1235,8 @@ def test_in_flight_requests_stay_below_the_listen_backlog():
 # count, and print per run its exit code, error lines, whether numpy was loaded at each fork, and
 # whether a child process is left. With config["fail_parent_share"], the parent's own share
 # raises OSError while the workers embed theirs; with config["kill_worker_share"], each worker
-# is killed by SIGKILL as it starts its share.
+# is killed by SIGKILL as it starts its share; with config["raise_worker_share"], each worker's
+# share raises ValueError; with config["fail_second_fork"], the second fork fails.
 _SHARES_SCRIPT = """
 import contextlib, io, json, os, signal, sys
 config = json.loads(sys.argv[1])
@@ -1226,20 +1249,34 @@ def counting_fork():
     return fork()
 os.fork = counting_fork
 
+def failing_fork():
+    if len(forks) == 1:
+        raise BlockingIOError(11, "fork failed")
+    return counting_fork()
+if config.get("fail_second_fork"):
+    os.fork = failing_fork
+
 parent, embed_share = os.getpid(), cli._embed_share
-def failing_share(args, start, stop):
+def failing_share(*share):
     if os.getpid() == parent:
         raise OSError(5, "parent share failed")
-    return embed_share(args, start, stop)
+    return embed_share(*share)
 if config["fail_parent_share"]:
     cli._embed_share = failing_share
 
-def killed_share(args, start, stop):
+def killed_share(*share):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
-    return embed_share(args, start, stop)
+    return embed_share(*share)
 if config["kill_worker_share"]:
     cli._embed_share = killed_share
+
+def raising_share(*share):
+    if os.getpid() != parent:
+        raise ValueError("worker share failed")
+    return embed_share(*share)
+if config.get("raise_worker_share"):
+    cli._embed_share = raising_share
 
 runs = []
 for cpus in config["cpus"]:
@@ -1346,6 +1383,35 @@ class TestBuildIndexShares:
         assert err["message"].startswith(f"patients {ids[4]} to {ids[7]} were not embedded: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "proc.jsonl", "proc.jsonl.manifest.json"]
 
+    @pytest.mark.parametrize("failure", ["raise_worker_share", "fail_second_fork"])
+    def test_a_failed_share_or_fork_leaves_no_worker_and_no_staged_file(self, tmp_path, failure):
+        corpus = self._processed(tmp_path, 9, 2, 5, 64, 64)
+        ids = [json.loads(line)["patient_id"] for line in corpus.read_text(encoding="utf-8").splitlines()]
+        config = {"src": str(SRC), "argv": ["build-index", "--corpus", str(corpus), "--dim", "32"],
+                  "out": str(tmp_path / "index.brag"), "cpus": [3], "fail_parent_share": False,
+                  "kill_worker_share": False, failure: True}
+        done = subprocess.run([sys.executable, "-c", _SHARES_SCRIPT, json.dumps(config)],
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")  # no traceback, the workers' included
+        forks, error_type, message = {
+            "raise_worker_share": ([False, False], "BudgetRagError",
+                                   f"patients {ids[3]} to {ids[5]} were not embedded: the worker exited with status 1"),
+            "fail_second_fork": ([False], "BlockingIOError", "[Errno 11] fork failed"),  # the first worker is reaped
+        }[failure]
+        failed, = json.loads(done.stdout)
+        assert (failed["code"], failed["children"], failed["forks"]) == (2, False, forks)
+        error, = failed["errors"]
+        assert json.loads(error) == {"error": error_type, "category": "data", "message": message}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "proc.jsonl", "proc.jsonl.manifest.json"]
+
+    def test_a_run_on_two_shares_leaves_no_pipe_open(self, tmp_path):
+        corpus = self._processed(tmp_path, 8, 2, 5, 64, 64)
+        argv = ["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "index.brag"), "--dim", "32"]
+        code = f"from budgetrag import cli; cli._usable_cpus = lambda: 2; raise SystemExit(cli.main({argv!r}))"
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+                              capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (done.returncode, done.stderr) == (0, "")
+
     def test_a_dim_above_the_maximum_is_a_usage_error_before_any_fork(self, tmp_path):
         corpus = self._processed(tmp_path, 8, 2, 5, 64, 64)
         refused, = _build_with_cpus(["build-index", "--corpus", corpus, "--dim", "70000"], tmp_path / "index.brag",
@@ -1369,13 +1435,13 @@ sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
 from budgetrag import cli
 cli._usable_cpus = lambda: 2
 parent, embed_share = os.getpid(), cli._embed_share
-def stalled_share(args, start, stop):
+def stalled_share(*share):
     if os.getpid() != parent:
         with open({str(pid_file)!r} + ".tmp", "w") as fh:
             fh.write(str(os.getpid()))
         os.replace({str(pid_file)!r} + ".tmp", {str(pid_file)!r})
         time.sleep(60)
-    return embed_share(args, start, stop)
+    return embed_share(*share)
 cli._embed_share = stalled_share
 cli.main(["build-index", "--corpus", {str(corpus)!r}, "--out", {str(tmp_path / "index.brag")!r}])
 """

@@ -126,6 +126,38 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: raw corpus line 2: '{field}' "):
             load_corpus(path)
 
+    @pytest.mark.parametrize("text,utc", [
+        ("2024-03-10T08:00:00Z", datetime(2024, 3, 10, 8, tzinfo=UTC)),
+        ("2024-03-10t08:00:00z", datetime(2024, 3, 10, 8, tzinfo=UTC)),
+        ("2024-03-10 08:00:00+00:00", datetime(2024, 3, 10, 8, tzinfo=UTC)),
+        ("2024-03-10T08:00:00.5Z", datetime(2024, 3, 10, 8, 0, 0, 500000, tzinfo=UTC)),  # 3.10's fromisoformat: no
+        ("2024-03-10T08:00:00.1234567-05:30", datetime(2024, 3, 10, 13, 30, 0, 123456, tzinfo=UTC)),
+        ("2024-03-10T08:00:00-00:00", datetime(2024, 3, 10, 8, tzinfo=UTC)),
+        ("2024-03-10X08:00:00Z", None),  # 3.10's fromisoformat: yes
+        ("2024-03-10T08Z", None),  # 3.10's: yes
+        ("2024-03-10T08:00Z", None),
+        ("20240310T080000Z", None),  # 3.11's: yes
+        ("2024-W10-1T08:00:00Z", None),  # 3.11's: yes, as 2024-03-04
+        ("2024-03-10T08:00:00", None),
+        ("2024-03-10T08:00:00+0100", None),
+        ("2024-03-10T08:00:00+24:00", None),
+        ("2024-03-10T08:00:00+05:60", None),
+        ("2024-03-10T08:00:00.Z", None),
+        ("2024-03-10T08:00:60Z", None),  # a leap second, which datetime cannot hold
+        ("2024-02-30T08:00:00Z", None),
+        ("２０２４-03-10T08:00:00Z", None),  # full-width digits
+    ])
+    def test_timestamps_are_rfc3339_date_times(self, tmp_path, text, utc):
+        """The same texts are accepted, the same way, whichever supported Python runs."""
+        path = write_jsonl(tmp_path / "c.jsonl", [raw_patient(notes=[
+            {"note_type": "OR PreOp", "timestamp": text, "text": "x"}])])
+        if utc is None:
+            with pytest.raises(CorpusFormatError, match=f"line 1: 'timestamp' .*{re.escape(repr(text))}"):
+                load_corpus(path)
+        else:
+            timestamp = load_corpus(path)[0].notes[0].timestamp
+            assert (timestamp, timestamp.tzinfo) == (utc, UTC)
+
     def test_whitelist_file(self, tmp_path):
         wl = tmp_path / "types.txt"
         wl.write_text("OR PreOp\n\nBrief Op Note\n", encoding="utf-8")

@@ -16,10 +16,11 @@ so neither an offline command nor the corpus generator loads
 ``import budgetrag`` loads no submodule: each name is imported from the
 module that defines it.
 The corpus generator takes the complication vocabulary from ``retrieval``,
-so it loads neither the classifier nor the HTTP helper. build-index starts
-a process pool only to fork workers for the hashing embedder on more than
-one usable CPU: a run on one CPU, or with the remote embedder, loads
-neither ``concurrent.futures.process`` nor ``multiprocessing``.
+so it loads neither the classifier nor the HTTP helper. build-index forks
+the hashing embedder's workers itself, one pipe each, so a run on two
+shares loads neither ``concurrent.futures`` nor ``multiprocessing``, and
+a run on one CPU, or with the remote embedder, neither
+``concurrent.futures.process`` nor ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ def test_offline_commands_load_no_numpy_http_or_thread_pool(tmp_path):
 
     probe("ingest", "--corpus", "{tmp}/corpus.jsonl", "--out", "{tmp}/proc.jsonl", "--max-words", "64")
     probe("retrieve", "--corpus", "{tmp}/proc.jsonl", "--mode", "long", "--out", "{tmp}/ctx.jsonl")
-    # build-index on two shares, one of them in a forked worker, loads the process pool, the embedders
-    # and the index, and nothing else of UNUSED_OFFLINE; retrieve --mode rag the embedders and the index
+    # build-index on two shares, one of them in a forked worker, loads the embedders and the index, and
+    # neither multiprocessing nor anything else of UNUSED_OFFLINE; retrieve --mode rag the embedders and the index
     index_layers = ("budgetrag.embedding", "budgetrag.vindex")
     two_shares = "from budgetrag import cli; cli._usable_cpus = lambda: 2; code = cli.main({argv!r})"
     build = ["build-index", "--corpus", f"{tmp_path}/proc.jsonl", "--out", f"{tmp_path}/index.brag"]
-    unused = [m for m in UNUSED_OFFLINE if m not in ("concurrent.futures", *index_layers)]
+    unused = [m for m in UNUSED_OFFLINE if m not in index_layers] + ["multiprocessing"]
     assert _probe(two_shares.format(argv=build), unused) == {"code": 0, "loaded": []}
     probe("retrieve", "--corpus", "{tmp}/proc.jsonl", "--mode", "rag", "--index", "{tmp}/index.brag",
           "--out", "{tmp}/ctx_rag.jsonl", may_load=index_layers)
