@@ -166,6 +166,8 @@ def _processed_row(obj: dict) -> dict:
         raise ValueError(f"'label' must be 0 or 1, got {obj['label']}")
     if obj["max_words"] < 1:
         raise ValueError(f"'max_words' must be >= 1, got {obj['max_words']}")
+    if obj["word_count"] < 0:
+        raise ValueError(f"'word_count' must be >= 0, got {obj['word_count']!r:.40}")
     return obj
 
 

@@ -89,7 +89,7 @@ def post_json(url: str, payload: dict, *, max_attempts: int = DEFAULT_MAX_ATTEMP
     Raises :class:`RemoteServiceError` when the attempts are exhausted or
     the next wait would pass the deadline (with the last HTTP status when
     there was one), and :class:`RemoteSchemaError` when a 2xx body is not
-    valid JSON.
+    a JSON object.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
@@ -119,9 +119,12 @@ def post_json(url: str, payload: dict, *, max_attempts: int = DEFAULT_MAX_ATTEMP
             continue
         if 200 <= status < 300:
             try:
-                return json.loads(raw)
+                decoded = json.loads(raw)
             except (ValueError, RecursionError) as exc:
                 raise RemoteSchemaError(f"response from {url} is not valid JSON: {exc}") from exc
+            if not isinstance(decoded, dict):
+                raise RemoteSchemaError(f"response from {url} is not a JSON object")
+            return decoded
         error = RemoteServiceError(f"{url} returned HTTP {status}", status=status,
                                    retryable=status == 429 or status >= 500)
         if not error.retryable:

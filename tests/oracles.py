@@ -14,9 +14,11 @@ computational route.
 from __future__ import annotations
 
 import random
+import tempfile
 from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
@@ -33,6 +35,14 @@ def index_rows(index) -> list[tuple[tuple[str, int], np.ndarray]]:
     a copy, so the index may grow while they are held."""
     matrix = np.array(index._vectors, dtype=np.float32).reshape(len(index), index.dim)
     return list(zip(zip(index._patient_ids, index._positions.tolist()), matrix))
+
+
+def saved_bytes(index) -> bytes:
+    """The file ``VectorIndex.save`` writes for ``index``, read back from a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.brag"
+        index.save(path)
+        return path.read_bytes()
 
 
 def psi(x: float, y: float) -> float:

@@ -44,7 +44,7 @@ from budgetrag.retrieval import (
 from budgetrag.synthetic import generate_corpus, write_corpus
 from budgetrag.vindex import VectorIndex
 
-from .oracles import auc_pair_enumeration, bootstrap_p_value, delong_reference, trapezoid_area
+from .oracles import auc_pair_enumeration, bootstrap_p_value, delong_reference, saved_bytes, trapezoid_area
 
 
 class _Criterion:
@@ -349,18 +349,18 @@ def test_criterion_09_persistence_round_trip(tmp_path):
             vec = rng.standard_normal(dim)
             vec /= np.linalg.norm(vec)
             index.add(f"patient-{rng.integers(0, 8)}-{i}", i, vec.astype(np.float32))
-        blob = index.to_bytes()
+        blob = saved_bytes(index)
         path = tmp_path / f"idx{trial}.brag"
         index.save(path)
         assert path.read_bytes() == blob
         loaded = VectorIndex.load(path)
-        assert loaded.to_bytes() == blob  # byte-exact round trip
+        assert saved_bytes(loaded) == blob  # byte-exact round trip
 
     reference = VectorIndex(dim=4, embedder_fingerprint="fp")
     vec = np.zeros(4, dtype=np.float32)
     vec[1] = 1.0
     reference.add("p", 0, vec)
-    blob = reference.to_bytes()
+    blob = saved_bytes(reference)
 
     with pytest.raises(IndexFormatError):
         VectorIndex.from_bytes(b"WRONGMAG" + blob[8:])

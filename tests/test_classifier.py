@@ -239,16 +239,19 @@ class TestClassifyBatch:
         parallel = classify_batch(contexts, ClassifierConfig(), parallelism=8)
         assert serial.outcomes == parallel.outcomes
 
-    def test_failures_recorded_without_aborting(self, api_server):
+    @pytest.mark.parametrize("bad,error", [
+        ({"choices": [{"message": {"content": "garbled"}}]}, "ResponseParseError"),
+        (b'["choices"]', "RemoteSchemaError"),
+    ], ids=["garbled-verdict", "reply-not-an-object"])
+    def test_failures_recorded_without_aborting(self, api_server, bad, error):
         cfg = ClassifierConfig(kind="remote", endpoint=api_server.url, model_name="m")
         ok = {"choices": [{"message": {"content": '{"complication": 1, "severity": 2}'}}]}
-        bad = {"choices": [{"message": {"content": "garbled"}}]}
         api_server.reset([(200, ok), (200, bad), (200, ok)])
         contexts = [ctx("a", pid="p1"), ctx("b", pid="p2"), ctx("c", pid="p3")]
         batch = classify_batch(contexts, cfg)
         assert [o.patient_id for o in batch.outcomes] == ["p1", "p3"]
         assert [f.patient_id for f in batch.failures] == ["p2"]
-        assert batch.failures[0].error == "ResponseParseError"
+        assert batch.failures[0].error == error
 
     def test_bad_parallelism(self):
         with pytest.raises(ValueError):

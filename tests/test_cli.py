@@ -31,11 +31,11 @@ PINNED_CHAIN_SHA256 = {
     "ctx_long.jsonl": "09d7d51da0e61b08ac01e29e73332c0ab338eb2b7f63c6187e26a2437b76a37f",
     "ctx_long.jsonl.manifest.json": "a0d043ba8256e1a9fc164a57f96c6773cfc1f566a737b6294e2e6a0730ab3e3e",
     "ctx_rag.jsonl": "30b031b62876c775c08a6cdd370a4fbcfa4ed46f1abe13384cbd19cb14be8e2e",
-    "ctx_rag.jsonl.manifest.json": "76701d3138a882575dce04da33cf9702b2290331bb93397d17835ce3b94ca9cc",
+    "ctx_rag.jsonl.manifest.json": "16ab405764d84a555afd917a21e85e8ce916816215d9e6218a9f2296574c9d84",
     "delong.json": "3e35b7ad36a1d86efe90af6949a3f5e644880034f1d053e3dbd1568a3fa95b77",
     "delong.json.manifest.json": "b4b2f829db801d70e50967fefe47c01a6c05e47f67e0bafb1c40238c72a5d262",
-    "index.brag": "983e64f03f7b8ac9682ce513cf3c88f87c9566bc158045c3e58940c3340af6cf",
-    "index.brag.manifest.json": "6c6690933856733a16c4d2943a22e0fccc34d408b00045d01e99f5228a90eab0",
+    "index.brag": "88e1d4593ccec9e2e07603306bffd8e6bb608825819a6e93970354a37d03a20c",
+    "index.brag.manifest.json": "d0ec2483055c80064b5a547e307cee86f15069a37e96c0b66e5a7817c2e45f32",
     "m_long.json": "9a71313ce4f5230e330b6dfabc38a6fcbac718cdf6805f517c4c09224bf054d1",
     "m_long.json.manifest.json": "271a76823972d92336a610273af8dfdaae5b4a0ed311125890d519070b39a3e1",
     "m_rag.json": "b329103a802d0961705549294edaec26c65b342bd6eea39eb8b6a3f0a8e9423d",
@@ -946,6 +946,30 @@ class TestRetrieveValidation:
         assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 5
 
 
+    @pytest.mark.parametrize("command", ["build-index", "retrieve-rag"])
+    def test_2xx_reply_that_is_json_but_not_an_object_is_exit_3(self, tmp_path, api_server, capsys, command):
+        write_corpus(tmp_path / "corpus.jsonl", generate_corpus(5, seed=3))
+        run(0, "ingest", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "proc.jsonl",
+            "--max-words", "1000000")
+        remote = ["--embedder", "remote", "--endpoint", api_server.url, "--model", "m"]
+        if command == "build-index":
+            argv = ["build-index", "--corpus", tmp_path / "proc.jsonl", "--out", tmp_path / "i.brag", *remote]
+        else:
+            api_server.reset([(200, {"data": [{"embedding": [3.0, 4.0]}] * 5})])
+            run(0, "build-index", "--corpus", tmp_path / "proc.jsonl", "--out", tmp_path / "i.brag", *remote)
+            argv = ["retrieve", "--corpus", tmp_path / "proc.jsonl", "--index", tmp_path / "i.brag",
+                    "--mode", "rag", "--out", tmp_path / "c.jsonl", *remote]
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        api_server.reset([(200, b'["data"]')])
+        run(3, *argv)
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["category"]) == ("RemoteSchemaError", "remote")
+        assert err["message"] == f"response from {api_server.url} is not a JSON object"
+        assert len(api_server.requests) == 1
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_embedder_flags_bind_only_the_runs_that_embed(self, demo_dir, tmp_path):
         """retrieve --mode long builds no embedder, so --embedder remote asks for no --endpoint there; build-index
         records --model only for the remote embedder, which sends it."""
@@ -1584,13 +1608,15 @@ class TestProcessedCorpus:
          ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
         ("out_rag.jsonl", "mode", {"mode": "rag", "failed": True, "error": "ResponseParseError", "message": "m"}, 2,
          ["evaluate", "--outcomes", "{bad}", "--corpus", "{demo}/proc.jsonl", "--out", "{tmp}/m.json"]),
+        ("proc.jsonl", "word_count", {"word_count": -5}, 2,
+         ["retrieve", "--corpus", "{bad}", "--mode", "long", "--out", "{tmp}/c.jsonl"]),
     ], ids=["processed-without-text", "old-processed-format", "context-without-mode", "outcome-without-label",
             "outcome-nan-score", "outcome-nan-string-score", "processed-label-2", "processed-bool-label",
             "context-int-text", "outcome-without-latency", "outcome-string-severity-defaulted",
             "context-string-positions", "context-float-position", "context-without-positions",
             "corpus-anchor-before-year-1-in-utc", "outcome-negative-latency", "outcome-prompt-words-beyond-a-float",
             "context-bogus-mode", "context-negative-word-count", "context-negative-total-words",
-            "outcome-bogus-mode", "failure-lower-case-mode"])
+            "outcome-bogus-mode", "failure-lower-case-mode", "processed-negative-word-count"])
     def test_malformed_artifact_line_is_exit_2(self, demo_dir, tmp_path, capsys,
                                                source, drop, extra, bad_line, argv):
         rows = [json.loads(l) for l in (demo_dir / source).read_text().splitlines()[:3]]

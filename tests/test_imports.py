@@ -15,6 +15,9 @@ so neither an offline command nor the corpus generator loads
 ``dataclasses`` or the ``inspect`` it imports (about 14 ms together).
 ``import budgetrag`` loads no submodule: each name is imported from the
 module that defines it.
+The demo chain also runs under every other ``python3.<minor>``, 10 to 13,
+that the machine has, and must write the same pinned bytes there; a
+minor that is missing or does not run is a skip, not a pass.
 The corpus generator takes the complication vocabulary from ``retrieval``,
 so it loads neither the classifier nor the HTTP helper. build-index forks
 the hashing embedder's workers itself, one pipe each, so a run on two
@@ -28,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -138,8 +142,8 @@ print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[2])]))
 """
 
 
-def _run_without_numpy(chain: list[list[str]]) -> list[int]:
-    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(SRC), json.dumps(chain)],
+def _run_without_numpy(chain: list[list[str]], python: str = sys.executable) -> list[int]:
+    done = subprocess.run([python, "-c", _WITHOUT_NUMPY, str(SRC), json.dumps(chain)],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -149,6 +153,36 @@ def test_demo_chain_writes_its_pinned_bytes_without_numpy(tmp_path):
     write_corpus(tmp_path / "corpus.jsonl", generate_corpus(60, seed=0))
     chain = demo_chain(tmp_path)
     assert _run_without_numpy(chain) == [0] * len(chain)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == PINNED_CHAIN_SHA256
+
+
+def _interpreter(minor: int) -> str:
+    """The path of a ``python3.<minor>`` that runs as 3.<minor>; skips the test, with the reason, when there is none."""
+    if sys.version_info[:2] == (3, minor):
+        pytest.skip(f"3.{minor} is the interpreter running the tests")
+    python = shutil.which(f"python3.{minor}")
+    if python is None:
+        pytest.skip(f"no python3.{minor} on PATH")
+    try:
+        done = subprocess.run([python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                              capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        pytest.skip(f"{python} does not run: {exc}")
+    if done.returncode != 0 or done.stdout.strip() != f"3.{minor}":
+        said = (done.stderr or done.stdout).strip().splitlines()
+        pytest.skip(f"{python} does not run as 3.{minor}: {said[0][:200] if said else done.returncode}")
+    return python
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_demo_chain_writes_its_pinned_bytes_under_every_other_python(tmp_path, minor):
+    """The package needs nothing installed, so the chain runs under any supported interpreter on the machine,
+    and its bytes, the index's included, must not depend on the Python version."""
+    python = _interpreter(minor)
+    write_corpus(tmp_path / "corpus.jsonl", generate_corpus(60, seed=0))
+    chain = demo_chain(tmp_path)
+    assert _run_without_numpy(chain, python) == [0] * len(chain)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert digests == PINNED_CHAIN_SHA256
 

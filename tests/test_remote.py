@@ -189,6 +189,16 @@ def test_non_json_2xx_body_is_schema_error_without_retry(api_server, sleeps):
     assert sleeps == []
 
 
+@pytest.mark.parametrize("body", [b"5", b'"data"', b'["data"]', b"null", b"true"],
+                         ids=["number", "string", "list", "null", "bool"])
+def test_2xx_json_that_is_not_an_object_is_schema_error_without_retry(api_server, sleeps, body):
+    api_server.reset([(200, body)])
+    with pytest.raises(RemoteSchemaError, match=r"^response from \S+ is not a JSON object$"):
+        post_json(api_server.url, {"x": 1})
+    assert len(api_server.requests) == 1
+    assert sleeps == []
+
+
 def test_body_and_headers_on_the_wire(api_server):
     payload = {"model": "m", "input": ["café notes", "x" * 300], "temperature": 0.25}
     api_server.reset([(200, {})])

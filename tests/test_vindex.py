@@ -25,13 +25,13 @@ from budgetrag.errors import (
 )
 from budgetrag.retrieval import DEFAULT_QUERY_TEXT
 from budgetrag.synthetic import generate_corpus
-from budgetrag.vindex import CRC_BLOCK, HEADER_SIZE, MAGIC, SearchHit, VectorIndex, crc32c
+from budgetrag.vindex import HEADER_SIZE, MAGIC, SearchHit, VectorIndex, crc32c
 
-from .oracles import index_rows
+from .oracles import index_rows, saved_bytes
 
-# SHA-256 of pinned_index().to_bytes(), recorded before the index held its
-# rows in one matrix: the in-memory layout must not change format v2 bytes.
-PINNED_V2_SHA256 = "c10afa31014783885b3c1d6eb1a995c515b1aa3b0724ba47fa7413b1c5377b4f"
+# SHA-256 of the file save writes for pinned_index(): neither the in-memory
+# layout nor the way save writes the file may change format v3 bytes.
+PINNED_V3_SHA256 = "331db2a3d269d9b6c68fb557b3d4bc5c63fe477946be9ea35f755a5c6c2f987f"
 
 
 def unit(values) -> np.ndarray:
@@ -53,8 +53,7 @@ def build_random_index(rng: np.random.Generator, n: int, dim: int) -> VectorInde
 
 
 def pinned_index() -> VectorIndex:
-    """300 rows at dim 16 with patient ids of mixed utf-8 lengths: a 23 kB
-    file, so its body checksum runs through the block path."""
+    """300 rows at dim 16 with patient ids of mixed utf-8 lengths: a 23 kB file."""
     rng = np.random.default_rng(2505)
     rows = random_unit_rows(rng, 300, 16)
     index = VectorIndex(dim=16, embedder_fingerprint="hashing-fnv1a64:dim=16")
@@ -63,13 +62,13 @@ def pinned_index() -> VectorIndex:
     return index
 
 
-def crc32c_bitwise(data: bytes, crc: int = 0) -> int:
-    """Independent oracle: CRC-32C one bit at a time, no table."""
+def crc32_bitwise(data: bytes, crc: int = 0) -> int:
+    """Independent oracle: the IEEE CRC-32 (reflected polynomial 0xEDB88320) one bit at a time, no table."""
     crc ^= 0xFFFFFFFF
     for byte in data:
         crc ^= byte
         for _ in range(8):
-            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+            crc = (crc >> 1) ^ (0xEDB88320 if crc & 1 else 0)
     return crc ^ 0xFFFFFFFF
 
 
@@ -130,7 +129,7 @@ class TestAddMany:
         bulk.add_many(keys[3:], rows[3:])
         for (pid, pos), row in zip(keys, rows):
             single.add(pid, pos, row)
-        assert bulk.to_bytes() == single.to_bytes()
+        assert saved_bytes(bulk) == saved_bytes(single)
         query = random_unit_rows(rng, 1, 5)[0]
         assert bulk.search(query, k=7) == single.search(query, k=7)
         assert bulk.search(query, k=7, filter_patient="a") == single.search(query, k=7, filter_patient="a")
@@ -146,7 +145,7 @@ class TestAddMany:
         for (pid, pos), row in zip(keys, rows):
             single.add(pid, pos, row)
         assert [ref for ref, _ in index_rows(bulk)] == keys
-        assert bulk.to_bytes() == single.to_bytes()
+        assert saved_bytes(bulk) == saved_bytes(single)
         query = random_unit_rows(rng, 1, 4)[0]
         assert bulk.search(query, k=9) == single.search(query, k=9)
         for pid in "abcd":
@@ -175,11 +174,11 @@ class TestAddMany:
             "duplicate-of-existing-across-patients"])
     def test_rejected_batch_leaves_index_unchanged(self, keys, vectors, error, match):
         index = self._index()
-        before = index.to_bytes()
+        before = saved_bytes(index)
         with pytest.raises(error, match=match):
             index.add_many(keys, vectors)
         assert len(index) == 2
-        assert index.to_bytes() == before
+        assert saved_bytes(index) == before
         assert index.search(unit([1, 0, 0]), k=1, filter_patient="p3") == []
 
     @pytest.mark.parametrize("position,error", [
@@ -202,7 +201,7 @@ class TestAddMany:
         assert all(type(pos) is int for (_, pos), _ in index_rows(index))
 
     def test_loaded_index_grows(self):
-        loaded = VectorIndex.from_bytes(self._index().to_bytes())
+        loaded = VectorIndex.from_bytes(saved_bytes(self._index()))
         loaded.add_many([("p1", 2)], unit([0, 0, 1])[None, :])
         loaded.add("p2", 0, unit([1, 1, 0]))
         assert [ref for ref, _ in index_rows(loaded)] == [("p1", 0), ("p1", 1), ("p1", 2), ("p2", 0)]
@@ -330,7 +329,7 @@ class TestScoringAndStorage:
         index.save(tmp_path / "i.brag")
         loaded, peak = self._peak(lambda: VectorIndex.load(tmp_path / "i.brag"))
         assert peak <= (tmp_path / "i.brag").stat().st_size + rows.nbytes + self.KEY_BYTES * len(rows)
-        assert loaded.to_bytes() == index.to_bytes()
+        assert saved_bytes(loaded) == saved_bytes(index)
 
     def test_a_dense_query_is_scored_without_a_copy_of_the_rows(self):
         # a remote service's vectors are dense: the pass holds one row and the scores, not a column per coordinate
@@ -447,29 +446,32 @@ class TestPersistence:
         return index
 
     def test_crc32c_known_vector(self):
-        assert crc32c(b"123456789") == 0xE3069283
+        assert crc32c(b"123456789") == 0xCBF43926
 
-    @pytest.mark.parametrize("length", [
-        0, 1, CRC_BLOCK - 1, CRC_BLOCK, CRC_BLOCK + 1,
-        2 * CRC_BLOCK - 1, 2 * CRC_BLOCK, 2 * CRC_BLOCK + 1, 100_003,
-    ])
+    @pytest.mark.parametrize("length", [0, 1, 511, 512, 513, 1023, 1024, 1025, 100_003])
     def test_crc32c_matches_bitwise_oracle(self, length):
         data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
-        assert crc32c(data) == crc32c_bitwise(data)
-        assert crc32c(data, 0x1234ABCD) == crc32c_bitwise(data, 0x1234ABCD)
+        assert crc32c(data) == crc32_bitwise(data)
+        assert crc32c(data, 0x1234ABCD) == crc32_bitwise(data, 0x1234ABCD)
         assert crc32c(memoryview(data)) == crc32c(bytearray(data)) == crc32c(data)
 
     def test_crc32c_chains(self):
-        data = np.random.default_rng(5).integers(0, 256, 9 * CRC_BLOCK + 77, dtype=np.uint8).tobytes()
-        for cut in (0, 1, CRC_BLOCK - 3, 2 * CRC_BLOCK + 5, 5 * CRC_BLOCK, len(data) - 1, len(data)):
+        data = np.random.default_rng(5).integers(0, 256, 4685, dtype=np.uint8).tobytes()
+        for cut in (0, 1, 509, 1029, 2560, len(data) - 1, len(data)):
             a, b = data[:cut], data[cut:]
             assert crc32c(a + b) == crc32c(b, crc32c(a)), cut
 
-    def test_format_v2_bytes_are_pinned(self):
-        blob = pinned_index().to_bytes()
-        assert len(blob) > 2 * CRC_BLOCK
-        assert hashlib.sha256(blob).hexdigest() == PINNED_V2_SHA256
-        assert VectorIndex.from_bytes(blob).to_bytes() == blob
+    def test_format_v3_bytes_are_pinned(self):
+        blob = saved_bytes(pinned_index())
+        assert hashlib.sha256(blob).hexdigest() == PINNED_V3_SHA256
+        assert saved_bytes(VectorIndex.from_bytes(blob)) == blob
+
+    def test_version_2_file_is_rejected_with_a_rebuild_hint(self):
+        blob = bytearray(saved_bytes(self._small_index()))
+        struct.pack_into("<I", blob, 8, 2)  # a v3 file stamped as version 2, its header checksum re-sealed
+        struct.pack_into("<I", blob, HEADER_SIZE - 4, crc32c(bytes(blob[:HEADER_SIZE - 4])))
+        with pytest.raises(IndexVersionError, match=r"version 2\b.*re-run build-index"):
+            VectorIndex.from_bytes(bytes(blob))
 
     def test_round_trip_bit_exact(self, tmp_path):
         index = self._small_index()
@@ -482,27 +484,27 @@ class TestPersistence:
         for (_, vec_a), (_, vec_b) in zip(index_rows(loaded), index_rows(index)):
             assert vec_a.tobytes() == vec_b.tobytes()
         # canonical serialization is a fixed point
-        assert loaded.to_bytes() == index.to_bytes()
+        assert saved_bytes(loaded) == saved_bytes(index)
 
     def test_a_big_endian_host_swaps_each_float_both_ways(self, monkeypatch):
         index = self._small_index()
-        blob = index.to_bytes()
+        blob = saved_bytes(index)
         monkeypatch.setattr(vindex, "_LITTLE_ENDIAN", False)  # this host's floats, read as a big-endian one's
-        swapped = index.to_bytes()
+        swapped = saved_bytes(index)
         vector = HEADER_SIZE + 4 + len("pat-α".encode("utf-8")) + 4  # the first entry's vector field
         assert swapped[vector:vector + 12] == b"".join(blob[i:i + 4][::-1] for i in range(vector, vector + 12, 4))
         assert swapped[:HEADER_SIZE - 4] == blob[:HEADER_SIZE - 4] and len(swapped) == len(blob)
-        assert VectorIndex.from_bytes(swapped).to_bytes() == swapped
+        assert saved_bytes(VectorIndex.from_bytes(swapped)) == swapped
 
     def test_bad_magic(self, tmp_path):
-        blob = self._small_index().to_bytes()
+        blob = saved_bytes(self._small_index())
         path = tmp_path / "bad.brag"
         path.write_bytes(b"NOTANIDX" + blob[8:])
         with pytest.raises(IndexFormatError, match="magic"):
             VectorIndex.load(path)
 
     def test_unsupported_version(self, tmp_path):
-        blob = bytearray(self._small_index().to_bytes())
+        blob = bytearray(saved_bytes(self._small_index()))
         blob[8:12] = struct.pack("<I", 99)
         # checksum still covers the patched bytes, so fix it up
         body = bytes(blob[:-4])
@@ -512,14 +514,14 @@ class TestPersistence:
             VectorIndex.load(path)
 
     def test_truncated_file(self, tmp_path):
-        blob = self._small_index().to_bytes()
+        blob = saved_bytes(self._small_index())
         path = tmp_path / "trunc.brag"
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(IndexTruncatedError):
             VectorIndex.load(path)
 
     def test_checksum_mismatch(self, tmp_path):
-        blob = bytearray(self._small_index().to_bytes())
+        blob = bytearray(saved_bytes(self._small_index()))
         blob[-10] ^= 0xFF  # flip a payload byte (inside the fingerprint), leave the trailer
         path = tmp_path / "corrupt.brag"
         path.write_bytes(bytes(blob))
@@ -527,7 +529,7 @@ class TestPersistence:
             VectorIndex.load(path)
 
     def test_flipped_vector_byte_is_checksum_mismatch(self, tmp_path):
-        blob = bytearray(self._small_index().to_bytes())
+        blob = bytearray(saved_bytes(self._small_index()))
         # first vector starts after the header, pid_len(4), pid and position(4)
         offset = HEADER_SIZE + 4 + len("pat-α".encode("utf-8")) + 4
         blob[offset] ^= 0x01
@@ -537,15 +539,15 @@ class TestPersistence:
             VectorIndex.load(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
-        blob = self._small_index().to_bytes()
+        blob = saved_bytes(self._small_index())
         path = tmp_path / "extra.brag"
         path.write_bytes(blob + b"xx")
         with pytest.raises((IndexFormatError, IndexChecksumError)):
             VectorIndex.load(path)
 
     def test_single_byte_flips_never_look_truncated_and_prefixes_always_do(self):
-        small = self._small_index().to_bytes()
-        multi_block = pinned_index().to_bytes()
+        small = saved_bytes(self._small_index())
+        multi_block = saved_bytes(pinned_index())
         # every offset of the small file; for the multi-block one the header
         # and a seeded sample of the body and trailer
         sample = np.random.default_rng(0).choice(np.arange(HEADER_SIZE, len(multi_block)), 80, replace=False)
@@ -565,7 +567,7 @@ class TestPersistence:
     def test_text_that_is_not_utf8_with_valid_checksum_is_format_error(self, what):
         index = VectorIndex(dim=3, embedder_fingerprint="fp")
         index.add("ab", 0, unit([1, 0, 0]))
-        blob = bytearray(index.to_bytes())
+        blob = bytearray(saved_bytes(index))
         offset = HEADER_SIZE + 4 if what == "entry 0 id" else len(blob) - 4 - len(b"fp")
         blob[offset:offset + 2] = b"\xff\xfe"  # same length, so only the body checksum changes
         blob[-4:] = struct.pack("<I", crc32c(bytes(blob[HEADER_SIZE:-4])))
@@ -581,7 +583,7 @@ class TestPersistence:
         index = VectorIndex(dim=3, embedder_fingerprint="fp")
         index.add("p", 0, unit([1, 0, 0]))
         index.add("p", 1, unit([0, 1, 0]))
-        blob = bytearray(index.to_bytes())
+        blob = bytearray(saved_bytes(index))
         offset = HEADER_SIZE + (4 + 1 + 4 + 12) if field == "entry 1 id length" else len(blob) - 4 - len(b"fp") - 4
         (value,) = struct.unpack_from("<I", blob, offset)
         struct.pack_into("<I", blob, offset, value + delta)
@@ -598,7 +600,7 @@ class TestPersistence:
         index = VectorIndex(dim=3, embedder_fingerprint="fp")
         index.add("p", 0, unit([1, 0, 0]))
         index.add("p", 1, unit([0, 1, 0]))
-        blob = bytearray(index.to_bytes())
+        blob = bytearray(saved_bytes(index))
         position = HEADER_SIZE + (4 + 1 + 4 + 12) + 4 + 1  # the second entry's: after the first entry, its id
         if fault == "repeated-key":
             struct.pack_into("<I", blob, position, 0)
@@ -609,7 +611,7 @@ class TestPersistence:
             VectorIndex.from_bytes(bytes(blob))
 
     def test_impossible_header_with_valid_checksum_is_format_error(self):
-        blob = self._small_index().to_bytes()
+        blob = saved_bytes(self._small_index())
         for dim, length in ((0, len(blob)), (3, HEADER_SIZE)):
             header = bytearray(blob[:HEADER_SIZE - 4])
             struct.pack_into("<I", header, 12, dim)
@@ -620,7 +622,7 @@ class TestPersistence:
 
     def test_magic_constant(self):
         assert MAGIC == b"BRAGIDX1"
-        assert self._small_index().to_bytes()[:8] == b"BRAGIDX1"
+        assert saved_bytes(self._small_index())[:8] == b"BRAGIDX1"
 
     def test_empty_index_round_trip(self, tmp_path):
         index = VectorIndex(dim=5, embedder_fingerprint="fp")
