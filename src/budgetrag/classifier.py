@@ -22,6 +22,7 @@ import math
 import time
 from typing import NamedTuple, get_type_hints
 
+from .corpus import word_count
 from .errors import BudgetRagError, ResponseParseError
 from .manifest import check_types, check_unique, read_jsonl, write_jsonl
 from .remote import DEFAULT_MAX_ATTEMPTS, post_json
@@ -195,7 +196,7 @@ def classify(ctx: AssembledContext, cfg: ClassifierConfig) -> ClassificationOutc
         severity=parsed.severity,
         score=rank_score(parsed.label, parsed.severity),
         raw_response=raw,
-        prompt_words=sum(len(line.split()) for line in prompt.splitlines()),  # each line break is whitespace
+        prompt_words=word_count(prompt),  # also the sum over its lines: every line break is whitespace to split
         latency_ms=latency_ms,
         severity_defaulted=parsed.severity_defaulted,
     )

@@ -115,8 +115,9 @@ def parse_rfc3339(value: str, field: str) -> datetime:
 
 def read_lines(path: str | Path) -> tuple[str, ...]:
     """Read a UTF-8 list file (a whitelist, keywords): one entry per line,
-    stripped, blank lines dropped. A file with no entries is an error."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    stripped, blank lines dropped, a leading byte order mark ignored. A
+    file with no entries is an error."""
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()  # a byte order mark is no part of an entry
     entries = tuple(line.strip() for line in lines if line.strip())
     if not entries:
         raise CorpusFormatError(f"{path} contains no entries")
@@ -193,7 +194,21 @@ def concat_text(record: PatientRecord) -> str:
     return NOTE_SEPARATOR.join(n.text for n in record.notes)
 
 
+# Each ASCII character as " " if it is whitespace and "x" if not. Below 128, str.isspace() is exactly
+# the whitespace that str.split() splits on: the six of C, and \x1c-\x1f.
+_WORD_MARKS = "".join(" " if chr(code).isspace() else "x" for code in range(128))
+
+
 def word_count(text: str) -> int:
+    """``len(text.split())``, without building the words when ``text`` is ASCII.
+
+    An ASCII text (``isascii`` is O(1)) is mapped through ``_WORD_MARKS``;
+    a word then starts at each " x" and at a leading "x". Any other text
+    is split. Both branches give the same count.
+    """
+    if text.isascii():
+        marks = text.translate(_WORD_MARKS)
+        return marks.count(" x") + marks.startswith("x")
     return len(text.split())
 
 

@@ -143,11 +143,20 @@ class TestMock:
                                           "a\u2028{context}\x85b"])
     @pytest.mark.parametrize("edges", ["", "\x0b\x1c"])
     def test_prompt_words_are_the_whitespace_split_of_the_prompt(self, template, edges):
-        # counted line by line: every line boundary str.splitlines knows, and a {context} touching a word
+        # every line boundary str.splitlines knows, and a {context} touching a word
         breaks = ["\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
         text = edges[:1] + "".join(f"w{i}{brk}" for i, brk in enumerate(breaks)) + "last" + edges[1:]
         outcome = classify(ctx(text), ClassifierConfig(prompt_template=template))
         assert outcome.prompt_words == len(template.replace("{context}", text).split())
+
+    @pytest.mark.parametrize("extra", ["", "\u2028"], ids=["ascii", "line-separator"])
+    def test_prompt_words_equal_the_split_of_an_ascii_prompt_and_of_one_that_is_not(self, extra):
+        # an ASCII prompt is counted without splitting it; a line separator sends it down str.split
+        template = f"Notes:\r\n{{context}}\x0bthen\x1canswer{extra}."
+        text = f"\x1calpha\r\nbeta\x0b\x0bgamma{extra}delta "
+        prompt = template.replace("{context}", text)
+        outcome = classify(ctx(text), ClassifierConfig(prompt_template=template))
+        assert outcome.prompt_words == len(prompt.split()) == (8 if extra else 6)
 
     def test_custom_keywords(self):
         outcome = classify(ctx("flux capacitor failure"), ClassifierConfig(keywords=("flux capacitor",)))

@@ -1528,6 +1528,43 @@ class TestSyntheticCli:
         assert len(out.read_text().splitlines()) == 4
 
 
+class TestListFilesWithAByteOrderMark:
+    """A list file saved with a UTF-8 byte order mark loses the mark, not its first entry."""
+
+    @staticmethod
+    def _raw_corpus(path, *patients):
+        path.write_text("".join(json.dumps({"patient_id": pid, "label": label, "notes": notes}) + "\n"
+                                for pid, label, notes in patients), encoding="utf-8")
+
+    def test_classify_keywords(self, tmp_path):
+        note = {"note_type": "OR PostOp", "timestamp": "2024-03-10T08:00:00Z"}
+        self._raw_corpus(tmp_path / "raw.jsonl", ("p0", 1, [{**note, "text": "a zebra crossing was seen"}]),
+                         ("p1", 0, [{**note, "text": "an uneventful recovery"}]))
+        (tmp_path / "keywords.txt").write_bytes("zebra crossing\nunicorn\n".encode("utf-8-sig"))
+        run(0, "ingest", "--corpus", tmp_path / "raw.jsonl", "--out", tmp_path / "proc.jsonl", "--deterministic")
+        run(0, "retrieve", "--corpus", tmp_path / "proc.jsonl", "--mode", "long", "--out", tmp_path / "ctx.jsonl",
+            "--deterministic")
+        run(0, "classify", "--contexts", tmp_path / "ctx.jsonl", "--out", tmp_path / "out.jsonl",
+            "--keywords", tmp_path / "keywords.txt", "--deterministic")
+        outcomes = {row["patient_id"]: row["label"] for row in
+                    map(json.loads, (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines())}
+        assert outcomes == {"p0": 1, "p1": 0}
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["keywords"] == ["zebra crossing", "unicorn"]
+
+    def test_ingest_whitelist(self, tmp_path):
+        self._raw_corpus(tmp_path / "raw.jsonl", ("p0", 0, [
+            {"note_type": "OR PreOp", "timestamp": "2024-03-09T08:00:00Z", "text": "first type"},
+            {"note_type": "Brief Op Note", "timestamp": "2024-03-10T08:00:00Z", "text": "second type"},
+            {"note_type": "OR PostOp", "timestamp": "2024-03-10T09:00:00Z", "text": "not listed"},
+        ]))
+        (tmp_path / "types.txt").write_bytes("OR PreOp\nBrief Op Note\n".encode("utf-8-sig"))
+        run(0, "ingest", "--corpus", tmp_path / "raw.jsonl", "--out", tmp_path / "proc.jsonl",
+            "--whitelist", tmp_path / "types.txt", "--deterministic")
+        row = json.loads((tmp_path / "proc.jsonl").read_text(encoding="utf-8"))
+        assert (row["text"], row["word_count"]) == ("first type\n\nsecond type", 4)
+
+
 class TestProcessedCorpus:
     def test_word_count_is_the_whitespace_split_of_the_text(self, tmp_path):
         # ingest sums the notes' counts: every line boundary str.splitlines knows, at a note's edges too

@@ -20,6 +20,7 @@ from budgetrag.corpus import (
     load_corpus,
     read_lines,
     window_notes,
+    word_count,
 )
 from budgetrag.errors import CorpusFormatError
 from budgetrag.manifest import check_types, read_jsonl
@@ -163,6 +164,11 @@ class TestLoadCorpus:
         wl.write_text("OR PreOp\n\nBrief Op Note\n", encoding="utf-8")
         assert frozenset(read_lines(wl)) == frozenset({"OR PreOp", "Brief Op Note"})
 
+    def test_list_file_with_a_byte_order_mark(self, tmp_path):
+        wl = tmp_path / "types.txt"
+        wl.write_bytes("OR PreOp\nBrief Op Note\n".encode("utf-8-sig"))
+        assert read_lines(wl) == ("OR PreOp", "Brief Op Note")
+
     def test_default_whitelist_has_sixteen_types(self):
         assert len(DEFAULT_NOTE_TYPES) == 16
 
@@ -222,6 +228,27 @@ class TestConcatText:
 
     def test_zero_notes(self):
         assert concat_text(record()) == ""
+
+
+# Every ASCII character, and four that are not: whitespace to str.split (\x85, \xa0, \u2028, \u3000)
+# that sends word_count down its split branch.
+_WORD_COUNT_ALPHABET = [chr(code) for code in range(128)] + ["\x85", "\xa0", "\u2028", "\u3000"]
+
+
+class TestWordCount:
+    @given(st.text(alphabet=st.sampled_from(_WORD_COUNT_ALPHABET), max_size=60))
+    @settings(max_examples=400, deadline=None)
+    def test_is_the_length_of_the_whitespace_split(self, text):
+        assert word_count(text) == len(text.split())
+
+    @pytest.mark.parametrize("text,words", [
+        ("", 0), (" \t\n\r\x0b\x0c", 0), ("  lead", 1), ("trail \n", 1), ("\tboth ends\r\n", 2),
+        ("\x1c\x1d\x1e\x1f", 0), ("a\x1cb\x1dc\x1ed\x1fe", 5), ("a\x0bb\x0cc", 3), ("\x7f", 1), ("a\x7fb \x7f", 2),
+        ("\x00 \x01", 2), ("x", 1), ("caf\u00e9 au\xa0lait", 3),
+    ], ids=["empty", "whitespace-only", "leading", "trailing", "both-ends", "separators-only", "separators-split",
+            "vt-ff-split", "del", "del-is-no-space", "nul", "one-letter", "non-ascii"])
+    def test_edge_cases(self, text, words):
+        assert word_count(text) == len(text.split()) == words
 
 
 class TestChunkText:
@@ -313,3 +340,39 @@ def test_write_jsonl_writes_the_unescaped_encoders_line(tmp_path, text):
         return
     manifest.write_jsonl(path, rows)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+MIB = 1 << 20
+
+
+class TestLinesLongerThanTheReadBuffer:
+    """A line of several MiB reads and writes like a short one: nothing hangs on a buffer boundary."""
+
+    def test_a_3_mib_line_round_trips(self, tmp_path):
+        rows = [{"text": "word " * (3 * MIB // 5), "n": 1}, {"text": "after", "n": 2}]
+        path = tmp_path / "rows.jsonl"
+        manifest.write_jsonl(path, rows)
+        assert path.stat().st_size > 3 * MIB
+        assert read_jsonl(path, "test rows", dict) == rows
+
+    def test_a_lone_surrogate_past_the_first_mib_is_named(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"x": 1}\n{"text": "' + b"a" * (MIB + 100) + b'\\udc80 tail"}\n')
+        with pytest.raises(CorpusFormatError, match="line 2: not valid Unicode: a lone surrogate escape"):
+            read_jsonl(path, "test rows", dict)
+
+    @pytest.mark.parametrize("char", ["\x7f", "\u00e9"], ids=["del", "non-ascii"])
+    def test_a_character_past_the_first_mib_is_written_unescaped(self, tmp_path, char):
+        text = "a" * (MIB + 100) + char
+        path = tmp_path / "rows.jsonl"
+        manifest.write_jsonl(path, [{"text": text}])
+        assert path.read_bytes() == f'{{"text": "{text}"}}\n'.encode("utf-8")
+        assert read_jsonl(path, "test rows", dict) == [{"text": text}]
+
+    def test_whitespace_only_lines_are_skipped_and_still_counted(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"x": 1}\n \t\r\x0b\x0c\n\n\t\n{"x": 2}\n\r\n{"x": }\n')
+        with pytest.raises(CorpusFormatError, match=r"rows.jsonl: test rows line 7: invalid JSON"):
+            read_jsonl(path, "test rows", dict)
+        path.write_bytes(path.read_bytes()[:-len(b'{"x": }\n')])
+        assert read_jsonl(path, "test rows", dict) == [{"x": 1}, {"x": 2}]

@@ -505,11 +505,10 @@ class TestPersistence:
 
     def test_unsupported_version(self, tmp_path):
         blob = bytearray(saved_bytes(self._small_index()))
-        blob[8:12] = struct.pack("<I", 99)
-        # checksum still covers the patched bytes, so fix it up
-        body = bytes(blob[:-4])
+        struct.pack_into("<I", blob, 8, 99)  # the header checksum covers the version, so re-seal it
+        struct.pack_into("<I", blob, HEADER_SIZE - 4, crc32c(bytes(blob[:HEADER_SIZE - 4])))
         path = tmp_path / "v99.brag"
-        path.write_bytes(body + struct.pack("<I", crc32c(body)))
+        path.write_bytes(bytes(blob))
         with pytest.raises(IndexVersionError, match="99"):
             VectorIndex.load(path)
 
